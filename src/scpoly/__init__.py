@@ -14,8 +14,8 @@ from .geometry import (AngleVector, ImmersionReport, LabelledPolygon,
 from .paramsolve import (SolveOptions, SolveReport, extract_exponents,
                          fit_affine_constants, side_length_residual,
                          solve_parameter_problem)
-from .quadrature import (PanelPath, QuadratureRule, gauss_jacobi,
-                         integrate_sc, integrate_to_infinity, total_moment)
+from .quadrature import (QuadratureRule, gauss_jacobi, integrate_sc,
+                         integrate_to_infinity, total_moment)
 from .render import grid_curves, polygon_svg, scmap_svg
 from .scmap import (BASE_POINT, INFINITY, ExponentVector, Prevertices, SCMap,
                     apply_similarity, evaluate, forward, forward_extended)
@@ -29,7 +29,7 @@ __all__ = [
     "DegenerateSide", "ExponentVector", "INFINITY", "ImmersionReport",
     "InvalidExponent", "LabelledPolygon", "NoConvergence",
     "NonSimpleInstance", "NotImmersedInput", "NotIncreasing",
-    "NotNormalized", "NumericalError", "OnBoundary", "PanelPath",
+    "NotNormalized", "NumericalError", "OnBoundary",
     "PathThroughSingularity", "PlanePoint", "PointOnCurve", "Prevertices",
     "QuadratureRule", "SCMap", "ScpolyError", "SolveOptions", "SolveReport",
     "SweepConfig", "SweepResult", "ValidationError", "ZeroScale", "a_chart",

@@ -20,7 +20,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import jsonio
-from .charts import ChartPoint, moduli_chart, moduli_unchart
+from .charts import moduli_chart, moduli_unchart
 from .errors import NumericalError, ScpolyError, ValidationError
 from .paramsolve import SolveOptions, solve_parameter_problem
 from .quadrature import DEFAULT_TOL

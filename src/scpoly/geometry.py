@@ -7,12 +7,13 @@ the ray toward the next one, normalized into (0, 2*pi]. For a CCW-labelled
 embedded polygon this is the usual interior angle.
 
 All predicates are pure functions; ``is_simple`` makes certificate-grade
-decisions through the exact predicates in :mod:`scpoly.predicates`.
+decisions through the exact predicates in :mod:`scpoly.predicates`. Winding
+numbers are computed by one array kernel over a whole batch of query points;
+``winding_number``, the immersion screen and the witness search all use it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,38 +171,46 @@ def turning_number(poly: LabelledPolygon) -> int:
     return int(round(total))
 
 
-def _distance_to_segment(p: complex, a: complex, b: complex) -> float:
+def _windings(poly: LabelledPolygon,
+              points: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Winding numbers of the boundary around a batch of points.
+
+    Returns the windings and a mask of the points where they are defined:
+    farther than the coincidence tolerance from the trace, with the
+    accumulated argument landing within 1e-6 of a whole number of turns
+    (points effectively on the curve fail the latter). Entries outside the
+    mask are meaningless.
+    """
+    tol = max(_check_sides(poly), 1e-300)
+    # Sides along axis 0, points along axis 1.
+    p = np.asarray(points, dtype=complex)[None, :]
+    a = np.asarray(poly.vertices)[:, None]
+    b = np.roll(a, -1, axis=0)
     d = b - a
-    L2 = d.real * d.real + d.imag * d.imag
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
+    pa = p - a
+    t = np.clip((pa.real * d.real + pa.imag * d.imag)
+                / (d.real * d.real + d.imag * d.imag), 0.0, 1.0)
+    clear = (np.abs(p - (a + t * d)) > tol).all(axis=0)
+    # Side j turns by arg((b_j - p) / (a_j - p)).
+    u, v = a - p, b - p
+    turns = np.arctan2(u.real * v.imag - u.imag * v.real,
+                       u.real * v.real + u.imag * v.imag).sum(axis=0) / TWO_PI
+    k = np.round(turns)
+    return k.astype(int), clear & (np.abs(turns - k) < 1e-6)
 
 
 def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
-    """Winding of the polygon boundary around p, by argument accumulation.
+    """Winding of the polygon boundary around p, by argument accumulation
+    (the batch kernel applied to one point).
 
     Raises :class:`PointOnCurve` if p is within tolerance of the trace, or
     if the accumulated total fails to land on an integer to 1e-6 (which
     only happens for points effectively on the curve).
     """
-    tol = max(_check_sides(poly), 1e-300)
-    w = poly.vertices
-    n = poly.n
-    for j in range(n):
-        a, b = poly.side(j)
-        if _distance_to_segment(p, a, b) <= tol:
-            raise PointOnCurve(f"point {p} lies on side {j}")
-    total = 0.0
-    for j in range(n):
-        a, b = poly.side(j)
-        total += cmath.phase((b - p) / (a - p))
-    k = round(total / TWO_PI)
-    if abs(total / TWO_PI - k) >= 1e-6:
-        raise PointOnCurve(f"winding residual too large at {p}")
-    return int(k)
+    k, defined = _windings(poly, [p])
+    if not defined[0]:
+        raise PointOnCurve(f"point {p} lies on or too near the curve")
+    return int(k[0])
 
 
 def _adjacent(i: int, j: int, n: int) -> bool:
@@ -267,25 +276,31 @@ def _proper_crossings(poly: LabelledPolygon) -> list[complex]:
     return pts
 
 
-def _line_clearance(poly: LabelledPolygon, p: complex) -> float:
-    """Distance from p to the nearest side-supporting (infinite) line."""
-    best = math.inf
-    for j in range(poly.n):
-        a, b = poly.side(j)
-        d = b - a
-        L = abs(d)
-        if L == 0.0:
-            continue
-        dist = abs((d.conjugate() * (p - a)).imag) / L
-        best = min(best, dist)
-    return best
+def _bounding_box(poly: LabelledPolygon) -> tuple[float, float, float, float]:
+    xs = [v.real for v in poly.vertices]
+    ys = [v.imag for v in poly.vertices]
+    return min(xs), max(xs), min(ys), max(ys)
 
 
-def _safe_winding(poly: LabelledPolygon, p: complex) -> Optional[int]:
-    try:
-        return winding_number(poly, p)
-    except PointOnCurve:
-        return None
+def _line_clearance(poly: LabelledPolygon,
+                    points: Sequence[complex]) -> np.ndarray:
+    """Distance from each point to the nearest side-supporting (infinite)
+    line."""
+    p = np.asarray(points, dtype=complex)[None, :]
+    a = np.asarray(poly.vertices)[:, None]
+    d = np.roll(a, -1, axis=0) - a
+    pa = p - a
+    return (np.abs(d.real * pa.imag - d.imag * pa.real) / np.abs(d)).min(axis=0)
+
+
+def _first_witness(poly: LabelledPolygon, points: Sequence[complex],
+                   clearance: float) -> Optional[PlanePoint]:
+    """First of the points with winding >= 2 and line clearance at least
+    ``clearance``, or None."""
+    k, defined = _windings(poly, points)
+    certified = defined & (k >= 2) & (_line_clearance(poly, points) >= clearance)
+    hits = np.flatnonzero(certified)
+    return complex(points[hits[0]]) if hits.size else None
 
 
 def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
@@ -323,10 +338,7 @@ def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
         for scale in (1e-3, 3e-2):
             pts.append(mid + scale * diam * normal)
             pts.append(mid - scale * diam * normal)
-    lo_x = min(v.real for v in poly.vertices)
-    hi_x = max(v.real for v in poly.vertices)
-    lo_y = min(v.imag for v in poly.vertices)
-    hi_y = max(v.imag for v in poly.vertices)
+    lo_x, hi_x, lo_y, hi_y = _bounding_box(poly)
     grid = 7
     for ix in range(grid):
         for iy in range(grid):
@@ -345,6 +357,8 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
         exactly 1, and turning >= 2 forces at least one wrapped vertex.
     (b) the angle sum equals (n-2)*pi, equivalently turning number 1.
     (c) winding numbers at sampled arrangement-face points are all >= 0.
+        All probes are wound in one batch; ``points_sampled`` counts the
+        probes with a defined winding up to the first negative one.
 
     All three together are necessary, not sufficient.
     """
@@ -354,17 +368,13 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
     angles_in_range = pointwise_ok and t <= 1
     angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1
 
-    sampled = 0
-    winding_ok = True
-    for p in _face_sample_points(poly):
-        k = _safe_winding(poly, p)
-        if k is None:
-            continue
-        sampled += 1
-        if k < 0:
-            winding_ok = False
-            break
-    return ImmersionReport(angles_in_range, angle_sum_ok, winding_ok, t, sampled)
+    k, defined = _windings(poly, _face_sample_points(poly))
+    negative = np.flatnonzero(defined & (k < 0))
+    if negative.size:
+        # The screen stops at the first negative winding.
+        defined = defined[:negative[0] + 1]
+    return ImmersionReport(angles_in_range, angle_sum_ok, not negative.size,
+                           t, int(defined.sum()))
 
 
 def find_multiwound_witness(poly: LabelledPolygon,
@@ -374,45 +384,29 @@ def find_multiwound_witness(poly: LabelledPolygon,
     Tries targeted probes around side crossings (and lens midpoints between
     them), then stratified uniform samples over the bounding box from a
     fixed-seed PCG64 stream, at most ``budget`` candidate evaluations in
-    total. Returns the first certified witness, or None.
+    total. The probes, and each grid level, are wound as one batch; the
+    result is the first certified candidate in probe and cell order, or
+    None.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    diam = poly.diameter
-    clearance = WITNESS_LINE_RTOL * diam
-
-    def certify(p: complex) -> bool:
-        if _line_clearance(poly, p) < clearance:
-            return False
-        k = _safe_winding(poly, p)
-        return k is not None and k >= 2
-
-    tried = 0
-    for p in _face_sample_points(poly):
-        if tried >= budget:
-            return None
-        tried += 1
-        if certify(p):
-            return p
-
+    clearance = WITNESS_LINE_RTOL * poly.diameter
+    probes = _face_sample_points(poly)[:budget]
+    found = _first_witness(poly, probes, clearance)
+    tried = len(probes)
     rng = np.random.default_rng(_WITNESS_SEED)
-    lo_x = min(v.real for v in poly.vertices)
-    hi_x = max(v.real for v in poly.vertices)
-    lo_y = min(v.imag for v in poly.vertices)
-    hi_y = max(v.imag for v in poly.vertices)
+    lo_x, hi_x, lo_y, hi_y = _bounding_box(poly)
     # Stratify: sweep a coarse-to-fine sequence of grids, one jittered
-    # sample per cell, until the budget runs out.
+    # sample per cell (cells in row-major order), until the budget runs out.
     grid = 4
-    while tried < budget:
-        for ix in range(grid):
-            for iy in range(grid):
-                if tried >= budget:
-                    return None
-                u, v = rng.random(2)
-                p = complex(lo_x + (ix + u) * (hi_x - lo_x) / grid,
-                            lo_y + (iy + v) * (hi_y - lo_y) / grid)
-                tried += 1
-                if certify(p):
-                    return p
+    while found is None and tried < budget:
+        cells = min(grid * grid, budget - tried)
+        ix, iy = np.divmod(np.arange(cells), grid)
+        u, v = rng.random((cells, 2)).T
+        pts = np.empty(cells, dtype=complex)
+        pts.real = lo_x + (ix + u) * (hi_x - lo_x) / grid
+        pts.imag = lo_y + (iy + v) * (hi_y - lo_y) / grid
+        found = _first_witness(poly, pts, clearance)
+        tried += cells
         grid *= 2
-    return None
+    return found

@@ -23,11 +23,10 @@ two conventions agree).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -59,26 +58,6 @@ class QuadratureRule:
     exponent_left: float
     exponent_right: float
     order: int
-
-
-@dataclass(frozen=True)
-class PanelPath:
-    """Ordered waypoints of a piecewise-straight integration path."""
-
-    waypoints: tuple[complex, ...]
-
-    def __post_init__(self):
-        pts = tuple(complex(w) for w in self.waypoints)
-        if len(pts) < 2:
-            raise ValidationError("a path needs at least two waypoints")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValidationError("consecutive waypoints must be distinct")
-        object.__setattr__(self, "waypoints", pts)
-
-    @property
-    def segments(self) -> tuple[tuple[complex, complex], ...]:
-        return tuple(zip(self.waypoints, self.waypoints[1:]))
 
 
 def total_moment(a: float, b: float) -> float:
@@ -209,7 +188,7 @@ class _Segment:
                 out.append((m, b))
         self.panels = out
 
-    def integral(self, order: int) -> complex:
+    def integral(self) -> complex:
         groups: dict[tuple[bool, bool], list[tuple[complex, complex]]] = {}
         for a, b in self.panels:
             key = (a == self.p, b == self.q)
@@ -218,7 +197,7 @@ class _Segment:
         for (at_left, at_right), panels in groups.items():
             eL = self.e_left if at_left else 0.0
             eR = self.e_right if at_right else 0.0
-            rule = gauss_jacobi(order, a=eR, b=eL)
+            rule = gauss_jacobi(DEFAULT_ORDER, a=eR, b=eL)
             ps = np.array([pq[0] for pq in panels])
             qs = np.array([pq[1] for pq in panels])
             half = (qs - ps) / 2.0
@@ -239,15 +218,15 @@ class _Segment:
         return total
 
 
-def _refined_total(segments: list[_Segment], tol: float, order: int) -> complex:
+def _refined_total(segments: list[_Segment], tol: float) -> complex:
     for seg in segments:
         seg.build_panels()
-    prev = sum((seg.integral(order) for seg in segments), 0j)
+    prev = sum((seg.integral() for seg in segments), 0j)
     diff = math.inf
     for _ in range(MAX_LEVELS):
         for seg in segments:
             seg.halve_panels()
-        cur = sum((seg.integral(order) for seg in segments), 0j)
+        cur = sum((seg.integral() for seg in segments), 0j)
         denom = max(abs(cur), abs(prev))
         diff = abs(cur - prev)
         if denom == 0.0 or diff <= tol * denom:
@@ -338,7 +317,7 @@ def _check_upper(z: complex, name: str):
 
 
 def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
-                 tol: float = DEFAULT_TOL, order: int = DEFAULT_ORDER) -> complex:
+                 tol: float = DEFAULT_TOL) -> complex:
     """Path integral of prod_j (zeta - z_j)^(alpha_j - 1) from z_from to z_to.
 
     The constants A, B of the enclosing map play no role here. Real-axis
@@ -362,14 +341,13 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
         cuts = [a] + [float(x) for x in xs if a < x < b] + [b]
         for lo, hi in zip(cuts, cuts[1:]):
             segments.append(_real_axis_segment(lo, hi, xs, es))
-        return sign * _refined_total(segments, tol, order)
+        return sign * _refined_total(segments, tol)
     segments.append(_upper_plane_segment(z_from, z_to, xs, es))
-    return _refined_total(segments, tol, order)
+    return _refined_total(segments, tol)
 
 
 def integrate_to_infinity(map: "SCMap", z_from: float,
-                          tol: float = DEFAULT_TOL,
-                          order: int = DEFAULT_ORDER) -> complex:
+                          tol: float = DEFAULT_TOL) -> complex:
     """Tail integral of the bare integrand from z_from along R to infinity.
 
     Substituting u = 1/zeta turns the tail into an integral over (0, 1/z_from]
@@ -403,4 +381,4 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     avoid = np.concatenate([[0.0], 1.0 / cx]).astype(complex)
     seg = _Segment(p=0j, q=complex(u0), e_left=e0, e_right=0.0,
                    avoid=avoid, smooth_log=smooth_log)
-    return _refined_total([seg], tol, order)
+    return _refined_total([seg], tol)

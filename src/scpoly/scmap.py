@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (AngleMismatch, InvalidExponent, NotIncreasing,
-                     NotNormalized, NumericalError, ValidationError, ZeroScale)
+from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
+                     NotIncreasing, NotNormalized, NumericalError,
+                     ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
                        interior_angles)
 from .quadrature import DEFAULT_TOL, integrate_sc, integrate_to_infinity
@@ -154,7 +155,12 @@ def _circular_gap(x: float, y: float) -> float:
 
 def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector,
                            gate_extended: bool) -> tuple[float, int]:
-    measured = interior_angles(poly).values
+    try:
+        measured = interior_angles(poly).values
+    except DegenerateSide as exc:
+        # The input map was valid; output vertices that coincide in
+        # floating point are a failure of the computation.
+        raise NumericalError(f"computed polygon is degenerate: {exc}") from exc
     worst, worst_j = 0.0, -1
     for j, (theta, alpha) in enumerate(zip(measured, exp.alphas)):
         if alpha >= 2.0 and not gate_extended:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from scpoly import (
@@ -16,6 +18,7 @@ from scpoly import (
     turning_number,
     winding_number,
 )
+from scpoly import geometry
 
 from conftest import HEX_WITNESS_LARGE, HEX_WITNESS_LENS
 from oracles import has_nonadjacent_crossing, ray_crossing_winding
@@ -119,6 +122,15 @@ def test_winding_on_trace_rejected(unit_square):
         winding_number(unit_square, 1j)
 
 
+def test_winding_at_vertices_rejected_without_warnings(hex_large):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for v in hex_large.vertices:
+            with pytest.raises(PointOnCurve):
+                winding_number(hex_large, v)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_winding_agrees_with_ray_oracle(unit_square, hex_large, hex_lens,
                                         pentagon_poly):
     probes = [0.5 + 0.5j, -0.3 + 0.4j, 2 + 0.1j, 0.25 + 0.9j]
@@ -136,6 +148,17 @@ def test_winding_agrees_with_ray_oracle(unit_square, hex_large, hex_lens,
         far = complex(lo - 3 * scale, 0.0)
         assert winding_number(poly, far) == 0
         assert ray_crossing_winding(poly.vertices, far) == 0
+
+
+def test_batch_windings_agree_with_ray_oracle(unit_square, hex_large,
+                                              hex_lens, pentagon_poly):
+    # Every probe of the immersion screen, one array call per polygon.
+    for poly in (unit_square, hex_large, hex_lens, pentagon_poly):
+        probes = geometry._face_sample_points(poly)
+        k, defined = geometry._windings(poly, probes)
+        assert defined.sum() > len(probes) / 2
+        for p, w in zip(np.asarray(probes)[defined], k[defined]):
+            assert w == ray_crossing_winding(poly.vertices, p)
 
 
 # ------------------------------------------------------------ is_simple
@@ -200,6 +223,15 @@ def test_screen_clockwise_square_fails():
     assert not rep.ok
 
 
+def test_screen_points_sampled(unit_square, bowtie, hex_large, hex_lens):
+    # The clockwise square and the bowtie stop at their first probe, which
+    # has negative winding.
+    cw = LabelledPolygon((0j, 1j, 1 + 1j, 1 + 0j))
+    sampled = [check_immersion_necessary(p).points_sampled
+               for p in (unit_square, cw, bowtie, hex_large, hex_lens)]
+    assert sampled == [67, 1, 1, 171, 182]
+
+
 # ------------------------------------------------------- witness search
 
 def test_square_has_no_witness(unit_square):
@@ -231,6 +263,22 @@ def test_hexagon_witnesses(which, frozen, hex_large, hex_lens):
         assert winding_number(poly, p) >= 2
         assert ray_crossing_winding(poly.vertices, p) == winding_number(poly, p)
         assert _line_clearance(poly, p) > 1e-9 * poly.diameter
+
+
+def test_stratified_witness_stream_frozen(monkeypatch, hex_large,
+                                          pentagon_poly):
+    # Cut the targeted probes to one point so the witness must come from
+    # the fixed-seed stratified grids; values measured once and frozen.
+    full = geometry._face_sample_points
+    monkeypatch.setattr(geometry, "_face_sample_points",
+                        lambda poly: full(poly)[:1])
+    found = find_multiwound_witness(hex_large, 20_000)
+    assert found == pytest.approx(-11.167871944147052 + 0.5819121362227122j,
+                                  abs=1e-9 * hex_large.diameter)
+    assert find_multiwound_witness(hex_large, 40) is None
+    found = find_multiwound_witness(pentagon_poly, 40)
+    assert found == pytest.approx(-0.8652129778260756 + 0.4293202503678804j,
+                                  abs=1e-9 * pentagon_poly.diameter)
 
 
 def test_pentagon_witness(pentagon_poly):

@@ -4,6 +4,7 @@ import pytest
 import scpoly.sweep as sweep_mod
 from scpoly import (
     ChartPoint,
+    DegenerateSide,
     NumericalError,
     NonSimpleInstance,
     SweepConfig,
@@ -106,6 +107,17 @@ def test_forward_failures_are_counted(monkeypatch):
     assert res.failures > 0
     assert res.tested == 40
     assert res.simple_count + len(res.nonsimple_instances) + res.failures == 40
+
+
+def test_degenerate_forward_output_counts_as_failure():
+    # Sample 1 of this config integrates to float-coincident vertices.
+    cfg = SweepConfig(n=8, samples=2, seed=11, chart_box=10.0)
+    with pytest.raises(NumericalError) as info:
+        forward(*moduli_unchart(sample_chart_point(cfg, 1)))
+    assert isinstance(info.value.__cause__, DegenerateSide)
+    res = run_sweep(cfg)
+    assert res.tested == 2
+    assert res.failures >= 1
 
 
 def test_nonsimple_instance_container():
