@@ -191,10 +191,14 @@ def _windings(poly: LabelledPolygon,
     t = np.clip((pa.real * d.real + pa.imag * d.imag)
                 / (d.real * d.real + d.imag * d.imag), 0.0, 1.0)
     clear = (np.abs(p - (a + t * d)) > tol).all(axis=0)
-    # Side j turns by arg((b_j - p) / (a_j - p)).
-    u, v = a - p, b - p
-    turns = np.arctan2(u.real * v.imag - u.imag * v.real,
-                       u.real * v.real + u.imag * v.imag).sum(axis=0) / TWO_PI
+    # Side j turns by arg((b_j - p) / (a_j - p)). Each point's offsets are
+    # scaled by an exact power of two, which leaves the angles unchanged
+    # and keeps the products below finite for far-away points.
+    u = a - p
+    _, e = np.frexp(np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0))
+    ur, ui = np.ldexp(u.real, -e), np.ldexp(u.imag, -e)
+    vr, vi = np.roll(ur, -1, axis=0), np.roll(ui, -1, axis=0)
+    turns = np.arctan2(ur * vi - ui * vr, ur * vr + ui * vi).sum(axis=0) / TWO_PI
     k = np.round(turns)
     return k.astype(int), clear & (np.abs(turns - k) < 1e-6)
 
@@ -386,10 +390,11 @@ def find_multiwound_witness(poly: LabelledPolygon,
     fixed-seed PCG64 stream, at most ``budget`` candidate evaluations in
     total. The probes, and each grid level, are wound as one batch; the
     result is the first certified candidate in probe and cell order, or
-    None.
+    None. Coincident consecutive vertices raise :class:`DegenerateSide`.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
+    _check_sides(poly)
     clearance = WITNESS_LINE_RTOL * poly.diameter
     probes = _face_sample_points(poly)[:budget]
     found = _first_witness(poly, probes, clearance)

@@ -2,12 +2,13 @@
 
 The target integrand is prod_j (zeta - x_j)^(e_j) with all x_j real and
 e_j > -1: integrable power singularities at the x_j, analytic elsewhere in
-the closed upper half-plane. Each straight segment of an integration path
-is cut into panels subject to the half-distance rule (a panel must keep
-every singularity that is not one of its own endpoints at least half a
+the closed upper half-plane. Each integral is one flat array of panels over
+all its straight legs, cut subject to the half-distance rule (a panel must
+keep every singularity that is not one of its own endpoints at least half a
 panel length away), which grades panel sizes geometrically into the
-singular endpoints. Endpoint singularities are absorbed exactly into the
-Jacobi weight; the leftover smooth factor is handled by the Gauss nodes.
+singular endpoints. A singularity sitting at a panel endpoint is absorbed
+exactly into that panel's Jacobi weight; every other factor is evaluated
+at the Gauss nodes, in one array pass over all panels.
 
 Convergence control is a whole-path comparison of successive global panel
 halvings (every level doubles the panel count); levels are compared in
@@ -24,9 +25,9 @@ two conventions agree).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -89,7 +90,10 @@ def _jacobi_nodes_weights(order: int, a: float, b: float):
         off[1:] = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + s)
                           / (t * t * (t * t - 1.0)))
     x, v = eigh_tridiagonal(diag, off)
-    w = total_moment(a, b) * v[0] ** 2
+    m0 = total_moment(a, b)
+    w = m0 * v[0] ** 2
+    if abs(float(np.sum(w)) - m0) > 1e-13 * m0:
+        raise NumericalError(f"Jacobi rule weight sum off: {np.sum(w)} vs {m0}")
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -99,134 +103,126 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule of the given order for weight (1-x)^a (1+x)^b.
 
     The weight sum is checked against the closed-form total moment to
-    1e-13 relative; a violation means a broken rule and raises.
+    1e-13 relative when the rule is built (once per cached rule); a
+    violation means a broken rule and raises.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidExponent(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
     x, w = _jacobi_nodes_weights(order, float(a), float(b))
-    m0 = total_moment(a, b)
-    if abs(float(np.sum(w)) - m0) > 1e-13 * m0:
-        raise NumericalError(f"Jacobi rule weight sum off: {np.sum(w)} vs {m0}")
     return QuadratureRule(nodes=x, weights=w, exponent_left=float(b),
                           exponent_right=float(a), order=order)
 
 
-def _seg_point_dist(p: complex, q: complex, s: complex) -> float:
-    d = q - p
-    L2 = d.real * d.real + d.imag * d.imag
-    t = ((s - p).real * d.real + (s - p).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(s - (p + t * d))
+def _split(p: np.ndarray, q: np.ndarray,
+           avoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-distance panels [a_k, b_k] covering the legs [p_i, q_i].
 
-
-@dataclass
-class _Segment:
-    """One straight leg of the path, with its singular-endpoint data.
-
-    ``smooth_log(z, with_left, with_right)`` returns the log of the
-    integrand part not absorbed into a panel's Jacobi weight: always the
-    factors of singularities off the leg (constant phases folded in), plus
-    the leg's own endpoint factors when the flags ask for them. Only the
-    two panels touching the leg ends claim an endpoint factor as weight;
-    every other panel sees it as part of the smooth remainder.
-
-    ``avoid`` lists every singularity location relevant to the leg,
-    including singular leg endpoints; a panel is exempt only from
-    singularities sitting exactly at its own endpoints.
+    Panels are cut at their midpoints, breadth-first, until every point of
+    ``avoid`` other than a panel's own endpoints lies at least half a panel
+    length from it. A panel whose midpoint rounds onto an endpoint spans
+    only a few float ulps and cannot be cut further; its value is below
+    representable resolution anyway. Real legs give real panels.
     """
-
-    p: complex
-    q: complex
-    e_left: float
-    e_right: float
-    avoid: np.ndarray
-    smooth_log: Callable[[np.ndarray, bool, bool], np.ndarray]
-    panels: list[tuple[complex, complex]] = field(default_factory=list)
-
-    def build_panels(self):
-        out: list[tuple[complex, complex]] = []
-
-        def split(a: complex, b: complex, depth: int):
-            length = abs(b - a)
-            worst = math.inf
-            for s in self.avoid:
-                s = complex(s)
-                if s == a or s == b:
-                    continue
-                worst = min(worst, _seg_point_dist(a, b, s))
-            m = (a + b) / 2
-            # m == a or b: the panel spans only a few float ulps and cannot
-            # be subdivided further; its value is below representable
-            # resolution anyway.
-            if worst >= 0.5 * length or m == a or m == b:
-                out.append((a, b))
-                return
-            if depth >= _MAX_SPLIT_DEPTH:
-                if worst == 0.0:
-                    raise PathThroughSingularity(
-                        f"path segment [{a}, {b}] runs through a singularity")
-                raise NoConvergence("panel subdivision failed to terminate")
-            split(a, m, depth + 1)
-            split(m, b, depth + 1)
-
-        split(self.p, self.q, 0)
-        self.panels = out
-
-    def halve_panels(self):
-        # Children of an admissible panel are admissible: lengths halve
-        # while singularity distances do not shrink. Panels already at
-        # float resolution stay as they are.
-        out = []
-        for a, b in self.panels:
-            m = (a + b) / 2
-            if m == a or m == b:
-                out.append((a, b))
-            else:
-                out.append((a, m))
-                out.append((m, b))
-        self.panels = out
-
-    def integral(self) -> complex:
-        groups: dict[tuple[bool, bool], list[tuple[complex, complex]]] = {}
-        for a, b in self.panels:
-            key = (a == self.p, b == self.q)
-            groups.setdefault(key, []).append((a, b))
-        total = 0.0 + 0.0j
-        for (at_left, at_right), panels in groups.items():
-            eL = self.e_left if at_left else 0.0
-            eR = self.e_right if at_right else 0.0
-            rule = gauss_jacobi(DEFAULT_ORDER, a=eR, b=eL)
-            ps = np.array([pq[0] for pq in panels])
-            qs = np.array([pq[1] for pq in panels])
-            half = (qs - ps) / 2.0
-            nodes = ps[:, None] + (rule.nodes[None, :] + 1.0) * half[:, None]
-            logs = self.smooth_log(nodes.ravel(), not at_left, not at_right)
-            vals = np.exp(logs).reshape(nodes.shape)
-            sums = vals @ rule.weights
-            # Claimed endpoint factors split off as ((q-p)/2)^e times
-            # (1 -+ x)^e; directions point from each singular endpoint into
-            # the upper half-plane, where the principal log is the right
-            # branch.
-            scale = half.astype(complex)
-            if eL != 0.0:
-                scale *= np.exp(eL * (np.log((qs - ps).astype(complex)) - _LN2))
-            if eR != 0.0:
-                scale *= np.exp(eR * (np.log((ps - qs).astype(complex)) - _LN2))
-            total += complex(np.sum(scale * sums))
-        return total
+    done_a, done_b = [], []
+    a, b = p, q
+    for depth in range(_MAX_SPLIT_DEPTH + 1):
+        # Avoided points (axis 1) in the frame where the panel (axis 0) is
+        # [0, 1], so distances come in units of the panel length.
+        sa = avoid - a[:, None]
+        u = sa / (b - a)[:, None]
+        dist = np.abs(u - np.minimum(np.maximum(u.real, 0.0), 1.0))
+        own = (sa == 0.0) | (avoid == b[:, None])
+        m = (a + b) / 2
+        fine = ((dist >= 0.5) | own).all(axis=1) | (m == a) | (m == b)
+        if fine.all():
+            done_a.append(a)
+            done_b.append(b)
+            break
+        if depth == _MAX_SPLIT_DEPTH:
+            if np.any(((dist == 0.0) & ~own)[~fine]):
+                raise PathThroughSingularity("path runs through a singularity")
+            raise NoConvergence("panel subdivision failed to terminate")
+        done_a.append(a[fine])
+        done_b.append(b[fine])
+        cut = ~fine
+        a, m, b = a[cut], m[cut], b[cut]
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+    return np.concatenate(done_a), np.concatenate(done_b)
 
 
-def _refined_total(segments: list[_Segment], tol: float) -> complex:
-    for seg in segments:
-        seg.build_panels()
-    prev = sum((seg.integral() for seg in segments), 0j)
+def _halve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Children of an admissible panel are admissible: lengths halve while
+    # singularity distances do not shrink. Panels already at float
+    # resolution stay as they are.
+    m = (a + b) / 2
+    cut = (m != a) & (m != b)
+    return (np.concatenate([a, m[cut]]),
+            np.concatenate([np.where(cut, m, b), b[cut]]))
+
+
+def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+               es: np.ndarray) -> complex:
+    """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b].
+
+    ``xs`` are the singular points in the integration variable t and ``es``
+    their exponents. A singular point sitting exactly at a panel endpoint
+    puts its factor into that panel's Jacobi weight; every other factor is
+    evaluated at the nodes, as set by ``kind``:
+
+    - ``axis``: t real; |t - x|^e, times the constant phase exp(i pi e) of
+      each x to the right of the panel (the real-axis branch);
+    - ``upper``: principal (t - x)^e, on complex panels;
+    - ``tail``: t = 1/zeta real; (1 - t/x)^e, which is t^e at x = 0, the
+      only singular point within reach of a tail panel.
+    """
+    order = DEFAULT_ORDER
+    own_left = a[:, None] == xs
+    own_right = b[:, None] == xs
+    e_left = own_left @ es
+    e_right = own_right @ es
+    own = own_left | own_right
+    # The Jacobi rule of each panel: one per absorbed exponent pair.
+    ks, js = np.nonzero(own)
+    rule_of = np.zeros(a.size, dtype=np.intp)
+    pairs = {(0.0, 0.0): 0}
+    for k in ks.tolist():
+        rule_of[k] = pairs.setdefault((e_right[k], e_left[k]), len(pairs))
+    rules = [gauss_jacobi(order, a=eR, b=eL) for eR, eL in pairs]
+    t = np.array([r.nodes for r in rules])[rule_of]
+    w = np.array([r.weights for r in rules])[rule_of]
+    half = (b - a) / 2.0
+    nodes = (a[:, None] + (t + 1.0) * half[:, None]).reshape(-1, 1)
+    if kind == "upper":
+        f = nodes - xs
+        # The directions point from each singular endpoint into the closed
+        # upper half-plane, where the principal log is the right branch.
+        logs = (e_left * (np.log(b - a) - _LN2)
+                + e_right * (np.log(a - b) - _LN2))
+    else:
+        f = np.abs(nodes - xs)
+        if kind == "tail":
+            f /= np.where(xs == 0.0, 1.0, np.abs(xs))
+        logs = (e_left + e_right) * (np.log(b - a) - _LN2)
+        if kind == "axis":
+            # An absorbed right end lies right of the nodes: its phase counts.
+            logs = logs + 1j * math.pi * ((xs >= b[:, None]) @ es)
+    # Absorbed factors drop out of the nodes as log(1) = 0 and come back
+    # as ((b - a)/2)^e times (1 -+ x)^e.
+    f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
+    sums = np.einsum("kj,kj->k", np.exp(np.log(f) @ es).reshape(t.shape), w)
+    return complex(np.sum(half * np.exp(logs) * sums))
+
+
+def _refined(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+             es: np.ndarray, tol: float) -> complex:
+    """Halve every panel until two successive levels agree to ``tol``."""
+    prev = _panel_sum(kind, a, b, xs, es)
     diff = math.inf
     for _ in range(MAX_LEVELS):
-        for seg in segments:
-            seg.halve_panels()
-        cur = sum((seg.integral() for seg in segments), 0j)
+        a, b = _halve(a, b)
+        cur = _panel_sum(kind, a, b, xs, es)
         denom = max(abs(cur), abs(prev))
         diff = abs(cur - prev)
         if denom == 0.0 or diff <= tol * denom:
@@ -241,72 +237,6 @@ def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:
     xs = np.asarray(map.prevertices.finite_points, dtype=float)
     es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
     return xs, es
-
-
-def _real_axis_segment(a: float, b: float, xs: np.ndarray,
-                       es: np.ndarray) -> _Segment:
-    """Leg along the real axis, a < b, no singularity strictly inside."""
-    own_left = bool(np.any(xs == a))
-    own_right = bool(np.any(xs == b))
-    off_leg = (xs != a) & (xs != b)
-    fx, fe = xs[off_leg], es[off_leg]
-    # Constant phase: pi per unit exponent for every singularity to the
-    # right of the leg (hard-coded branch on the axis).
-    phase = 1j * math.pi * float(np.sum(fe[fx > b]))
-    e_left = float(es[xs == a][0]) if own_left else 0.0
-    e_right = float(es[xs == b][0]) if own_right else 0.0
-
-    def smooth_log(z: np.ndarray, with_left: bool, with_right: bool):
-        x = z.real
-        if fx.size:
-            out = np.log(np.abs(x[:, None] - fx[None, :])) @ fe + phase
-        else:
-            out = np.full(z.shape, phase)
-        if with_left and e_left != 0.0:
-            out = out + e_left * np.log(x - a)
-        if with_right and e_right != 0.0:
-            out = out + e_right * (np.log(b - x) + 1j * math.pi)
-        return out
-
-    avoid = np.concatenate([fx, xs[~off_leg]]).astype(complex)
-    return _Segment(p=complex(a), q=complex(b), e_left=e_left,
-                    e_right=e_right, avoid=avoid, smooth_log=smooth_log)
-
-
-def _upper_plane_segment(p: complex, q: complex, xs: np.ndarray,
-                         es: np.ndarray) -> _Segment:
-    """Leg with at least one endpoint off the axis; interior avoids R.
-
-    All node-to-singularity differences have argument in [0, pi], where the
-    principal logarithm agrees with the real-axis branch convention.
-    """
-    own_left = p.imag == 0.0 and bool(np.any(xs == p.real))
-    own_right = q.imag == 0.0 and bool(np.any(xs == q.real))
-    off_leg = np.ones(xs.shape, dtype=bool)
-    if own_left:
-        off_leg &= xs != p.real
-    if own_right:
-        off_leg &= xs != q.real
-    fx, fe = xs[off_leg], es[off_leg]
-    fec = fe.astype(complex)
-    e_left = float(es[xs == p.real][0]) if own_left else 0.0
-    e_right = float(es[xs == q.real][0]) if own_right else 0.0
-
-    def smooth_log(z: np.ndarray, with_left: bool, with_right: bool):
-        if fx.size:
-            out = np.log(z[:, None] - fx[None, :]) @ fec
-        else:
-            out = np.zeros(z.shape, dtype=complex)
-        if with_left and e_left != 0.0:
-            out = out + e_left * np.log(z - p)
-        if with_right and e_right != 0.0:
-            out = out + e_right * np.log(z - q)
-        return out
-
-    avoid = np.concatenate([fx.astype(complex),
-                            np.array([p] * own_left + [q] * own_right)])
-    return _Segment(p=p, q=q, e_left=e_left, e_right=e_right,
-                    avoid=avoid, smooth_log=smooth_log)
 
 
 def _check_upper(z: complex, name: str):
@@ -332,18 +262,14 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     if z_from == z_to:
         return 0j
     xs, es = _sc_singularities(map)
-    segments: list[_Segment] = []
     if z_from.imag == 0.0 and z_to.imag == 0.0:
-        a, b = z_from.real, z_to.real
-        sign = 1.0
-        if a > b:
-            a, b, sign = b, a, -1.0
-        cuts = [a] + [float(x) for x in xs if a < x < b] + [b]
-        for lo, hi in zip(cuts, cuts[1:]):
-            segments.append(_real_axis_segment(lo, hi, xs, es))
-        return sign * _refined_total(segments, tol)
-    segments.append(_upper_plane_segment(z_from, z_to, xs, es))
-    return _refined_total(segments, tol)
+        lo, hi = sorted((z_from.real, z_to.real))
+        cuts = np.concatenate(([lo], xs[(lo < xs) & (xs < hi)], [hi]))
+        a, b = _split(cuts[:-1], cuts[1:], xs)
+        total = _refined("axis", a, b, xs, es, tol)
+        return total if z_from.real < z_to.real else -total
+    a, b = _split(np.array([z_from]), np.array([z_to]), xs)
+    return _refined("upper", a, b, xs, es, tol)
 
 
 def integrate_to_infinity(map: "SCMap", z_from: float,
@@ -362,23 +288,8 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
             f"tail start {z_from} must exceed the last finite prevertex {xs[-1]}")
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
-    alpha_n = float(map.exponents.alphas[-1])
-    e0 = alpha_n - 1.0
-    u0 = 1.0 / z_from
     nonzero = xs != 0.0
-    cx, ce = xs[nonzero], es[nonzero]
-
-    def smooth_log(u: np.ndarray, with_left: bool, with_right: bool):
-        x = u.real
-        if cx.size:
-            out = np.log(1.0 - x[:, None] * cx[None, :]) @ ce
-        else:
-            out = np.zeros(u.shape)
-        if with_left and e0 != 0.0:
-            out = out + e0 * np.log(x)
-        return out
-
-    avoid = np.concatenate([[0.0], 1.0 / cx]).astype(complex)
-    seg = _Segment(p=0j, q=complex(u0), e_left=e0, e_right=0.0,
-                   avoid=avoid, smooth_log=smooth_log)
-    return _refined_total([seg], tol)
+    us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
+    ues = np.concatenate(([map.exponents.alphas[-1] - 1.0], es[nonzero]))
+    a, b = _split(np.array([0.0]), np.array([1.0 / z_from]), us)
+    return _refined("tail", a, b, us, ues, tol)

@@ -129,3 +129,18 @@ def leg_integral(zs, alphas, p, q):
         return mp.quad(g, [0, 1])
 
     return half_from(p, alpha_at(p)) - half_from(q, alpha_at(q))
+
+
+def tail_integral(zs, alphas, x0):
+    """Integral of prod_j (x - z_j)^(alpha_j - 1) over [x0, infinity).
+
+    x0 lies right of every z_j, so the integrand is smooth and positive;
+    tanh-sinh on the original variable, with the range cut at 2*x0 and
+    10*x0 ahead of the infinite piece. 50-digit arithmetic.
+    """
+    zs = [mp.mpf(z) for z in zs]
+    alphas = [mp.mpf(a) for a in alphas]
+    x0 = mp.mpf(x0)
+    return mp.quad(lambda x: mp.fprod((x - zj) ** (aj - 1)
+                                      for zj, aj in zip(zs, alphas)),
+                   [x0, 2 * x0, 10 * x0, mp.inf])

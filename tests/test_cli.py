@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from scpoly.jsonio import dumps, polygon_to_json
 from conftest import SQUARE_VERTICES, sup_dist
 
 SQUARE_CHART = '{"n": 4, "z": [0.0], "a": [0.0, 0.0, 0.0]}'
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -206,3 +209,24 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4
+
+
+def run_module(*argv):
+    """The CLI as its own process, from the source tree (no install)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "scpoly.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs():
+    proc = run_module("forward", SQUARE_CHART)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["n"] == 4
+
+
+def test_module_entry_point_exit_code_on_bad_chart():
+    proc = run_module("forward", '{"n": 4}')
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "ValidationError"

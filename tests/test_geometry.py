@@ -131,6 +131,16 @@ def test_winding_at_vertices_rejected_without_warnings(hex_large):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_far_points_wind_zero_without_warnings(unit_square):
+    # Offsets near the float range: the cross and dot products of the
+    # argument sum would overflow unscaled.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in (1e200 + 1e200j, 1e300 - 1e300j, 1e308):
+            assert winding_number(unit_square, p) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_winding_agrees_with_ray_oracle(unit_square, hex_large, hex_lens,
                                         pentagon_poly):
     probes = [0.5 + 0.5j, -0.3 + 0.4j, 2 + 0.1j, 0.25 + 0.9j]
@@ -236,6 +246,11 @@ def test_screen_points_sampled(unit_square, bowtie, hex_large, hex_lens):
 
 def test_square_has_no_witness(unit_square):
     assert find_multiwound_witness(unit_square, 10_000) is None
+
+
+def test_witness_rejects_coincident_consecutive_vertices():
+    with pytest.raises(DegenerateSide):
+        find_multiwound_witness(LabelledPolygon((0j, 1 + 0j, 1 + 0j, 1j)), 100)
 
 
 def test_witness_budget_validated(unit_square):

@@ -16,7 +16,7 @@ from scpoly import (
 )
 
 from conftest import BETA_THIRD, PENTAGON_ALPHAS
-from oracles import beta_lgamma, jacobi_moments, leg_integral
+from oracles import beta_lgamma, jacobi_moments, leg_integral, tail_integral
 
 
 def test_single_node_legendre_is_midpoint():
@@ -180,3 +180,37 @@ def test_square_gap_ratio_is_one():
     s1 = abs(integrate_sc(m, -1.0, 0.0))
     s2 = abs(integrate_sc(m, 0.0, 1.0))
     assert s2 / s1 == pytest.approx(1.0, abs=1e-10)
+
+
+# Gaps of 1, 0.05 and 2.95; alpha = 0.1 at z = 3 is strongly singular.
+ORACLE_ZS = [-1.0, 0.0, 0.05, 3.0]
+ORACLE_ALPHAS = [0.3, 0.6, 1.6, 0.1]
+
+
+@pytest.fixture(scope="module")
+def crowded_map():
+    return SCMap(Prevertices(tuple(ORACLE_ZS)),
+                 ExponentVector((*ORACLE_ALPHAS, 0.4)))
+
+
+@pytest.mark.parametrize("p,q", [(1j, -1.0), (0.5 + 0.2j, 0.05)],
+                         ids=["base-to-prevertex", "upper-to-crowded-prevertex"])
+def test_upper_leg_into_prevertex_against_oracle(crowded_map, p, q):
+    # The last panel absorbs the prevertex factor into its Jacobi weight.
+    got = integrate_sc(crowded_map, p, q)
+    want = complex(leg_integral(ORACLE_ZS, ORACLE_ALPHAS, p, q))
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_axis_leg_across_prevertices_against_oracle(crowded_map):
+    # One call over three legs, each absorbing both of its end factors.
+    got = integrate_sc(crowded_map, -1.0, 3.0)
+    want = sum(complex(leg_integral(ORACLE_ZS, ORACLE_ALPHAS, a, b))
+               for a, b in zip(ORACLE_ZS, ORACLE_ZS[1:]))
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_tail_against_oracle(crowded_map):
+    got = integrate_to_infinity(crowded_map, 3.5)
+    want = complex(tail_integral(ORACLE_ZS, ORACLE_ALPHAS, 3.5))
+    assert abs(got - want) <= 1e-11 * abs(want)
