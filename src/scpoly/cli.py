@@ -26,7 +26,7 @@ from .paramsolve import SolveOptions, solve_parameter_problem
 from .quadrature import DEFAULT_TOL
 from .render import polygon_svg, scmap_svg
 from .scmap import SCMap, evaluate, forward, forward_extended
-from .sweep import DEFAULT_WITNESS_BUDGET, SweepConfig, run_sweep
+from .sweep import SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,7 +93,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig(n=args.n, samples=args.samples, seed=args.seed,
-                      chart_box=args.box, budget=args.budget)
+                      chart_box=args.box)
     result = run_sweep(cfg, args.tol)
     _write(jsonio.dumps(jsonio.sweep_result_to_json(result)), args.output)
     return EXIT_OK
@@ -177,19 +177,20 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common],
                        help="polygon JSON -> map + chart + solve report")
     p.add_argument("input")
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--residual-tol", type=float, default=1e-10)
-    p.add_argument("--quadrature-tol", type=float, default=1e-11)
+    p.add_argument("--max-iterations", type=int,
+                   default=SolveOptions.max_iterations)
+    p.add_argument("--residual-tol", type=float,
+                   default=SolveOptions.residual_tol)
+    p.add_argument("--quadrature-tol", type=float,
+                   default=SolveOptions.quadrature_tol)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="random chart samples -> simplicity statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--box", type=float, default=3.0,
+    p.add_argument("--box", type=float, default=SweepConfig.chart_box,
                    help="half-width of the chart sampling cube")
-    p.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
-                   help="witness-search candidate budget per instance")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", parents=[common],

@@ -10,6 +10,8 @@ All predicates are pure functions; ``is_simple`` makes certificate-grade
 decisions through the exact predicates in :mod:`scpoly.predicates`. Winding
 numbers are computed by one array kernel over a whole batch of query points;
 ``winding_number``, the immersion screen and the witness search all use it.
+The witness search is deterministic: fixed probes at every proper crossing,
+one of them inside each of the four sectors the crossing sides cut out.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ COINCIDENCE_RTOL = 1e-12
 ANGLE_TOL = 1e-6
 # Witness points must clear every side-supporting line by this, times diameter.
 WITNESS_LINE_RTOL = 1e-9
-# Fixed seed of the stratified witness search (PCG64); part of the contract
-# that identical inputs give identical outputs.
-_WITNESS_SEED = 20260814
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +170,31 @@ def turning_number(poly: LabelledPolygon) -> int:
     return int(round(total))
 
 
+def _scaled_offsets(poly: LabelledPolygon, points: Sequence[complex]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets a_j - p (real and imaginary parts) and squared side
+    distances of a batch of points, each point's scaled by the exact power
+    of two 2**-e (squared distances by its square) that brings its largest
+    offset component into [0.5, 1); returns e too.
+
+    Sides run along axis 0, points along axis 1. The scaling leaves angles
+    unchanged and keeps every product finite for far-away points.
+    """
+    p = np.asarray(points, dtype=complex)[None, :]
+    a = np.asarray(poly.vertices)[:, None]
+    u = a - p
+    _, e = np.frexp(np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0))
+    scale = np.ldexp(1.0, -e)
+    ur, ui = u.real * scale, u.imag * scale
+    d = np.roll(a, -1, axis=0) - a
+    length = np.abs(d)
+    dr, di = d.real / length, d.imag / length
+    # Foot of the perpendicular from p, clamped to the side.
+    s = np.minimum(np.maximum(-(ur * dr + ui * di), 0.0), length * scale)
+    x, y = ur + s * dr, ui + s * di
+    return ur, ui, x * x + y * y, e
+
+
 def _windings(poly: LabelledPolygon,
               points: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """Winding numbers of the boundary around a batch of points.
@@ -182,21 +206,9 @@ def _windings(poly: LabelledPolygon,
     mask are meaningless.
     """
     tol = max(_check_sides(poly), 1e-300)
-    # Sides along axis 0, points along axis 1.
-    p = np.asarray(points, dtype=complex)[None, :]
-    a = np.asarray(poly.vertices)[:, None]
-    b = np.roll(a, -1, axis=0)
-    d = b - a
-    pa = p - a
-    t = np.clip((pa.real * d.real + pa.imag * d.imag)
-                / (d.real * d.real + d.imag * d.imag), 0.0, 1.0)
-    clear = (np.abs(p - (a + t * d)) > tol).all(axis=0)
-    # Side j turns by arg((b_j - p) / (a_j - p)). Each point's offsets are
-    # scaled by an exact power of two, which leaves the angles unchanged
-    # and keeps the products below finite for far-away points.
-    u = a - p
-    _, e = np.frexp(np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0))
-    ur, ui = np.ldexp(u.real, -e), np.ldexp(u.imag, -e)
+    ur, ui, dist2, e = _scaled_offsets(poly, points)
+    clear = (dist2 > np.ldexp(tol, -e) ** 2).all(axis=0)
+    # Side j turns by arg((b_j - p) / (a_j - p)).
     vr, vi = np.roll(ur, -1, axis=0), np.roll(ui, -1, axis=0)
     turns = np.arctan2(ur * vi - ui * vr, ur * vr + ui * vi).sum(axis=0) / TWO_PI
     k = np.round(turns)
@@ -265,7 +277,9 @@ def is_simple(poly: LabelledPolygon) -> bool:
     return True
 
 
-def _proper_crossings(poly: LabelledPolygon) -> list[complex]:
+def _proper_crossings(poly: LabelledPolygon) -> list[tuple[complex, int, int]]:
+    """Points where two non-adjacent sides cross in their interiors, each
+    with the indices of its two sides."""
     pts = []
     n = poly.n
     for i in range(n):
@@ -276,14 +290,8 @@ def _proper_crossings(poly: LabelledPolygon) -> list[complex]:
             c, d = poly.side(j)
             q = segment_crossing_point(a, b, c, d)
             if q is not None:
-                pts.append(q)
+                pts.append((q, i, j))
     return pts
-
-
-def _bounding_box(poly: LabelledPolygon) -> tuple[float, float, float, float]:
-    xs = [v.real for v in poly.vertices]
-    ys = [v.imag for v in poly.vertices]
-    return min(xs), max(xs), min(ys), max(ys)
 
 
 def _line_clearance(poly: LabelledPolygon,
@@ -297,16 +305,6 @@ def _line_clearance(poly: LabelledPolygon,
     return (np.abs(d.real * pa.imag - d.imag * pa.real) / np.abs(d)).min(axis=0)
 
 
-def _first_witness(poly: LabelledPolygon, points: Sequence[complex],
-                   clearance: float) -> Optional[PlanePoint]:
-    """First of the points with winding >= 2 and line clearance at least
-    ``clearance``, or None."""
-    k, defined = _windings(poly, points)
-    certified = defined & (k >= 2) & (_line_clearance(poly, points) >= clearance)
-    hits = np.flatnonzero(certified)
-    return complex(points[hits[0]]) if hits.size else None
-
-
 def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
     """Deterministic probes aiming at every face of the side arrangement.
 
@@ -316,7 +314,7 @@ def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
     """
     diam = poly.diameter
     pts: list[complex] = []
-    crossings = _proper_crossings(poly)
+    crossings = [q for q, _, _ in _proper_crossings(poly)]
     # Crossings and original vertices bound every face of the side
     # arrangement; overlap lenses can be microscopic relative to the
     # diameter, so probe each crossing at scales set by its nearest
@@ -342,7 +340,8 @@ def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
         for scale in (1e-3, 3e-2):
             pts.append(mid + scale * diam * normal)
             pts.append(mid - scale * diam * normal)
-    lo_x, hi_x, lo_y, hi_y = _bounding_box(poly)
+    xs, ys = [v.real for v in poly.vertices], [v.imag for v in poly.vertices]
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     grid = 7
     for ix in range(grid):
         for iy in range(grid):
@@ -381,37 +380,45 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
                            t, int(defined.sum()))
 
 
-def find_multiwound_witness(poly: LabelledPolygon,
-                            budget: int) -> Optional[PlanePoint]:
+def _sector_probes(poly: LabelledPolygon) -> list[complex]:
+    """One probe inside each of the four sectors at every proper crossing.
+
+    The sides i and j crossing at q are the only sides that meet the disc
+    about q whose radius r is the distance to the nearest other side, so
+    each sector they cut out of that disc lies in one face. The probes sit
+    at q + (r/2)*u, u running over the unit bisectors of the two sides.
+    """
+    crossings = _proper_crossings(poly)
+    _, _, dist2, e = _scaled_offsets(poly, [q for q, _, _ in crossings])
+    dist = np.ldexp(np.sqrt(dist2), e)
+    pts = []
+    for k, (q, i, j) in enumerate(crossings):
+        dist[[i, j], k] = np.inf
+        half = dist[:, k].min() / 2
+        ei, ej = ((b - a) / abs(b - a)
+                  for a, b in (poly.side(i), poly.side(j)))
+        for u in (ei + ej, ei - ej):
+            step = half * u / abs(u)
+            pts.extend((q + step, q - step))
+    return pts
+
+
+def find_multiwound_witness(poly: LabelledPolygon) -> Optional[PlanePoint]:
     """Hunt a point with winding number >= 2, clear of all side lines.
 
-    Tries targeted probes around side crossings (and lens midpoints between
-    them), then stratified uniform samples over the bounding box from a
-    fixed-seed PCG64 stream, at most ``budget`` candidate evaluations in
-    total. The probes, and each grid level, are wound as one batch; the
-    result is the first certified candidate in probe and cell order, or
-    None. Coincident consecutive vertices raise :class:`DegenerateSide`.
+    Deterministic: the face probes of the immersion screen, then one probe
+    per sector at every proper crossing, wound as one batch; returns the
+    first certified candidate in that order, or None. A face with winding
+    >= 2 has a self-intersection on its boundary, so when every
+    self-intersection is a proper crossing the sector probes reach every
+    such face (a probe still needs the line clearance to be certified).
+    Polygons whose only self-contacts are touchings (shared vertices, a
+    vertex on a side, collinear overlaps) get the face probes only.
+    Coincident consecutive vertices raise :class:`DegenerateSide`.
     """
-    if budget <= 0:
-        raise ValidationError("budget must be positive")
     _check_sides(poly)
-    clearance = WITNESS_LINE_RTOL * poly.diameter
-    probes = _face_sample_points(poly)[:budget]
-    found = _first_witness(poly, probes, clearance)
-    tried = len(probes)
-    rng = np.random.default_rng(_WITNESS_SEED)
-    lo_x, hi_x, lo_y, hi_y = _bounding_box(poly)
-    # Stratify: sweep a coarse-to-fine sequence of grids, one jittered
-    # sample per cell (cells in row-major order), until the budget runs out.
-    grid = 4
-    while found is None and tried < budget:
-        cells = min(grid * grid, budget - tried)
-        ix, iy = np.divmod(np.arange(cells), grid)
-        u, v = rng.random((cells, 2)).T
-        pts = np.empty(cells, dtype=complex)
-        pts.real = lo_x + (ix + u) * (hi_x - lo_x) / grid
-        pts.imag = lo_y + (iy + v) * (hi_y - lo_y) / grid
-        found = _first_witness(poly, pts, clearance)
-        tried += cells
-        grid *= 2
-    return found
+    points = _face_sample_points(poly) + _sector_probes(poly)
+    k, defined = _windings(poly, points)
+    clear = _line_clearance(poly, points) >= WITNESS_LINE_RTOL * poly.diameter
+    hits = np.flatnonzero(defined & (k >= 2) & clear)
+    return complex(points[hits[0]]) if hits.size else None

@@ -103,7 +103,8 @@ def _target_sides(target: LabelledPolygon) -> np.ndarray:
 
 def side_length_residual(gaps: Sequence[float], exponents: ExponentVector,
                          target: LabelledPolygon,
-                         quadrature_tol: float = 1e-11) -> np.ndarray:
+                         quadrature_tol: float = SolveOptions.quadrature_tol
+                         ) -> np.ndarray:
     """Candidate-vs-target side-length ratios, sides 2..n-2 against side 1.
 
     Empty for n = 3, where the shape is pinned by the angles alone.
@@ -187,28 +188,21 @@ def solve_parameter_problem(
         return r if np.all(np.isfinite(r)) else wall
 
     history: list[float] = []
-    in_jacobian = False
 
     def tracked(g: np.ndarray) -> np.ndarray:
         r = residual(g)
-        if not in_jacobian:
-            nrm = float(np.linalg.norm(r))
-            if not history or nrm < history[-1]:
-                history.append(nrm)
+        nrm = float(np.linalg.norm(r))
+        if not history or nrm < history[-1]:
+            history.append(nrm)
         return r
 
     def jacobian(g: np.ndarray) -> np.ndarray:
-        nonlocal in_jacobian
-        in_jacobian = True
-        try:
-            J = np.empty((m, m))
-            for k in range(m):
-                e = np.zeros(m)
-                e[k] = _FD_STEP
-                J[:, k] = (residual(g + e) - residual(g - e)) / (2 * _FD_STEP)
-            return J
-        finally:
-            in_jacobian = False
+        J = np.empty((m, m))
+        for k in range(m):
+            e = np.zeros(m)
+            e[k] = _FD_STEP
+            J[:, k] = (residual(g + e) - residual(g - e)) / (2 * _FD_STEP)
+        return J
 
     def attempt(x0: np.ndarray):
         nonlocal history

@@ -15,6 +15,7 @@ and void the immersion guarantee; ``forward_extended`` evaluates those.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ INFINITY = complex(math.inf, 0.0)
 
 # Exponent sums are checked to this absolute slack.
 _SUM_TOL = 1e-12
+# Leg quadrature is never asked for more than this (near machine precision).
+_QUAD_TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class SCMap:
     def __post_init__(self):
         object.__setattr__(self, "A", complex(self.A))
         object.__setattr__(self, "B", complex(self.B))
+        if not (cmath.isfinite(self.A) and cmath.isfinite(self.B)):
+            raise ValidationError("A and B must be finite")
         if self.A == 0:
             raise ZeroScale("A must be nonzero")
         if self.prevertices.n != self.exponents.n:
@@ -175,14 +180,14 @@ def _checked_polygon(pre: Prevertices, exp: ExponentVector, tol: float,
                      gate_extended: bool) -> LabelledPolygon:
     # Integrate two orders tighter than the angle gate; vertex positions
     # accumulate side errors and the angle check divides by side lengths.
-    quad_tol = max(tol * 1e-2, 1e-14)
+    quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
     poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
     worst, worst_j = _worst_angle_deviation(poly, exp, gate_extended)
-    if worst > 5.0 * tol and quad_tol > 1e-14:
+    if worst > 5.0 * tol and quad_tol > _QUAD_TOL_FLOOR:
         # Crowded prevertices make sides tiny relative to the diameter and
         # amplify leg errors by that ratio; retighten by the measured
         # excess (with headroom) instead of guessing the geometry.
-        quad_tol = max(0.5 * quad_tol * tol / worst, 1e-14)
+        quad_tol = max(0.5 * quad_tol * tol / worst, _QUAD_TOL_FLOOR)
         poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
         worst, worst_j = _worst_angle_deviation(poly, exp, gate_extended)
     if worst > 10.0 * tol:

@@ -2,9 +2,10 @@
 
 Samples chart points uniformly in a cube, runs the forward construction,
 and classifies each polygon as simple, non-simple (with a multiwound
-witness when one can be certified), or failed. Per-sample substreams are
-derived from (seed, index), so results are independent of evaluation
-order and a parallel driver would reproduce the serial result exactly.
+witness when the fixed probes of ``find_multiwound_witness`` certify one),
+or failed. Per-sample substreams are derived from (seed, index), so
+results are independent of evaluation order and a parallel driver would
+reproduce the serial result exactly.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ import numpy as np
 
 from .charts import ChartPoint, moduli_unchart
 from .errors import NumericalError, ValidationError
-from .geometry import (LabelledPolygon, PlanePoint, find_multiwound_witness,
-                       is_simple, winding_number)
+from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
+                       winding_number)
 from .quadrature import DEFAULT_TOL
 from .scmap import forward
-
-# Candidate budget of the per-instance witness hunt; generic crossings
-# certify within the first few targeted probes, the rest is slack.
-DEFAULT_WITNESS_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,6 @@ class SweepConfig:
     samples: int
     seed: int = 0
     chart_box: float = 3.0
-    budget: int = DEFAULT_WITNESS_BUDGET
 
     def __post_init__(self):
         if self.n < 3:
@@ -43,8 +39,6 @@ class SweepConfig:
             raise ValidationError("seed must be nonnegative")
         if not self.chart_box > 0.0:
             raise ValidationError("chart_box must be positive")
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,6 @@ def sample_chart_point(cfg: SweepConfig, index: int) -> ChartPoint:
     return ChartPoint(cfg.n, tuple(y[:cfg.n - 3]), tuple(y[cfg.n - 3:]))
 
 
-def _classify(poly: LabelledPolygon, pt: ChartPoint,
-              budget: int) -> Optional[NonSimpleInstance]:
-    if is_simple(poly):
-        return None
-    witness = find_multiwound_witness(poly, budget)
-    winding = 0 if witness is None else winding_number(poly, witness)
-    return NonSimpleInstance(chart=pt, witness=witness, winding=winding)
-
-
 def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     """Forward-and-classify ``cfg.samples`` chart points.
 
@@ -105,11 +90,12 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
         except NumericalError:
             failures += 1
             continue
-        inst = _classify(poly, pt, cfg.budget)
-        if inst is None:
+        if is_simple(poly):
             simple += 1
-        else:
-            nonsimple.append(inst)
+            continue
+        witness = find_multiwound_witness(poly)
+        winding = 0 if witness is None else winding_number(poly, witness)
+        nonsimple.append(NonSimpleInstance(pt, witness, winding))
     return SweepResult(tested=cfg.samples, simple_count=simple,
                        nonsimple_instances=tuple(nonsimple),
                        failures=failures)

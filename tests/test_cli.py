@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from scpoly import LabelledPolygon, interior_angles, is_simple
-from scpoly.cli import main
+from scpoly import (LabelledPolygon, SolveOptions, SweepConfig,
+                    interior_angles, is_simple)
+from scpoly.cli import build_parser, main
 from scpoly.jsonio import dumps, polygon_to_json
 
 from conftest import SQUARE_VERTICES, sup_dist
@@ -96,6 +97,16 @@ def test_invert_nonconvergence_exit_code(capsys):
     assert json.loads(out)["report"]["converged"] is False
 
 
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = build_parser(1e-9)
+    args = parser.parse_args(["invert", "poly.json"])
+    opts = SolveOptions()
+    assert (args.max_iterations, args.residual_tol, args.quadrature_tol) \
+        == (opts.max_iterations, opts.residual_tol, opts.quadrature_tol)
+    args = parser.parse_args(["sweep", "--n", "6", "--samples", "1"])
+    assert args.box == SweepConfig(n=6, samples=1).chart_box
+
+
 def test_sweep_counts(capsys):
     code, out = run_cli(capsys, "sweep", "--n", "5", "--samples", "8",
                         "--seed", "3")
@@ -122,6 +133,17 @@ def test_eval_base_point_and_vertex(capsys):
     images = [complex(*p) for p in json.loads(out)["images"]]
     assert images[0] == 2 + 5j                      # base point gives B
     assert images[1] == pytest.approx(first_vertex + 2 + 5j, abs=1e-8)
+
+
+@pytest.mark.parametrize("A,B", [("[NaN, 0]", "[0, 0]"),
+                                 ("[1, 0]", "[0, Infinity]")])
+def test_eval_rejects_non_finite_constants(capsys, A, B):
+    m = ('{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
+         ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": %s, "B": %s,'
+         ' "mode": "standard"}' % (A, B))
+    code, out = run_cli(capsys, "eval", m, '[[0, 1]]')
+    assert code == 2
+    assert json.loads(out)["error"] == "ValidationError"
 
 
 def test_eval_batch_performance(capsys):

@@ -8,12 +8,16 @@ from scpoly import (
     DegenerateSide,
     LabelledPolygon,
     PointOnCurve,
+    SweepConfig,
     ValidationError,
     apply_similarity,
     check_immersion_necessary,
     find_multiwound_witness,
+    forward,
     interior_angles,
     is_simple,
+    moduli_unchart,
+    sample_chart_point,
     turning_angle_sum,
     turning_number,
     winding_number,
@@ -133,11 +137,16 @@ def test_winding_at_vertices_rejected_without_warnings(hex_large):
 
 def test_far_points_wind_zero_without_warnings(unit_square):
     # Offsets near the float range: the cross and dot products of the
-    # argument sum would overflow unscaled.
+    # argument sum and of the clearance test would overflow unscaled, and
+    # for diagonal sides of length 10 the latter would give inf - inf.
+    polys = (unit_square, LabelledPolygon((0j, 10 + 0j, 10 + 10j, 10j)),
+             LabelledPolygon((0j, 10 + 10j, 20 + 0j, 10 - 10j)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for p in (1e200 + 1e200j, 1e300 - 1e300j, 1e308):
-            assert winding_number(unit_square, p) == 0
+        for poly in polys:
+            for p in (1e200 + 1e200j, 1e300 - 1e300j, 1e308, -1e308j,
+                      1e308 + 1e308j, -1.5e308 + 1.7e308j, 1.5e308 - 1.7e308j):
+                assert winding_number(poly, p) == 0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -245,17 +254,12 @@ def test_screen_points_sampled(unit_square, bowtie, hex_large, hex_lens):
 # ------------------------------------------------------- witness search
 
 def test_square_has_no_witness(unit_square):
-    assert find_multiwound_witness(unit_square, 10_000) is None
+    assert find_multiwound_witness(unit_square) is None
 
 
 def test_witness_rejects_coincident_consecutive_vertices():
     with pytest.raises(DegenerateSide):
-        find_multiwound_witness(LabelledPolygon((0j, 1 + 0j, 1 + 0j, 1j)), 100)
-
-
-def test_witness_budget_validated(unit_square):
-    with pytest.raises(ValidationError):
-        find_multiwound_witness(unit_square, 0)
+        find_multiwound_witness(LabelledPolygon((0j, 1 + 0j, 1 + 0j, 1j)))
 
 
 def _line_clearance(poly, p):
@@ -272,7 +276,7 @@ def _line_clearance(poly, p):
                                           ("lens", HEX_WITNESS_LENS)])
 def test_hexagon_witnesses(which, frozen, hex_large, hex_lens):
     poly = hex_large if which == "large" else hex_lens
-    found = find_multiwound_witness(poly, 20_000)
+    found = find_multiwound_witness(poly)
     assert found is not None
     for p in (found, frozen):
         assert winding_number(poly, p) >= 2
@@ -280,24 +284,35 @@ def test_hexagon_witnesses(which, frozen, hex_large, hex_lens):
         assert _line_clearance(poly, p) > 1e-9 * poly.diameter
 
 
-def test_stratified_witness_stream_frozen(monkeypatch, hex_large,
-                                          pentagon_poly):
-    # Cut the targeted probes to one point so the witness must come from
-    # the fixed-seed stratified grids; values measured once and frozen.
-    full = geometry._face_sample_points
-    monkeypatch.setattr(geometry, "_face_sample_points",
-                        lambda poly: full(poly)[:1])
-    found = find_multiwound_witness(hex_large, 20_000)
-    assert found == pytest.approx(-11.167871944147052 + 0.5819121362227122j,
-                                  abs=1e-9 * hex_large.diameter)
-    assert find_multiwound_witness(hex_large, 40) is None
-    found = find_multiwound_witness(pentagon_poly, 40)
-    assert found == pytest.approx(-0.8652129778260756 + 0.4293202503678804j,
-                                  abs=1e-9 * pentagon_poly.diameter)
+def test_sector_probes_split_each_crossing_into_four_faces():
+    # Sides 0 and 2 of this bowtie-like quadrilateral cross at 1 + 1j; the
+    # nearest other side is 1 away, so the probes sit 1/2 out along the
+    # bisectors of the two crossing directions.
+    poly = LabelledPolygon((0j, 2 + 2j, 2 + 0j, 2j))
+    probes = geometry._sector_probes(poly)
+    assert len(probes) == 4
+    for p in probes:
+        assert abs(p - (1 + 1j)) == pytest.approx(0.5)
+    assert sorted(ray_crossing_winding(poly.vertices, p) for p in probes) \
+        == [-1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n,seed,index", [(12, 1, 323), (8, 1, 31),
+                                           (8, 1, 299), (8, 2, 82)])
+def test_sweep_polygons_certified_by_sector_probes(n, seed, index):
+    # The face probes find no witness on these sweep samples; earlier a
+    # random search found the last two and nothing found the first two.
+    cfg = SweepConfig(n=n, samples=index + 1, seed=seed)
+    poly = forward(*moduli_unchart(sample_chart_point(cfg, index)))
+    assert not is_simple(poly)
+    p = find_multiwound_witness(poly)
+    assert p is not None
+    assert ray_crossing_winding(poly.vertices, p) >= 2
+    assert _line_clearance(poly, p) > 1e-9 * poly.diameter
 
 
 def test_pentagon_witness(pentagon_poly):
-    p = find_multiwound_witness(pentagon_poly, 20_000)
+    p = find_multiwound_witness(pentagon_poly)
     assert p is not None
     assert winding_number(pentagon_poly, p) >= 2
     assert ray_crossing_winding(pentagon_poly.vertices, p) >= 2

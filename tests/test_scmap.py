@@ -79,6 +79,9 @@ def test_scmap_validation(square_map):
         SCMap(square_map.prevertices, square_map.exponents, A=0j)
     with pytest.raises(ValidationError):
         SCMap(Prevertices((-1.0, 0.0)), ExponentVector((0.5,) * 4))
+    for A, B in ((complex(math.nan, 0.0), 0j), (1.0, complex(0.0, math.inf))):
+        with pytest.raises(ValidationError):
+            SCMap(square_map.prevertices, square_map.exponents, A=A, B=B)
     assert square_map.mode == "standard"
     pent = SCMap(Prevertices((-1.0, 0.0, 1.0, 2.0)),
                  ExponentVector(PENTAGON_ALPHAS, extended=True))

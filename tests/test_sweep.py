@@ -31,8 +31,6 @@ def test_config_validation():
         SweepConfig(n=5, samples=10, seed=-1)
     with pytest.raises(ValidationError):
         SweepConfig(n=5, samples=10, chart_box=0.0)
-    with pytest.raises(ValidationError):
-        SweepConfig(n=5, samples=10, budget=-5)
 
 
 def test_result_counts_must_balance():
