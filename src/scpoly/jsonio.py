@@ -38,6 +38,12 @@ def _as_floats(obj: Any, what: str) -> list[float]:
     return [float(v) for v in obj]
 
 
+def _as_float(obj: Any, what: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {obj!r}")
+    return float(obj)
+
+
 def _field(data: Any, key: str) -> Any:
     if not isinstance(data, dict):
         raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
@@ -114,15 +120,19 @@ def solve_report_to_json(rep: SolveReport) -> dict:
 def solve_report_from_json(data: Any) -> SolveReport:
     conv = _field(data, "converged")
     its = _field(data, "iterations")
-    if not isinstance(conv, bool) or not isinstance(its, int):
-        raise ValidationError("converged must be bool, iterations an integer")
+    if (not isinstance(conv, bool) or isinstance(its, bool)
+            or not isinstance(its, int) or its < 0):
+        raise ValidationError(
+            "converged must be bool, iterations a non-negative integer")
     return SolveReport(
         converged=conv,
         iterations=its,
-        final_residual_norm=float(_field(data, "final_residual_norm")),
+        final_residual_norm=_as_float(_field(data, "final_residual_norm"),
+                                      "final_residual_norm"),
         residual_history=tuple(_as_floats(_field(data, "residual_history"),
                                           "residual_history")),
-        reconstruction_error=float(_field(data, "reconstruction_error")))
+        reconstruction_error=_as_float(_field(data, "reconstruction_error"),
+                                       "reconstruction_error"))
 
 
 def sweep_result_to_json(res: SweepResult) -> dict:

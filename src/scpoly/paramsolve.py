@@ -8,9 +8,11 @@ iteration on side-length ratios: with n - 3 unknowns, the ratios of sides
 the last vertex are determined by closure. The affine constants A, B are
 fitted afterwards from the first target side.
 
-Everything here is deterministic: fixed initial guess, fixed
-finite-difference steps, no randomness. Failure to converge is reported,
-not raised; callers get the final iterate plus its diagnostics either way.
+The Jacobian is exact: the same quadrature pass that gives the side
+integrals gives their derivatives in the prevertices, and the chain rule
+carries them to the log gaps. Everything here is deterministic: fixed
+initial guess, no randomness. Failure to converge is reported, not
+raised; callers get the final iterate plus its diagnostics either way.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .charts import _exact_sum, z_unchart
 from .errors import DegenerateSide, NoConvergence, NotImmersedInput, \
     ValidationError
 from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
-from .quadrature import integrate_sc
+from .quadrature import integrate_finite_legs
+# Not called here: bench/spans.py hooks every import site of integrate_sc.
+from .quadrature import integrate_sc  # noqa: F401
 from .scmap import ExponentVector, Prevertices, SCMap, _bare_vertices
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,12 @@ def extract_exponents(poly: LabelledPolygon) -> ExponentVector:
 
 
 def _gap_lengths(pre: Prevertices, exp: ExponentVector,
-                 quad_tol: float) -> np.ndarray:
-    """Moduli of the bare side integrals over (z_j, z_{j+1}), j = 1..n-2."""
-    m = SCMap(pre, exp)
-    zs = pre.finite_points
-    return np.array([abs(integrate_sc(m, complex(a), complex(b), quad_tol))
-                     for a, b in zip(zs, zs[1:])])
+                 quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli s_j of the bare side integrals over (z_j, z_{j+1}), j =
+    1..n-2, and their log-derivatives d log s_j / d z_k over the finite
+    prevertices."""
+    I, D = integrate_finite_legs(pre.finite_points, exp.alphas[:-1], quad_tol)
+    return np.abs(I), (D / I[:, None]).real
 
 
 def _target_sides(target: LabelledPolygon) -> np.ndarray:
@@ -118,9 +120,34 @@ def side_length_residual(gaps: Sequence[float], exponents: ExponentVector,
             f"target has {target.n} vertices, exponents say {n}")
     if n == 3:
         return np.zeros(0)
-    s = _gap_lengths(z_unchart(gaps), exponents, quadrature_tol)
+    s, _ = _gap_lengths(z_unchart(gaps), exponents, quadrature_tol)
     t = _target_sides(target)
     return s[1:] / s[0] - t[1:] / t[0]
+
+
+def _log_residual(g: np.ndarray, exps: ExponentVector,
+                  log_ratio_t: np.ndarray, quad_tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's residual log(s_j/s_1) - log(t_j/t_1) at log gaps g,
+    with its exact Jacobian in g. A walled point (|g_k| > 700, a caught
+    quadrature failure, or a non-finite result) gives the constant 1e8
+    and a zero Jacobian."""
+    m = g.size
+    wall = (np.full(m, 1e8), np.zeros((m, m)))
+    if np.any(np.abs(g) > 700.0):
+        return wall
+    try:
+        s, dlog = _gap_lengths(z_unchart(tuple(g)), exps, quad_tol)
+        r = np.log(s[1:] / s[0]) - log_ratio_t
+    except (NoConvergence, ValidationError, OverflowError):
+        return wall
+    # z_p = e^(g_1) + ... + e^(g_(p-2)) for p >= 3: g_k moves every
+    # prevertex from z_(k+2) on by e^(g_k).
+    ds = np.cumsum(dlog[:, :1:-1], axis=1)[:, ::-1] * np.exp(g)
+    J = ds[1:] - ds[0]
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
+        return wall
+    return r, J
 
 
 def fit_affine_constants(bare_vertices: Sequence[complex],
@@ -140,8 +167,8 @@ def solve_parameter_problem(
         opts: Optional[SolveOptions] = None) -> tuple[SCMap, SolveReport]:
     """Normalized map parameters reproducing the given polygon.
 
-    Levenberg-Marquardt (MINPACK lmder) with a central-difference
-    Jacobian and residual-norm step acceptance. The iteration drives the
+    Levenberg-Marquardt (MINPACK lmder) with an exact Jacobian and
+    residual-norm step acceptance. The iteration drives the
     side-ratio system to zero in log form, log(s_j/s_1) - log(t_j/t_1),
     which has the same zero set as side_length_residual and agrees with
     the relative error to first order near it. Side ratios span orders
@@ -150,13 +177,15 @@ def solve_parameter_problem(
     ratio collapses below its target; the log form suffers neither.
     Residual norms in the report are of this log form.
 
-    The Jacobian is differenced at _FD_STEP, far above MINPACK's internal
-    sqrt(eps) forward step: quadrature noise near quadrature_tol turns
-    the latter into an O(1e-3) relative Jacobian error, which stalls the
-    solve on crowded prevertex configurations. max_iterations is spent in
-    MINPACK's own budget currency, (m + 1) residual calls per nominal
-    iteration. Non-convergence is reported via the returned SolveReport
-    rather than raised.
+    Each residual evaluation also yields the Jacobian at its point, from
+    the derivatives of the leg integrals on the same quadrature panels;
+    lmder asks for the Jacobian at the point it evaluated last, so only
+    a request at any other point costs quadrature again. Where the
+    residual is walled (|gap coordinate| > 700, or the quadrature
+    fails), the Jacobian is zero. max_iterations is spent in MINPACK's
+    own budget currency, (m + 1) residual calls per nominal iteration.
+    Non-convergence is reported via the returned SolveReport rather
+    than raised.
 
     Starts from equal gaps (or ``initial_gaps``); if that attempt ends
     above residual_tol, one deterministic retry runs from gaps matching
@@ -175,34 +204,25 @@ def solve_parameter_problem(
 
     t = _target_sides(poly)
     log_ratio_t = np.log(t[1:] / t[0])
-    wall = np.full(m, 1e8)
-
-    def residual(g: np.ndarray) -> np.ndarray:
-        if np.any(np.abs(g) > 700.0):
-            return wall
-        try:
-            s = _gap_lengths(z_unchart(tuple(g)), exps, opts.quadrature_tol)
-            r = np.log(s[1:] / s[0]) - log_ratio_t
-        except (NoConvergence, ValidationError, OverflowError):
-            return wall
-        return r if np.all(np.isfinite(r)) else wall
 
     history: list[float] = []
+    # (point bytes, Jacobian) of the last residual evaluation.
+    cached = (None, None)
 
     def tracked(g: np.ndarray) -> np.ndarray:
-        r = residual(g)
+        nonlocal cached
+        r, J = _log_residual(g, exps, log_ratio_t, opts.quadrature_tol)
+        cached = (g.tobytes(), J)
         nrm = float(np.linalg.norm(r))
         if not history or nrm < history[-1]:
             history.append(nrm)
         return r
 
     def jacobian(g: np.ndarray) -> np.ndarray:
-        J = np.empty((m, m))
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = _FD_STEP
-            J[:, k] = (residual(g + e) - residual(g - e)) / (2 * _FD_STEP)
-        return J
+        key, J = cached
+        if key == g.tobytes():
+            return J
+        return _log_residual(g, exps, log_ratio_t, opts.quadrature_tol)[1]
 
     def attempt(x0: np.ndarray):
         nonlocal history

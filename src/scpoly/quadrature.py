@@ -14,6 +14,16 @@ Convergence control is a whole-path comparison of successive global panel
 halvings (every level doubles the panel count); levels are compared in
 relative terms and the refined value is returned.
 
+integrate_finite_legs serves the parameter solver: it takes all finite
+legs (z_j, z_{j+1}) of one map through one split and one halving loop, and
+returns each leg's integral together with its derivatives in every finite
+prevertex. The derivatives are integrals over the same panels with the
+same endpoint powers, so they cost one extra (nodes x prevertices) product
+per pass; per-leg sums come from reduceat over blocks of panels, which
+bounds the memory of a deep refinement. A leg stops halving once
+its value and its derivative row each agree to the tolerance; rows wait
+until every value has converged.
+
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
 panel and are applied as hard-coded constants rather than recomputed from
@@ -43,6 +53,9 @@ DEFAULT_TOL = 1e-10
 MAX_LEVELS = 14
 _MAX_SPLIT_DEPTH = 64
 _LN2 = math.log(2.0)
+# Panels per block of a finite-legs pass: caps each (nodes x prevertices)
+# array of a deep refinement at a few MB.
+_PASS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -162,9 +175,13 @@ def _halve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([np.where(cut, m, b), b[cut]]))
 
 
-def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-               es: np.ndarray) -> complex:
+def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+                 es: np.ndarray):
     """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b].
+
+    Returns the nodes, the integrand at the nodes, the weights (each of
+    shape (panels, order)) and a per-panel scale, so that panel k
+    integrates to scale[k] * sum_j weights[k, j] * f[k, j].
 
     ``xs`` are the singular points in the integration variable t and ``es``
     their exponents. A singular point sitting exactly at a panel endpoint
@@ -193,15 +210,15 @@ def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     t = np.array([r.nodes for r in rules])[rule_of]
     w = np.array([r.weights for r in rules])[rule_of]
     half = (b - a) / 2.0
-    nodes = (a[:, None] + (t + 1.0) * half[:, None]).reshape(-1, 1)
+    nodes = a[:, None] + (t + 1.0) * half[:, None]
     if kind == "upper":
-        f = nodes - xs
+        f = nodes.reshape(-1, 1) - xs
         # The directions point from each singular endpoint into the closed
         # upper half-plane, where the principal log is the right branch.
         logs = (e_left * (np.log(b - a) - _LN2)
                 + e_right * (np.log(a - b) - _LN2))
     else:
-        f = np.abs(nodes - xs)
+        f = np.abs(nodes.reshape(-1, 1) - xs)
         if kind == "tail":
             f /= np.where(xs == 0.0, 1.0, np.abs(xs))
         logs = (e_left + e_right) * (np.log(b - a) - _LN2)
@@ -211,8 +228,15 @@ def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
     f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
-    sums = np.einsum("kj,kj->k", np.exp(np.log(f) @ es).reshape(t.shape), w)
-    return complex(np.sum(half * np.exp(logs) * sums))
+    f = np.exp(np.log(f) @ es).reshape(t.shape)
+    return nodes, f, w, half * np.exp(logs)
+
+
+def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+               es: np.ndarray) -> complex:
+    """The integral over the panels [a, b] from one pass of _panel_terms."""
+    _, f, w, scale = _panel_terms(kind, a, b, xs, es)
+    return complex(np.sum(scale * np.einsum("kj,kj->k", f, w)))
 
 
 def _refined(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
@@ -270,6 +294,128 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
         return total if z_from.real < z_to.real else -total
     a, b = _split(np.array([z_from]), np.array([z_to]), xs)
     return _refined("upper", a, b, xs, es, tol)
+
+
+def _leg_of(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Leg j holds the panels that start in [xs[j], xs[j + 1]).
+    return np.searchsorted(xs, a, side="right") - 1
+
+
+def _finite_legs_pass(a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+                      es: np.ndarray):
+    """Leg integrals and their derivatives from one pass over axis panels.
+
+    Leg j runs from xs[j] to xs[j + 1]. Returns the legs that own panels,
+    their integrals I and derivative rows D, D[i, k] = dI_(legs[i])/dxs[k].
+    With t = (zeta - z_j)/(z_{j+1} - z_j) on leg j and c_j = 1 + e_j +
+    e_{j+1}, differentiating under the integral sign gives
+
+        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
+        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
+        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s,
+
+    where s = sum_{k off the leg} e_k/(zeta - z_k). Each integrand keeps
+    the endpoint powers of f, so the panels and rules of f serve as they
+    are; every column is summed per leg with reduceat, one block of
+    panels at a time.
+    """
+    leg_of = _leg_of(xs, a)
+    keep = np.argsort(leg_of, kind="stable")
+    a, b, leg_of = a[keep], b[keep], leg_of[keep]
+    legs = leg_of[np.flatnonzero(np.diff(leg_of, prepend=-1))]
+    sums = np.zeros((legs.size, xs.size + 2), dtype=complex)
+    for i in range(0, a.size, _PASS_BLOCK):
+        block = slice(i, i + _PASS_BLOCK)
+        starts = np.flatnonzero(np.diff(leg_of[block], prepend=-1))
+        rows = np.searchsorted(legs, leg_of[block][starts])
+        sums[rows] += np.add.reduceat(
+            _leg_columns(a[block], b[block], leg_of[block], xs, es),
+            starts, axis=0)
+    I, T = sums[:, 0], sums[:, -1]
+    D = -es * sums[:, 1:-1]
+    jump = (1.0 + es[legs] + es[legs + 1]) * I / (xs[legs + 1] - xs[legs])
+    row = np.arange(legs.size)
+    D[row, legs] = -D.sum(axis=1) - T - jump
+    D[row, legs + 1] = T + jump
+    return legs, I, D
+
+
+def _leg_columns(a: np.ndarray, b: np.ndarray, leg_of: np.ndarray,
+                 xs: np.ndarray, es: np.ndarray) -> np.ndarray:
+    # Per panel: int f, int f/(zeta - z_k) for every k, and int f t s.
+    nodes, f, w, scale = _panel_terms("axis", a, b, xs, es)
+    # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (moved to -inf).
+    k = np.arange(xs.size)
+    own = (k == leg_of[:, None]) | (k == leg_of[:, None] + 1)
+    inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
+    fw = f * w
+    t = (nodes - xs[leg_of, None]) / (xs[leg_of + 1] - xs[leg_of])[:, None]
+    moments = np.stack([fw, fw * t], axis=1) @ inv
+    cols = np.column_stack([np.einsum("kj,kj->k", f, w), moments[:, 0],
+                            moments[:, 1] @ es])
+    return scale[:, None] * cols
+
+
+def _leg_sizes(I: np.ndarray, D: np.ndarray) -> np.ndarray:
+    # Values and derivative rows converge each on their own scale: the
+    # derivative row of a short leg is far larger than its value.
+    return np.column_stack([np.abs(I), np.linalg.norm(D, axis=1)])
+
+
+def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over all finite real legs of a map, with their derivatives.
+
+    ``points`` are the finite prevertices z_1 < ... < z_m and ``alphas``
+    their exponents; the exponent at infinity plays no role on these legs.
+    Returns I of length m - 1, the bare integrals over (z_j, z_{j+1}) as
+    integrate_sc gives them, and D of shape (m - 1, m) with D[j, k] =
+    dI_j/dz_k. All legs share one panel split and one halving loop; a leg
+    stops halving once its value and its derivative row each agree to
+    ``tol`` between two levels. Values are settled before derivative
+    rows, so a value that cannot converge fails the call before any row
+    is refined deep.
+    """
+    xs = np.asarray(points, dtype=float)
+    es = np.asarray(alphas, dtype=float) - 1.0
+    if xs.ndim != 1 or xs.shape != es.shape or xs.size < 2:
+        raise ValidationError("need one exponent for each of >= 2 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)):
+        raise ValidationError("points must be finite and strictly increasing")
+    if not np.all(es > -1.0):
+        raise InvalidExponent("exponents must be positive")
+    if tol <= 0.0:
+        raise ValidationError("tol must be positive")
+    a, b = _split(xs[:-1], xs[1:], xs)
+    _, I, D = _finite_legs_pass(a, b, xs, es)
+    # Per leg: value, derivative row not yet converged.
+    unsettled = np.ones((xs.size - 1, 2), dtype=bool)
+    level = np.zeros(xs.size - 1, dtype=int)
+    while unsettled.any():
+        # Next to prevertices closer than the float resolution of their
+        # position a derivative row stalls at rounding level, and there
+        # some value fails anyway: rows wait until every value converged.
+        turn = (unsettled[:, 0] if unsettled[:, 0].any()
+                else unsettled[:, 1])
+        if level[turn].max() == MAX_LEVELS:
+            worst = np.unravel_index(np.argmax(diff - tol * denom), diff.shape)
+            raise NoConvergence(
+                f"panel refinement stalled at {diff[worst]:.3e} relative to "
+                f"{denom[worst]:.3e} (tol {tol:.1e})")
+        mine = turn[_leg_of(xs, a)]
+        halved = _halve(a[mine], b[mine])
+        legs, I_new, D_new = _finite_legs_pass(*halved, xs, es)
+        diff = _leg_sizes(I_new - I[legs], D_new - D[legs])
+        denom = np.maximum(_leg_sizes(I_new, D_new),
+                           _leg_sizes(I[legs], D[legs]))
+        I[legs], D[legs] = I_new, D_new
+        level[legs] += 1
+        unsettled[legs] = diff > tol * denom
+        a = np.concatenate([a[~mine], halved[0]])
+        b = np.concatenate([b[~mine], halved[1]])
+        keep = unsettled.any(axis=1)[_leg_of(xs, a)]
+        a, b = a[keep], b[keep]
+    return I, D
 
 
 def integrate_to_infinity(map: "SCMap", z_from: float,

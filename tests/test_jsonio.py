@@ -103,6 +103,24 @@ def test_solve_report_round_trip(unit_square):
     assert back == rep
 
 
+@pytest.mark.parametrize("key,value", [
+    ("final_residual_norm", "abc"),
+    ("final_residual_norm", [1]),
+    ("final_residual_norm", True),
+    ("reconstruction_error", None),
+    ("iterations", True),
+    ("iterations", -4),
+    ("iterations", 2.0),
+])
+def test_solve_report_rejects_malformed_fields(key, value):
+    data = {"converged": True, "iterations": 3,
+            "final_residual_norm": 1e-12, "residual_history": [1.0, 1e-12],
+            "reconstruction_error": 1e-13}
+    solve_report_from_json(data)
+    with pytest.raises(ValidationError):
+        solve_report_from_json({**data, key: value})
+
+
 def test_sweep_result_round_trip():
     res = run_sweep(SweepConfig(n=4, samples=5, seed=1))
     back = sweep_result_from_json(sweep_result_to_json(res))

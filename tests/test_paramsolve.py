@@ -24,6 +24,8 @@ from scpoly import (
     solve_parameter_problem,
 )
 
+from scpoly.paramsolve import _log_residual
+
 from conftest import sup_dist
 
 
@@ -129,6 +131,38 @@ def test_residual_jacobian_difference_quotients():
     j1, j2 = jac(1e-4), jac(5e-5)
     scale = np.max(np.abs(j1))
     assert np.max(np.abs(j1 - j2)) <= 1e-6 * scale + 1e-10
+
+
+@pytest.mark.parametrize("n,seed", [(5, 21), (6, 9), (8, 42)])
+def test_exact_jacobian_matches_difference_quotients(n, seed):
+    # The solver's own Jacobian of the log side ratios, away from the
+    # solution, against h = 1e-4 central differences of the same residual.
+    pt = sample_chart_point(SweepConfig(n=n, samples=1, seed=seed), 0)
+    pre, exp = moduli_unchart(pt)
+    target = forward(pre, exp)
+    sides = np.abs(np.diff(np.asarray(target.vertices[:-1])))
+    log_ratio_t = np.log(sides[1:] / sides[0])
+    g = np.asarray(pt.z_coords) + np.linspace(0.3, -0.2, n - 3)
+    tol = SolveOptions.quadrature_tol
+    r, J = _log_residual(g, exp, log_ratio_t, tol)
+    assert np.max(np.abs(r)) > 1e-3
+    h = 1e-4
+    cols = []
+    for k in range(n - 3):
+        e = np.zeros(n - 3)
+        e[k] = h
+        up = _log_residual(g + e, exp, log_ratio_t, tol)[0]
+        down = _log_residual(g - e, exp, log_ratio_t, tol)[0]
+        cols.append((up - down) / (2 * h))
+    err = np.max(np.abs(J - np.column_stack(cols)))
+    assert err <= 1e-6 * np.max(np.abs(J))
+
+    walled = g.copy()
+    walled[-1] = 701.0
+    r, J = _log_residual(walled, exp, log_ratio_t, tol)
+    assert np.all(r == 1e8)
+    assert J.shape == (n - 3, n - 3)
+    assert np.all(np.isfinite(J)) and not J.any()
 
 
 # --------------------------------------------------- fit_affine_constants
