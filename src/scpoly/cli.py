@@ -15,6 +15,7 @@ explicit --tol wins over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Any, Optional, Sequence
@@ -64,6 +65,8 @@ def _witness_arg(text: str) -> complex:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"witness must look like RE,IM, got {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise argparse.ArgumentTypeError(f"witness must be finite, got {text!r}")
     return complex(re, im)
 
 

@@ -6,19 +6,22 @@ measured as the clockwise sweep from the ray toward the previous vertex to
 the ray toward the next one, normalized into (0, 2*pi]. For a CCW-labelled
 embedded polygon this is the usual interior angle.
 
-All predicates are pure functions; ``is_simple`` makes certificate-grade
-decisions through the exact predicates in :mod:`scpoly.predicates`. Winding
-numbers are computed by one array kernel over a whole batch of query points;
-``winding_number``, the immersion screen and the witness search all use it.
-The witness search is deterministic: fixed probes at every proper crossing,
-one of them inside each of the four sectors the crossing sides cut out.
+All predicates are pure functions. Self-contacts (proper crossings, a
+vertex on a side, coincident vertices, overlapping collinear sides) are
+read off one orientation matrix per polygon, whose entries are
+float-filtered with the error bound of :mod:`scpoly.predicates` and
+escalated one by one to its exact predicate; ``is_simple`` decides from it.
+Winding numbers are computed by one array kernel over a whole batch of
+query points. The immersion screen and the witness search wind one probe
+set: a point inside each sector at every vertex of the curve's
+arrangement (polygon vertices and proper crossings), which reaches every
+face of the arrangement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -26,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateSide, PointOnCurve, ValidationError
-from .predicates import (orientation, segment_crossing_point,
-                         segments_intersect)
+from .predicates import _ERRBOUND, orientation
 
 PlanePoint = complex
 
@@ -69,6 +71,12 @@ class LabelledPolygon:
     @cached_property
     def diameter(self) -> float:
         return max(abs(a - b) for a, b in combinations(self.vertices, 2))
+
+    @cached_property
+    def _contacts(self) -> tuple[np.ndarray, ...]:
+        # One exact contact pass per polygon serves is_simple, the
+        # immersion screen and the witness search; read-only by contract.
+        return _contact_pass(self)
 
     def side(self, j: int) -> tuple[complex, complex]:
         """Side j joins vertex j to vertex j+1 (cyclically), 0-based."""
@@ -116,7 +124,7 @@ class ImmersionReport:
 
     angles_in_range: bool      # (a) every vertex angle realizable in (0, 2*pi)
     angle_sum_ok: bool         # (b) angle sum equals (n-2)*pi
-    winding_nonnegative: bool  # (c) winding >= 0 at sampled face points
+    winding_nonnegative: bool  # (c) winding >= 0 on every arrangement face
     turning_number: int
     points_sampled: int
 
@@ -170,6 +178,12 @@ def turning_number(poly: LabelledPolygon) -> int:
     return int(round(total))
 
 
+def _following(a: np.ndarray) -> np.ndarray:
+    """``a`` cycled one step back along axis 0 (entry j holds a[j + 1]);
+    ``np.roll`` does the same at several times the cost on small arrays."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _scaled_offsets(poly: LabelledPolygon, points: Sequence[complex]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Offsets a_j - p (real and imaginary parts) and squared side
@@ -184,13 +198,12 @@ def _scaled_offsets(poly: LabelledPolygon, points: Sequence[complex]
     a = np.asarray(poly.vertices)[:, None]
     u = a - p
     _, e = np.frexp(np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0))
-    scale = np.ldexp(1.0, -e)
-    ur, ui = u.real * scale, u.imag * scale
-    d = np.roll(a, -1, axis=0) - a
+    ur, ui = np.ldexp(u.real, -e), np.ldexp(u.imag, -e)
+    d = _following(a) - a
     length = np.abs(d)
     dr, di = d.real / length, d.imag / length
     # Foot of the perpendicular from p, clamped to the side.
-    s = np.minimum(np.maximum(-(ur * dr + ui * di), 0.0), length * scale)
+    s = np.minimum(np.maximum(-(ur * dr + ui * di), 0.0), np.ldexp(length, -e))
     x, y = ur + s * dr, ui + s * di
     return ur, ui, x * x + y * y, e
 
@@ -209,7 +222,7 @@ def _windings(poly: LabelledPolygon,
     ur, ui, dist2, e = _scaled_offsets(poly, points)
     clear = (dist2 > np.ldexp(tol, -e) ** 2).all(axis=0)
     # Side j turns by arg((b_j - p) / (a_j - p)).
-    vr, vi = np.roll(ur, -1, axis=0), np.roll(ui, -1, axis=0)
+    vr, vi = _following(ur), _following(ui)
     turns = np.arctan2(ur * vi - ui * vr, ur * vr + ui * vi).sum(axis=0) / TWO_PI
     k = np.round(turns)
     return k.astype(int), clear & (np.abs(turns - k) < 1e-6)
@@ -221,28 +234,65 @@ def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
 
     Raises :class:`PointOnCurve` if p is within tolerance of the trace, or
     if the accumulated total fails to land on an integer to 1e-6 (which
-    only happens for points effectively on the curve).
+    only happens for points effectively on the curve), and
+    :class:`ValidationError` if p is not finite.
     """
+    if not np.isfinite(p):
+        raise ValidationError(f"point {p} is not finite")
     k, defined = _windings(poly, [p])
     if not defined[0]:
         raise PointOnCurve(f"point {p} lies on or too near the curve")
     return int(k[0])
 
 
-def _adjacent(i: int, j: int, n: int) -> bool:
-    return (j - i) % n == 1 or (i - j) % n == 1
+def _orientations(poly: LabelledPolygon) -> np.ndarray:
+    """Orientation matrix O[j, k] = orientation(w_j, w_{j+1}, w_k).
+
+    Every determinant is formed in floats exactly as
+    :func:`~scpoly.predicates.orientation` forms it and trusted where it
+    clears the same error bound; the other entries go to that exact
+    predicate, except those with w_k equal to w_j or w_{j+1}, which are 0.
+    """
+    w = np.asarray(poly.vertices)
+    a = w[:, None]
+    ac, bc = a - w, _following(a) - w
+    detleft = ac.real * bc.imag
+    detright = ac.imag * bc.real
+    det = detleft - detright
+    o = np.sign(det).astype(int)
+    unsure = ((np.abs(det) <= _ERRBOUND * (np.abs(detleft) + np.abs(detright)))
+              & (ac != 0) & (bc != 0))
+    for j, k in zip(*np.nonzero(unsure)):
+        p, q, r = w[j], w[(j + 1) % poly.n], w[k]
+        o[j, k] = orientation(p.real, p.imag, q.real, q.imag, r.real, r.imag)
+    return o
 
 
-def _collinear_overlap(a: complex, shared: complex, c: complex) -> bool:
-    """Do segments (a, shared) and (shared, c) overlap beyond the joint?"""
-    if orientation(a.real, a.imag, shared.real, shared.imag, c.real, c.imag) != 0:
-        return False
-    # Collinear: overlap iff both far ends sit on the same side of `shared`.
-    dot = ((Fraction(a.real) - Fraction(shared.real))
-           * (Fraction(c.real) - Fraction(shared.real))
-           + (Fraction(a.imag) - Fraction(shared.imag))
-           * (Fraction(c.imag) - Fraction(shared.imag)))
-    return dot > 0
+def _contact_pass(poly: LabelledPolygon) -> tuple[np.ndarray, ...]:
+    """Self-contacts of the curve, exact, from one orientation matrix.
+
+    Returns the side pairs (i, j), i < j, that cross properly, in
+    row-major order, and the touchings (s, k): vertex k lies on the
+    closed side s without being one of its endpoints (a vertex on a side,
+    coincident vertices, and the far end of one of two overlapping
+    collinear sides). Each as two index arrays.
+    """
+    o = _orientations(poly)
+    # split[i, j]: the line of side i strictly separates the ends of side j,
+    # O[i, j] and O[i, j + 1] having opposite signs.
+    split = o * _following(o.T).T < 0
+    i, j = np.nonzero(split & split.T)
+    s, k = np.nonzero(o == 0)
+    apart = (k - s) % poly.n > 1
+    s, k = s[apart], k[apart]
+    # A vertex collinear with a side lies on it iff inside its bounding box.
+    w = np.asarray(poly.vertices)
+    a, b, c = w[s], _following(w)[s], w[k]
+    on_side = ((np.minimum(a.real, b.real) <= c.real)
+               & (c.real <= np.maximum(a.real, b.real))
+               & (np.minimum(a.imag, b.imag) <= c.imag)
+               & (c.imag <= np.maximum(a.imag, b.imag)))
+    return i[i < j], j[i < j], s[on_side], k[on_side]
 
 
 def is_simple(poly: LabelledPolygon) -> bool:
@@ -250,48 +300,17 @@ def is_simple(poly: LabelledPolygon) -> bool:
 
     True iff non-adjacent sides are disjoint, adjacent sides meet only at
     their shared vertex, and non-consecutive vertices are distinct. Side
-    decisions use the exact orientation predicates; vertex coincidence uses
-    the relative tolerance (coincident-within-noise counts as coincident).
+    decisions are exact (no proper crossing and no vertex on a side it is
+    not an endpoint of); vertex coincidence uses the relative tolerance
+    (coincident-within-noise counts as coincident).
     """
     tol = _check_sides(poly)
-    w = poly.vertices
-    n = poly.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (j - i) != 1 and not (i == 0 and j == n - 1):
-                if abs(w[i] - w[j]) <= tol:
-                    return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = poly.side(i)
-            c, d = poly.side(j)
-            if _adjacent(i, j, n):
-                if (j - i) % n == 1:
-                    shared, p_far, q_far = w[j], w[i], w[(j + 1) % n]
-                else:
-                    shared, p_far, q_far = w[i], w[j], w[(i + 1) % n]
-                if _collinear_overlap(p_far, shared, q_far):
-                    return False
-            elif segments_intersect(a, b, c, d):
-                return False
-    return True
-
-
-def _proper_crossings(poly: LabelledPolygon) -> list[tuple[complex, int, int]]:
-    """Points where two non-adjacent sides cross in their interiors, each
-    with the indices of its two sides."""
-    pts = []
-    n = poly.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _adjacent(i, j, n):
-                continue
-            a, b = poly.side(i)
-            c, d = poly.side(j)
-            q = segment_crossing_point(a, b, c, d)
-            if q is not None:
-                pts.append((q, i, j))
-    return pts
+    i, _, s, _ = poly._contacts
+    if i.size or s.size:
+        return False
+    w = np.asarray(poly.vertices)
+    j, k = np.nonzero(np.abs(w[:, None] - w) <= tol)
+    return not ((k - j + 1) % poly.n > 2).any()
 
 
 def _line_clearance(poly: LabelledPolygon,
@@ -300,54 +319,9 @@ def _line_clearance(poly: LabelledPolygon,
     line."""
     p = np.asarray(points, dtype=complex)[None, :]
     a = np.asarray(poly.vertices)[:, None]
-    d = np.roll(a, -1, axis=0) - a
+    d = _following(a) - a
     pa = p - a
     return (np.abs(d.real * pa.imag - d.imag * pa.real) / np.abs(d)).min(axis=0)
-
-
-def _face_sample_points(poly: LabelledPolygon) -> list[complex]:
-    """Deterministic probes aiming at every face of the side arrangement.
-
-    Quadrant probes around each proper crossing, midpoints between crossing
-    pairs (lens interiors), offset side midpoints, and a coarse grid over
-    the bounding box.
-    """
-    diam = poly.diameter
-    pts: list[complex] = []
-    crossings = [q for q, _, _ in _proper_crossings(poly)]
-    # Crossings and original vertices bound every face of the side
-    # arrangement; overlap lenses can be microscopic relative to the
-    # diameter, so probe each crossing at scales set by its nearest
-    # neighbour in that set as well as at diameter scales.
-    anchors = crossings + list(poly.vertices)
-    for q in crossings:
-        near = min((abs(q - p) for p in anchors if abs(q - p) > 0.0),
-                   default=diam)
-        steps = [s * diam for s in (1e-3, 1e-2, 5e-2)]
-        steps += [f * near for f in (0.5, 0.125, 0.03125)]
-        for d in steps:
-            pts.extend((q + d, q - d, q + 1j * d, q - 1j * d,
-                        q + d * (1 + 1j) / math.sqrt(2),
-                        q + d * (1 - 1j) / math.sqrt(2),
-                        q + d * (-1 + 1j) / math.sqrt(2),
-                        q + d * (-1 - 1j) / math.sqrt(2)))
-    for q1, q2 in combinations(anchors, 2):
-        pts.append((q1 + q2) / 2)
-    for j in range(poly.n):
-        a, b = poly.side(j)
-        mid = (a + b) / 2
-        normal = 1j * (b - a) / abs(b - a)
-        for scale in (1e-3, 3e-2):
-            pts.append(mid + scale * diam * normal)
-            pts.append(mid - scale * diam * normal)
-    xs, ys = [v.real for v in poly.vertices], [v.imag for v in poly.vertices]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    grid = 7
-    for ix in range(grid):
-        for iy in range(grid):
-            pts.append(complex(lo_x + (ix + 0.5) * (hi_x - lo_x) / grid,
-                               lo_y + (iy + 0.5) * (hi_y - lo_y) / grid))
-    return pts
 
 
 def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
@@ -359,9 +333,12 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
         through the turning number: an immersed polygon has turning number
         exactly 1, and turning >= 2 forces at least one wrapped vertex.
     (b) the angle sum equals (n-2)*pi, equivalently turning number 1.
-    (c) winding numbers at sampled arrangement-face points are all >= 0.
-        All probes are wound in one batch; ``points_sampled`` counts the
-        probes with a defined winding up to the first negative one.
+    (c) the winding number is >= 0 on every face of the arrangement. Every
+        face gets a probe, one per sector at each arrangement vertex; a
+        probe within tolerance of the trace has no defined winding and is
+        skipped. All probes are wound in one batch; ``points_sampled``
+        counts the probes with a defined winding up to the first negative
+        one.
 
     All three together are necessary, not sufficient.
     """
@@ -371,7 +348,7 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
     angles_in_range = pointwise_ok and t <= 1
     angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1
 
-    k, defined = _windings(poly, _face_sample_points(poly))
+    k, defined = _windings(poly, _sector_probes(poly))
     negative = np.flatnonzero(defined & (k < 0))
     if negative.size:
         # The screen stops at the first negative winding.
@@ -380,44 +357,61 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
                            t, int(defined.sum()))
 
 
-def _sector_probes(poly: LabelledPolygon) -> list[complex]:
-    """One probe inside each of the four sectors at every proper crossing.
+def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
+    """One probe inside each sector at every vertex of the arrangement.
 
-    The sides i and j crossing at q are the only sides that meet the disc
-    about q whose radius r is the distance to the nearest other side, so
-    each sector they cut out of that disc lies in one face. The probes sit
-    at q + (r/2)*u, u running over the unit bisectors of the two sides.
+    The arrangement's vertices are the polygon vertices and the proper
+    crossings, and every face has one on its boundary. The sides through
+    such a vertex q are its own two sides and those it touches, or the
+    two crossing sides. They are the only sides that meet the disc about
+    q whose radius r is the distance to the nearest other side (capped at
+    the diameter), so each sector they cut out of that disc lies in one
+    face. The probes sit at q + (r/2)*u, u running over the unit
+    bisectors of the sectors: polygon vertices first, then crossings,
+    each in counter-clockwise order from the negative real axis.
     """
-    crossings = _proper_crossings(poly)
-    _, _, dist2, e = _scaled_offsets(poly, [q for q, _, _ in crossings])
-    dist = np.ldexp(np.sqrt(dist2), e)
-    pts = []
-    for k, (q, i, j) in enumerate(crossings):
-        dist[[i, j], k] = np.inf
-        half = dist[:, k].min() / 2
-        ei, ej = ((b - a) / abs(b - a)
-                  for a, b in (poly.side(i), poly.side(j)))
-        for u in (ei + ej, ei - ej):
-            step = half * u / abs(u)
-            pts.extend((q + step, q - step))
-    return pts
+    n = poly.n
+    i, j, s, k = poly._contacts
+    w = np.asarray(poly.vertices)
+    d = _following(w) - w
+    # A float cross product can vanish where the exact test sees a crossing.
+    cross = d[i].real * d[j].imag - d[i].imag * d[j].real
+    i, j, cross = i[cross != 0.0], j[cross != 0.0], cross[cross != 0.0]
+    g = w[j] - w[i]
+    t = (g.real * d[j].imag - g.imag * d[j].real) / cross
+    q = np.concatenate((w, w[i] + t * d[i]))
+    # through[m, side]: the side passes through arrangement vertex m.
+    vertex, crossing = np.arange(n), n + np.arange(i.size)
+    through = np.zeros((q.size, n), dtype=bool)
+    through[np.concatenate((vertex, vertex, k, crossing, crossing)),
+            np.concatenate((vertex, vertex - 1, s, i, j))] = True
+    _, _, dist2, e = _scaled_offsets(poly, q)
+    nearest2 = np.where(through.T, np.inf, dist2).min(axis=0)
+    r = np.minimum(np.ldexp(np.sqrt(nearest2), e), poly.diameter)
+    # Rays from q to both ends of every side through q, by angle.
+    rays = np.concatenate((w, _following(w))) - q[:, None]
+    is_ray = np.concatenate((through, through), axis=1) & (rays != 0)
+    ang = np.sort(np.where(is_ray, np.angle(rays), np.inf), axis=1)
+    count = is_ray.sum(axis=1)
+    following = np.concatenate((ang[:, 1:], ang[:, :1]), axis=1)
+    following[np.arange(q.size), count - 1] = ang[:, 0] + TWO_PI
+    m, sector = np.nonzero(np.arange(2 * n) < count[:, None])
+    mid = (ang[m, sector] + following[m, sector]) / 2
+    return q[m] + r[m] / 2 * np.exp(1j * mid)
 
 
 def find_multiwound_witness(poly: LabelledPolygon) -> Optional[PlanePoint]:
     """Hunt a point with winding number >= 2, clear of all side lines.
 
-    Deterministic: the face probes of the immersion screen, then one probe
-    per sector at every proper crossing, wound as one batch; returns the
-    first certified candidate in that order, or None. A face with winding
-    >= 2 has a self-intersection on its boundary, so when every
-    self-intersection is a proper crossing the sector probes reach every
-    such face (a probe still needs the line clearance to be certified).
-    Polygons whose only self-contacts are touchings (shared vertices, a
-    vertex on a side, collinear overlaps) get the face probes only.
-    Coincident consecutive vertices raise :class:`DegenerateSide`.
+    Deterministic: the probes of the immersion screen, one per sector at
+    every arrangement vertex, wound as one batch; returns the first
+    certified candidate in that order, or None. Every face gets a probe,
+    touchings included, so a face with winding >= 2 is missed only when
+    its probes lack a defined winding or the line clearance. Coincident
+    consecutive vertices raise :class:`DegenerateSide`.
     """
     _check_sides(poly)
-    points = _face_sample_points(poly) + _sector_probes(poly)
+    points = _sector_probes(poly)
     k, defined = _windings(poly, points)
     clear = _line_clearance(poly, points) >= WITNESS_LINE_RTOL * poly.diameter
     hits = np.flatnonzero(defined & (k >= 2) & clear)

@@ -25,23 +25,28 @@ def complex_to_pair(w: complex) -> list[float]:
 
 
 def complex_from_pair(obj: Any, what: str) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj)):
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValidationError(f"{what} must be a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(_as_float(obj[0], what), _as_float(obj[1], what))
 
 
 def _as_floats(obj: Any, what: str) -> list[float]:
-    if not (isinstance(obj, (list, tuple))
-            and all(isinstance(v, (int, float)) for v in obj)):
+    if not isinstance(obj, (list, tuple)):
         raise ValidationError(f"{what} must be a list of numbers")
-    return [float(v) for v in obj]
+    return [_as_float(v, what) for v in obj]
 
 
 def _as_float(obj: Any, what: str) -> float:
+    # JSON true/false arrive as bool, which is a subclass of int.
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{what} must be a number, got {obj!r}")
     return float(obj)
+
+
+def _as_int(obj: Any, what: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValidationError(f"{what} must be an integer, got {obj!r}")
+    return obj
 
 
 def _field(data: Any, key: str) -> Any:
@@ -57,12 +62,12 @@ def polygon_to_json(poly: LabelledPolygon) -> dict:
 
 
 def polygon_from_json(data: Any) -> LabelledPolygon:
-    n = _field(data, "n")
+    n = _as_int(_field(data, "n"), "n")
     verts = _field(data, "vertices")
     if not isinstance(verts, list):
         raise ValidationError("vertices must be a list")
     ws = tuple(complex_from_pair(v, "vertex") for v in verts)
-    if not isinstance(n, int) or n != len(ws):
+    if n != len(ws):
         raise ValidationError(f"n = {n!r} does not match {len(ws)} vertices")
     return LabelledPolygon(ws)
 
@@ -79,7 +84,7 @@ def scmap_to_json(m: SCMap) -> dict:
 
 
 def scmap_from_json(data: Any) -> SCMap:
-    n = _field(data, "n")
+    n = _as_int(_field(data, "n"), "n")
     mode = _field(data, "mode")
     if mode not in ("standard", "extended"):
         raise ValidationError(f"mode must be standard or extended, got {mode!r}")
@@ -87,7 +92,7 @@ def scmap_from_json(data: Any) -> SCMap:
                                        "prevertices")))
     exp = ExponentVector(tuple(_as_floats(_field(data, "alphas"), "alphas")),
                          extended=(mode == "extended"))
-    if not isinstance(n, int) or n != exp.n:
+    if n != exp.n:
         raise ValidationError(f"n = {n!r} does not match {exp.n} alphas")
     return SCMap(pre, exp,
                  complex_from_pair(_field(data, "A"), "A"),
@@ -99,9 +104,7 @@ def chart_point_to_json(pt: ChartPoint) -> dict:
 
 
 def chart_point_from_json(data: Any) -> ChartPoint:
-    n = _field(data, "n")
-    if not isinstance(n, int):
-        raise ValidationError(f"n must be an integer, got {n!r}")
+    n = _as_int(_field(data, "n"), "n")
     return ChartPoint(n,
                       tuple(_as_floats(_field(data, "z"), "z")),
                       tuple(_as_floats(_field(data, "a"), "a")))
@@ -119,9 +122,8 @@ def solve_report_to_json(rep: SolveReport) -> dict:
 
 def solve_report_from_json(data: Any) -> SolveReport:
     conv = _field(data, "converged")
-    its = _field(data, "iterations")
-    if (not isinstance(conv, bool) or isinstance(its, bool)
-            or not isinstance(its, int) or its < 0):
+    its = _as_int(_field(data, "iterations"), "iterations")
+    if not isinstance(conv, bool) or its < 0:
         raise ValidationError(
             "converged must be bool, iterations a non-negative integer")
     return SolveReport(
@@ -160,22 +162,14 @@ def sweep_result_from_json(data: Any) -> SweepResult:
         w: Optional[complex] = None
         if _field(item, "witness") is not None:
             w = complex_from_pair(item["witness"], "witness")
-        winding = _field(item, "winding")
-        if not isinstance(winding, int):
-            raise ValidationError("winding must be an integer")
         instances.append(NonSimpleInstance(
             chart=chart_point_from_json(_field(item, "chart")),
-            witness=w, winding=winding))
-    counts = {}
-    for key in ("tested", "simple_count", "failures"):
-        v = _field(data, key)
-        if not isinstance(v, int):
-            raise ValidationError(f"{key} must be an integer")
-        counts[key] = v
-    return SweepResult(tested=counts["tested"],
-                       simple_count=counts["simple_count"],
-                       nonsimple_instances=tuple(instances),
-                       failures=counts["failures"])
+            witness=w, winding=_as_int(_field(item, "winding"), "winding")))
+    return SweepResult(
+        tested=_as_int(_field(data, "tested"), "tested"),
+        simple_count=_as_int(_field(data, "simple_count"), "simple_count"),
+        nonsimple_instances=tuple(instances),
+        failures=_as_int(_field(data, "failures"), "failures"))
 
 
 def dumps(payload: dict) -> str:

@@ -1,9 +1,11 @@
-"""Exact-decision geometric predicates.
+"""Exact-decision orientation predicate.
 
-Orientation tests run a floating-point filter first: the determinant is
-trusted whenever its magnitude clears a certified rounding-error bound.
-Near-degenerate cases escalate to exact rational arithmetic (every float is
-a dyadic rational, so ``fractions.Fraction`` gives the true sign).
+The orientation test runs a floating-point filter first: the determinant is
+trusted whenever its magnitude clears a certified rounding-error bound
+(Shewchuk 1997, DCG 18:305). Near-degenerate cases escalate to exact
+rational arithmetic (every float is a dyadic rational, so
+``fractions.Fraction`` gives the true sign). :mod:`scpoly.geometry` applies
+the same filter to a whole matrix of orientations at once.
 """
 
 from __future__ import annotations
@@ -40,62 +42,3 @@ def orientation(ax: float, ay: float, bx: float, by: float,
     fc = (Fraction(cx), Fraction(cy))
     exact = (fa[0] - fc[0]) * (fb[1] - fc[1]) - (fa[1] - fc[1]) * (fb[0] - fc[0])
     return _sign(exact)
-
-
-def _bbox_overlap(p, q, r, s) -> bool:
-    """Axis-aligned bounding boxes of segments pq and rs intersect."""
-    return (min(p[0], q[0]) <= max(r[0], s[0]) and
-            min(r[0], s[0]) <= max(p[0], q[0]) and
-            min(p[1], q[1]) <= max(r[1], s[1]) and
-            min(r[1], s[1]) <= max(p[1], q[1]))
-
-
-def on_segment(px: float, py: float, qx: float, qy: float,
-               rx: float, ry: float) -> bool:
-    """True iff r lies on the closed segment pq (exact)."""
-    if orientation(px, py, qx, qy, rx, ry) != 0:
-        return False
-    return (min(px, qx) <= rx <= max(px, qx) and
-            min(py, qy) <= ry <= max(py, qy))
-
-
-def segments_intersect(p: complex, q: complex, r: complex, s: complex) -> bool:
-    """True iff closed segments pq and rs share at least one point (exact)."""
-    o1 = orientation(p.real, p.imag, q.real, q.imag, r.real, r.imag)
-    o2 = orientation(p.real, p.imag, q.real, q.imag, s.real, s.imag)
-    o3 = orientation(r.real, r.imag, s.real, s.imag, p.real, p.imag)
-    o4 = orientation(r.real, r.imag, s.real, s.imag, q.real, q.imag)
-    if o1 != o2 and o3 != o4:
-        return True
-    # Collinear/touching cases.
-    if o1 == 0 and on_segment(p.real, p.imag, q.real, q.imag, r.real, r.imag):
-        return True
-    if o2 == 0 and on_segment(p.real, p.imag, q.real, q.imag, s.real, s.imag):
-        return True
-    if o3 == 0 and on_segment(r.real, r.imag, s.real, s.imag, p.real, p.imag):
-        return True
-    if o4 == 0 and on_segment(r.real, r.imag, s.real, s.imag, q.real, q.imag):
-        return True
-    return False
-
-
-def segment_crossing_point(p: complex, q: complex, r: complex, s: complex):
-    """Crossing point of two properly intersecting segments, else None.
-
-    "Properly" means the interiors cross transversally; touching endpoints
-    or collinear overlap return None. Float arithmetic is fine here: the
-    caller only needs an approximate location to probe around.
-    """
-    o1 = orientation(p.real, p.imag, q.real, q.imag, r.real, r.imag)
-    o2 = orientation(p.real, p.imag, q.real, q.imag, s.real, s.imag)
-    o3 = orientation(r.real, r.imag, s.real, s.imag, p.real, p.imag)
-    o4 = orientation(r.real, r.imag, s.real, s.imag, q.real, q.imag)
-    if not (o1 * o2 < 0 and o3 * o4 < 0):
-        return None
-    d1, d2 = q - p, s - r
-    denom = d1.real * d2.imag - d1.imag * d2.real
-    if denom == 0.0:
-        return None
-    w = r - p
-    t = (w.real * d2.imag - w.imag * d2.real) / denom
-    return p + t * d1

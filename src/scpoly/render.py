@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .geometry import LabelledPolygon, PlanePoint
 from .quadrature import DEFAULT_TOL
@@ -67,11 +69,14 @@ def polygon_svg(poly: LabelledPolygon,
                 witnesses: Sequence[PlanePoint] = (),
                 grid_curves: Iterable[Sequence[PlanePoint]] = ()) -> str:
     """SVG document with the closed polygon path, optional grid-image
-    polylines underneath, and optional marked witness points on top."""
+    polylines underneath, and optional marked witness points on top.
+    Raises :class:`ValidationError` for a non-finite point."""
     curves = [tuple(c) for c in grid_curves]
     everything = list(poly.vertices) + list(witnesses)
     for c in curves:
         everything.extend(c)
+    if not np.isfinite(everything).all():
+        raise ValidationError("points to draw must be finite")
     frame = _Frame(everything)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

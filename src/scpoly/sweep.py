@@ -2,8 +2,8 @@
 
 Samples chart points uniformly in a cube, runs the forward construction,
 and classifies each polygon as simple, non-simple (with a multiwound
-witness when the fixed probes of ``find_multiwound_witness`` certify one),
-or failed. Per-sample substreams are derived from (seed, index), so
+witness when one of the arrangement probes of ``find_multiwound_witness``
+certifies one), or failed. Per-sample substreams are derived from (seed, index), so
 results are independent of evaluation order and a parallel driver would
 reproduce the serial result exactly.
 """

@@ -195,6 +195,14 @@ def test_render_with_grid_and_witness(capsys):
     assert svg.count("<circle") == 1
 
 
+def test_render_nonfinite_witness_exits_2(capsys):
+    square = '{"n": 4, "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
+    for text in ("nan,0", "0,inf", "-inf,1"):
+        code, out = run_cli(capsys, "render", square, "--witness", text)
+        assert code == 2
+        assert "<svg" not in out
+
+
 def test_render_grid_on_polygon_rejected(capsys):
     square = dumps(polygon_to_json(LabelledPolygon((0j, 1 + 0j, 1 + 1j, 1j))))
     code, out = run_cli(capsys, "render", square, "--grid", "2")

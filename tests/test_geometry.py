@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -22,7 +23,7 @@ from scpoly import (
     turning_number,
     winding_number,
 )
-from scpoly import geometry
+from scpoly import geometry, predicates
 
 from conftest import HEX_WITNESS_LARGE, HEX_WITNESS_LENS
 from oracles import has_nonadjacent_crossing, ray_crossing_winding
@@ -126,6 +127,13 @@ def test_winding_on_trace_rejected(unit_square):
         winding_number(unit_square, 1j)
 
 
+def test_winding_rejects_nonfinite_points(unit_square):
+    for p in (complex(math.inf, 0.0), complex(math.nan, 0.0),
+              complex(0.5, -math.inf)):
+        with pytest.raises(ValidationError):
+            winding_number(unit_square, p)
+
+
 def test_winding_at_vertices_rejected_without_warnings(hex_large):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -173,7 +181,7 @@ def test_batch_windings_agree_with_ray_oracle(unit_square, hex_large,
                                               hex_lens, pentagon_poly):
     # Every probe of the immersion screen, one array call per polygon.
     for poly in (unit_square, hex_large, hex_lens, pentagon_poly):
-        probes = geometry._face_sample_points(poly)
+        probes = geometry._sector_probes(poly)
         k, defined = geometry._windings(poly, probes)
         assert defined.sum() > len(probes) / 2
         for p, w in zip(np.asarray(probes)[defined], k[defined]):
@@ -214,6 +222,123 @@ def test_adjacent_sides_overlapping_not_simple():
     assert not is_simple(spike)
 
 
+def test_orientation_matrix_matches_exact_predicate(monkeypatch):
+    # Shewchuk's near-degenerate grid: 64 points 2^-53 apart at (0.5, 0.5)
+    # against the line through (12, 12) and (24, 24). Float determinants
+    # get many of these signs wrong; the filter must hand them on.
+    tiny = 2.0 ** -53
+    grid = tuple(complex(0.5 + i * tiny, 0.5 + j * tiny)
+                 for i in range(8) for j in range(8))
+    poly = LabelledPolygon((12 + 12j, 24 + 24j) + grid)
+    exact = predicates.orientation
+    escalated = []
+    monkeypatch.setattr(geometry, "orientation",
+                        lambda *a: escalated.append(a) or exact(*a))
+    o = geometry._orientations(poly)
+    w, n = poly.vertices, poly.n
+    for j in range(n):
+        a, b = w[j], w[(j + 1) % n]
+        for k, c in enumerate(w):
+            assert o[j, k] == exact(a.real, a.imag, b.real, b.imag,
+                                    c.real, c.imag)
+    assert 0 < len(escalated) < n * n
+    assert set(o[0, 2:]) == {-1, 0, 1}
+
+
+# ---------------------------------------------- probe completeness
+
+def _line_crossing(a, b, c, d):
+    # intersection of the lines ab and cd
+    u, v, g = b - a, d - c, c - a
+    return a + u * (g.real * v.imag - g.imag * v.real) \
+        / (u.real * v.imag - u.imag * v.real)
+
+
+def _strictly_inside(face, p):
+    turns = [((b - a).conjugate() * (p - a)).imag
+             for a, b in zip(face, face[1:] + face[:1])]
+    return all(t > 0 for t in turns) or all(t < 0 for t in turns)
+
+
+def _pentagram():
+    tips = [cmath.exp(1j * (math.pi / 2 + 2 * math.pi * k / 5))
+            for k in range(5)]
+    poly = LabelledPolygon(tuple(tips[2 * k % 5] for k in range(5)))
+    # inner[k] is the crossing between tips k and k + 1
+    inner = [_line_crossing(tips[k], tips[(k + 2) % 5],
+                            tips[(k + 1) % 5], tips[(k + 4) % 5])
+             for k in range(5)]
+    faces = [(inner, 2)]
+    faces += [((inner[k - 1], tips[k], inner[k]), 1) for k in range(5)]
+    faces += [((tips[k], inner[k], tips[(k + 1) % 5]), 0) for k in range(5)]
+    return poly, faces
+
+
+def _vertex_on_side():
+    # vertex 3 lies on side 0, halfway along
+    poly = LabelledPolygon((0j, 4 + 0j, 4 + 4j, 2 + 0j, 4j))
+    faces = [((2 + 0j, 4 + 0j, 4 + 4j), 1), ((0j, 2 + 0j, 4j), 1),
+             ((2 + 0j, 4 + 4j, 4j), 0), ((0j, 2 - 2j, 4 + 0j), 0)]
+    return poly, faces
+
+
+def _collinear_overlap():
+    # sides 0 and 4 both run along the real axis and share [1, 3]
+    poly = LabelledPolygon((0j, 3 + 0j, 3 + 2j, 1 + 2j, 1 + 0j, 4 + 0j,
+                            4 + 3j, 3j))
+    faces = [((1 + 0j, 3 + 0j, 3 + 2j, 1 + 2j), 2),
+             ((0j, 1 + 0j, 1 + 3j, 3j), 1),
+             ((0j, -1 - 1j, 4 - 1j, 4 + 0j), 0)]
+    return poly, faces
+
+
+def _pinch():
+    # vertices 0 and 3 coincide: two triangles meeting at the origin
+    poly = LabelledPolygon((0j, 1 + 0j, 1 + 1j, 0j, -1 + 0j, -1 - 1j))
+    faces = [((0j, 1 + 0j, 1 + 1j), 1), ((0j, -1 + 0j, -1 - 1j), 1),
+             ((0j, 1 + 1j, -1 + 1j), 0)]
+    return poly, faces
+
+
+def _thin_lens():
+    # The V of sides 3 and 4 dips h below side 0, cutting out a lens
+    # 1.5 long and h = 1e-6 diameters wide (the diameter is |4 - 2j|).
+    h = 1e-6 * abs(4 - 2j)
+    poly = LabelledPolygon((-2 + 0j, 2 + 0j, 2 + 2j, complex(1.5, h),
+                            complex(0, -h), complex(-1.5, h), -2 + 2j))
+    faces = [((-0.75 + 0j, complex(0, -h), 0.75 + 0j), -1),
+             ((-2 + 0j, -1.5 + 0j, -2 + 2j), 1),
+             ((1.5 + 0j, 2 + 0j, 2 + 2j), 1),
+             ((-0.75 + 0j, 0.75 + 0j, complex(1.5, h), 2 + 2j, -2 + 2j,
+               complex(-1.5, h)), 0),
+             ((-2 - 2j, 2 - 2j, complex(2, -h), complex(-2, -h)), 0)]
+    return poly, faces
+
+
+@pytest.mark.parametrize("build", [_pentagram, _vertex_on_side,
+                                   _collinear_overlap, _pinch, _thin_lens])
+def test_sector_probes_reach_every_face(build):
+    poly, faces = build()
+    probes = geometry._sector_probes(poly)
+    k, defined = geometry._windings(poly, probes)
+    for face, winding in faces:
+        inside = [m for m, p in enumerate(probes)
+                  if _strictly_inside(face, p) and defined[m]]
+        assert inside, face
+        for m in inside:
+            assert k[m] == ray_crossing_winding(poly.vertices, probes[m])
+            assert k[m] == winding
+
+
+@pytest.mark.parametrize("build", [_vertex_on_side, _collinear_overlap,
+                                   _pinch])
+def test_touchings_not_simple(build):
+    # The naive oracle sees only proper crossings, so these are explicit.
+    poly, _ = build()
+    assert not has_nonadjacent_crossing(poly.vertices)
+    assert is_simple(poly) is False
+
+
 # ---------------------------------------------- immersion screen
 
 def test_screen_square(unit_square):
@@ -243,12 +368,12 @@ def test_screen_clockwise_square_fails():
 
 
 def test_screen_points_sampled(unit_square, bowtie, hex_large, hex_lens):
-    # The clockwise square and the bowtie stop at their first probe, which
-    # has negative winding.
+    # The clockwise square stops at its first probe, which has negative
+    # winding, and the bowtie at its third.
     cw = LabelledPolygon((0j, 1j, 1 + 1j, 1 + 0j))
     sampled = [check_immersion_necessary(p).points_sampled
                for p in (unit_square, cw, bowtie, hex_large, hex_lens)]
-    assert sampled == [67, 1, 1, 171, 182]
+    assert sampled == [8, 1, 3, 20, 20]
 
 
 # ------------------------------------------------------- witness search
@@ -286,15 +411,15 @@ def test_hexagon_witnesses(which, frozen, hex_large, hex_lens):
 
 def test_sector_probes_split_each_crossing_into_four_faces():
     # Sides 0 and 2 of this bowtie-like quadrilateral cross at 1 + 1j; the
-    # nearest other side is 1 away, so the probes sit 1/2 out along the
-    # bisectors of the two crossing directions.
+    # nearest other side is 1 away, so the probes there sit 1/2 out along
+    # the bisectors of the two crossing directions.
     poly = LabelledPolygon((0j, 2 + 2j, 2 + 0j, 2j))
     probes = geometry._sector_probes(poly)
-    assert len(probes) == 4
-    for p in probes:
-        assert abs(p - (1 + 1j)) == pytest.approx(0.5)
-    assert sorted(ray_crossing_winding(poly.vertices, p) for p in probes) \
-        == [-1, 0, 0, 1]
+    at_crossing = [p for p in probes
+                   if abs(p - (1 + 1j)) == pytest.approx(0.5)]
+    assert len(at_crossing) == 4
+    assert sorted(ray_crossing_winding(poly.vertices, p)
+                  for p in at_crossing) == [-1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("n,seed,index", [(12, 1, 323), (8, 1, 31),

@@ -39,6 +39,8 @@ def test_complex_pair_round_trip():
         complex_from_pair([1.0], "w")
     with pytest.raises(ValidationError):
         complex_from_pair("nope", "w")
+    with pytest.raises(ValidationError):
+        complex_from_pair([True, False], "w")
 
 
 def test_polygon_round_trip(unit_square):
@@ -119,6 +121,30 @@ def test_solve_report_rejects_malformed_fields(key, value):
     solve_report_from_json(data)
     with pytest.raises(ValidationError):
         solve_report_from_json({**data, key: value})
+
+
+@pytest.mark.parametrize("parse,payload", [
+    (polygon_from_json, {"n": 3, "vertices": [[True, 0], [1, 0], [0, 1]]}),
+    (chart_point_from_json, {"n": 4, "z": [True], "a": [0, 0, 0]}),
+    (scmap_from_json, {"n": 4, "prevertices": [-1, 0, True],
+                       "alphas": [0.5] * 4, "A": [1, 0], "B": [0, 0],
+                       "mode": "standard"}),
+    (scmap_from_json, {"n": 4, "prevertices": [-1, 0, 1],
+                       "alphas": [0.5] * 4, "A": [True, False], "B": [0, 0],
+                       "mode": "standard"}),
+    (sweep_result_from_json, {"tested": True, "simple_count": True,
+                              "failures": 0, "nonsimple_instances": []}),
+    (sweep_result_from_json, {"tested": 1, "simple_count": 0,
+                              "failures": True, "nonsimple_instances": []}),
+    (sweep_result_from_json, {
+        "tested": 1, "simple_count": 0, "failures": 0,
+        "nonsimple_instances": [
+            {"chart": {"n": 4, "z": [0.0], "a": [0.0, 0.0, 0.0]},
+             "witness": None, "winding": True}]}),
+])
+def test_json_booleans_are_not_numbers(parse, payload):
+    with pytest.raises(ValidationError):
+        parse(payload)
 
 
 def test_sweep_result_round_trip():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from scpoly import (
@@ -5,6 +7,7 @@ from scpoly import (
     LabelledPolygon,
     Prevertices,
     SCMap,
+    ValidationError,
     grid_curves,
     polygon_svg,
     scmap_svg,
@@ -40,6 +43,12 @@ def test_witness_marker_drawn(hex_large):
     marked = polygon_svg(hex_large, witnesses=(HEX_WITNESS_LARGE,))
     assert "<circle" not in plain
     assert marked.count("<circle") == 1
+
+
+def test_nonfinite_witness_rejected(unit_square):
+    for w in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValidationError):
+            polygon_svg(unit_square, witnesses=(w,))
 
 
 def test_wide_rectangle_margin_uses_long_side():
