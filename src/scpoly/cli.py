@@ -121,8 +121,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     raw = _read_payload(args.points)
     if not isinstance(raw, list):
         raise ValidationError("points must be a JSON list of [re, im] pairs")
-    images = [evaluate(m, jsonio.complex_from_pair(p, "point"), args.tol)
-              for p in raw]
+    images = evaluate(m, [jsonio.complex_from_pair(p, "point") for p in raw],
+                      args.tol)
     _write(jsonio.dumps({"images": [jsonio.complex_to_pair(w) for w in images]}),
            args.output)
     return EXIT_OK
@@ -159,8 +159,6 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=default_tol,
                         help="quadrature tolerance (default %(default)g)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed where randomness is involved")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
 
@@ -194,6 +192,8 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--box", type=float, default=SweepConfig.chart_box,
                    help="half-width of the chart sampling cube")
+    p.add_argument("--seed", type=int, default=SweepConfig.seed,
+                   help="seed of the chart sample stream")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", parents=[common],

@@ -169,13 +169,17 @@ def turning_angle_sum(poly: LabelledPolygon) -> float:
     Always an integer multiple of 2*pi up to rounding: 2*pi times the
     turning number of the closed curve.
     """
-    angles = interior_angles(poly)
-    return math.fsum(math.pi - t for t in angles.values)
+    return _turning(interior_angles(poly))[0]
 
 
 def turning_number(poly: LabelledPolygon) -> int:
-    total = turning_angle_sum(poly) / TWO_PI
-    return int(round(total))
+    return _turning(interior_angles(poly))[1]
+
+
+def _turning(angles: AngleVector) -> tuple[float, int]:
+    # The exterior-angle sum and the turning number it rounds to.
+    total = math.fsum(math.pi - t for t in angles.values)
+    return total, int(round(total / TWO_PI))
 
 
 def _following(a: np.ndarray) -> np.ndarray:
@@ -343,7 +347,7 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
     All three together are necessary, not sufficient.
     """
     angles = interior_angles(poly)
-    t = turning_number(poly)
+    t = _turning(angles)[1]
     pointwise_ok = not angles.straight_indices
     angles_in_range = pointwise_ok and t <= 1
     angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1

@@ -10,19 +10,16 @@ singular endpoints. A singularity sitting at a panel endpoint is absorbed
 exactly into that panel's Jacobi weight; every other factor is evaluated
 at the Gauss nodes, in one array pass over all panels.
 
-Convergence control is a whole-path comparison of successive global panel
-halvings (every level doubles the panel count); levels are compared in
-relative terms and the refined value is returned.
-
-integrate_finite_legs serves the parameter solver: it takes all finite
-legs (z_j, z_{j+1}) of one map through one split and one halving loop, and
-returns each leg's integral together with its derivatives in every finite
-prevertex. The derivatives are integrals over the same panels with the
-same endpoint powers, so they cost one extra (nodes x prevertices) product
-per pass; per-leg sums come from reduceat over blocks of panels, which
-bounds the memory of a deep refinement. A leg stops halving once
-its value and its derivative row each agree to the tolerance; rows wait
-until every value has converged.
+Every integral goes through one per-leg halving loop. Each panel carries
+the label of its leg, and a leg stops halving once two successive levels
+agree to the tolerance relative to the larger; the refined value is
+returned. The pieces of a real-axis path cut at prevertices share one
+label, so the path converges as a whole; a batch of legs (the sides of a
+polygon, the points of a grid) takes one call. integrate_finite_legs
+adds, per finite leg, the derivatives of its integral in every finite
+prevertex: integrals over the same panels with the same endpoint powers,
+judged once every value has converged. Values-only calls carry no
+derivative columns.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -53,9 +50,9 @@ DEFAULT_TOL = 1e-10
 MAX_LEVELS = 14
 _MAX_SPLIT_DEPTH = 64
 _LN2 = math.log(2.0)
-# Panels per block of a finite-legs pass: caps each (nodes x prevertices)
-# array of a deep refinement at a few MB.
-_PASS_BLOCK = 4096
+# Panels per block of a pass: caps each (nodes x prevertices) array of a
+# large batch or a deep refinement at about 2 MB.
+_PASS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,9 +125,9 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
                           exponent_right=float(a), order=order)
 
 
-def _split(p: np.ndarray, q: np.ndarray,
-           avoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-distance panels [a_k, b_k] covering the legs [p_i, q_i].
+def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-distance panels [a_k, b_k], labelled leg[i], on legs [p_i, q_i].
 
     Panels are cut at their midpoints, breadth-first, until every point of
     ``avoid`` other than a panel's own endpoints lies at least half a panel
@@ -138,7 +135,7 @@ def _split(p: np.ndarray, q: np.ndarray,
     only a few float ulps and cannot be cut further; its value is below
     representable resolution anyway. Real legs give real panels.
     """
-    done_a, done_b = [], []
+    done = []
     a, b = p, q
     for depth in range(_MAX_SPLIT_DEPTH + 1):
         # Avoided points (axis 1) in the frame where the panel (axis 0) is
@@ -150,29 +147,28 @@ def _split(p: np.ndarray, q: np.ndarray,
         m = (a + b) / 2
         fine = ((dist >= 0.5) | own).all(axis=1) | (m == a) | (m == b)
         if fine.all():
-            done_a.append(a)
-            done_b.append(b)
+            done.append((a, b, leg))
             break
         if depth == _MAX_SPLIT_DEPTH:
             if np.any(((dist == 0.0) & ~own)[~fine]):
                 raise PathThroughSingularity("path runs through a singularity")
             raise NoConvergence("panel subdivision failed to terminate")
-        done_a.append(a[fine])
-        done_b.append(b[fine])
-        cut = ~fine
-        a, m, b = a[cut], m[cut], b[cut]
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-    return np.concatenate(done_a), np.concatenate(done_b)
+        done.append((a[fine], b[fine], leg[fine]))
+        a, m, b, leg = a[~fine], m[~fine], b[~fine], leg[~fine]
+        a, b, leg = (np.concatenate(c) for c in ((a, m), (m, b), (leg, leg)))
+    return tuple(np.concatenate(part) for part in zip(*done))
 
 
-def _halve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _halve(a: np.ndarray, b: np.ndarray, leg: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Children of an admissible panel are admissible: lengths halve while
     # singularity distances do not shrink. Panels already at float
     # resolution stay as they are.
     m = (a + b) / 2
     cut = (m != a) & (m != b)
     return (np.concatenate([a, m[cut]]),
-            np.concatenate([np.where(cut, m, b), b[cut]]))
+            np.concatenate([np.where(cut, m, b), b[cut]]),
+            np.concatenate([leg, leg[cut]]))
 
 
 def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
@@ -228,46 +224,115 @@ def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
     f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
-    f = np.exp(np.log(f) @ es).reshape(t.shape)
+    f = np.exp(np.log(f, out=f) @ es).reshape(t.shape)
     return nodes, f, w, half * np.exp(logs)
 
 
-def _panel_sum(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-               es: np.ndarray) -> complex:
-    """The integral over the panels [a, b] from one pass of _panel_terms."""
-    _, f, w, scale = _panel_terms(kind, a, b, xs, es)
-    return complex(np.sum(scale * np.einsum("kj,kj->k", f, w)))
+
+def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
+              xs: np.ndarray, es: np.ndarray, legs: int, rows: bool
+              ) -> np.ndarray:
+    """Per leg, summed over its panels one block of at most _PASS_BLOCK at a
+    time: the integral and, with ``rows`` (axis leg j from xs[j] to
+    xs[j + 1]), its derivatives in every xs."""
+    sums = np.zeros((legs, xs.size + 2 if rows else 1), dtype=complex)
+    for i in range(0, a.size, _PASS_BLOCK):
+        block = slice(i, i + _PASS_BLOCK)
+        if rows:
+            cols = _leg_columns(a[block], b[block], leg[block], xs, es)
+        else:
+            _, f, w, scale = _panel_terms(kind, a[block], b[block], xs, es)
+            cols = (scale * np.einsum("kj,kj->k", f, w))[:, None]
+        np.add.at(sums, leg[block], cols)
+    if not rows:
+        return sums
+    I, T = sums[:, 0], sums[:, -1]
+    D = -es * sums[:, 1:-1]
+    jump = (1.0 + es[:-1] + es[1:]) * I / np.diff(xs)
+    j = np.arange(legs)
+    D[j, j] = -D.sum(axis=1) - T - jump
+    D[j, j + 1] = T + jump
+    return np.column_stack([I, D])
 
 
-def _refined(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-             es: np.ndarray, tol: float) -> complex:
-    """Halve every panel until two successive levels agree to ``tol``."""
-    prev = _panel_sum(kind, a, b, xs, es)
-    diff = math.inf
-    for _ in range(MAX_LEVELS):
-        a, b = _halve(a, b)
-        cur = _panel_sum(kind, a, b, xs, es)
-        denom = max(abs(cur), abs(prev))
-        diff = abs(cur - prev)
-        if denom == 0.0 or diff <= tol * denom:
+def _leg_columns(a: np.ndarray, b: np.ndarray, leg: np.ndarray,
+                 xs: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """Per axis panel of leg j (from z_j = xs[j] to z_{j+1}): int f,
+    int f/(zeta - z_k) for every k, and int f t s.
+
+    With t = (zeta - z_j)/(z_{j+1} - z_j) on leg j and c_j = 1 + e_j +
+    e_{j+1}, differentiating under the integral sign gives
+
+        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
+        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
+        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s,
+
+    where s = sum_{k off the leg} e_k/(zeta - z_k). Each integrand keeps
+    the endpoint powers of f, so the panels and rules of f serve as they
+    are; _leg_sums assembles the rows from the per-leg sums.
+    """
+    nodes, f, w, scale = _panel_terms("axis", a, b, xs, es)
+    # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (moved to -inf).
+    k = np.arange(xs.size)
+    own = (k == leg[:, None]) | (k == leg[:, None] + 1)
+    inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
+    fw = f * w
+    t = (nodes - xs[leg, None]) / (xs[leg + 1] - xs[leg])[:, None]
+    moments = np.stack([fw, fw * t], axis=1) @ inv
+    cols = np.column_stack([np.einsum("kj,kj->k", f, w), moments[:, 0],
+                            moments[:, 1] @ es])
+    return scale[:, None] * cols
+
+
+def _sizes(R: np.ndarray) -> np.ndarray:
+    # Values and derivative rows converge each on their own scale: the
+    # derivative row of a short leg is far larger than its value.
+    if R.shape[1] == 1:
+        return np.abs(R)
+    return np.column_stack([np.abs(R[:, 0]), np.linalg.norm(R[:, 1:], axis=1)])
+
+
+def _refine(kind: str, p: np.ndarray, q: np.ndarray, leg: np.ndarray,
+            xs: np.ndarray, es: np.ndarray, tol: float, rows: bool = False
+            ) -> np.ndarray:
+    """_leg_sums over the legs [p_i, q_i] labelled leg[i], each leg halved
+    until its value and, with ``rows``, its derivative row differ between
+    two levels by at most ``tol`` times the larger. Values settle first."""
+    a, b, leg = _split(p, q, leg, xs)
+    legs = int(leg.max()) + 1
+    cur = _leg_sums(kind, a, b, leg, xs, es, legs, rows)
+    # Per leg: value, derivative row not yet settled.
+    unsettled = np.ones((legs, 1 + rows), dtype=bool)
+    level = np.zeros(legs, dtype=int)
+    turn = unsettled[:, 0]
+    # Panels of the legs whose derivative row waits for the values.
+    waiting = a[:0], b[:0], leg[:0]
+    while True:
+        a, b, leg = _halve(a, b, leg)
+        old = cur[turn]
+        new = _leg_sums(kind, a, b, leg, xs, es, legs, rows)[turn]
+        diff = _sizes(new - old)
+        denom = np.maximum(_sizes(new), _sizes(old))
+        cur[turn] = new
+        level += turn
+        unsettled[turn] = ~(diff <= tol * denom)
+        if not unsettled.any():
             return cur
-        prev = cur
-    raise NoConvergence(
-        f"panel refinement stalled at {diff:.3e} relative to {denom:.3e} "
-        f"(tol {tol:.1e})")
-
-
-def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(map.prevertices.finite_points, dtype=float)
-    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
-    return xs, es
-
-
-def _check_upper(z: complex, name: str):
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"{name} must be finite")
-    if z.imag < 0.0:
-        raise ValidationError(f"{name} must lie in the closed upper half-plane")
+        # Next to prevertices closer than the float resolution of their
+        # position a derivative row stalls at rounding level, and there
+        # some value fails anyway: rows wait until every value converged.
+        turn = unsettled[:, 0] if unsettled[:, 0].any() else unsettled[:, 1]
+        if level[turn].max() == MAX_LEVELS:
+            worst = np.unravel_index(np.argmax(diff - tol * denom), diff.shape)
+            raise NoConvergence(
+                f"panel refinement stalled at {diff[worst]:.3e} relative to "
+                f"{denom[worst]:.3e} (tol {tol:.1e})")
+        if rows:
+            a, b, leg = (np.concatenate(c) for c in zip((a, b, leg), waiting))
+            wait = ~turn[leg] & unsettled[leg, 1]
+            waiting = a[wait], b[wait], leg[wait]
+        mine = turn[leg]
+        a, b, leg = a[mine], b[mine], leg[mine]
 
 
 def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
@@ -278,88 +343,46 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     legs crossing a prevertex are split there, so the integral is the
     convergent improper one; this keeps additivity across prevertices.
     """
-    z_from, z_to = complex(z_from), complex(z_to)
-    _check_upper(z_from, "z_from")
-    _check_upper(z_to, "z_to")
+    ends = np.array([complex(z_from)]), np.array([complex(z_to)])
+    return complex(_sc_legs(map, *ends, tol)[0])
+
+
+def _sc_legs(map: "SCMap", z_from: np.ndarray, z_to: np.ndarray,
+             tol: float) -> np.ndarray:
+    """integrate_sc over the legs z_from[i] -> z_to[i], each settled on its
+    own. The legs run all along the real axis or all off it."""
+    for z, name in ((z_from, "z_from"), (z_to, "z_to")):
+        if not np.isfinite(z).all():
+            raise ValidationError(f"{name} must be finite")
+        if (z.imag < 0.0).any():
+            raise ValidationError(
+                f"{name} must lie in the closed upper half-plane")
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
-    if z_from == z_to:
-        return 0j
-    xs, es = _sc_singularities(map)
-    if z_from.imag == 0.0 and z_to.imag == 0.0:
-        lo, hi = sorted((z_from.real, z_to.real))
-        cuts = np.concatenate(([lo], xs[(lo < xs) & (xs < hi)], [hi]))
-        a, b = _split(cuts[:-1], cuts[1:], xs)
-        total = _refined("axis", a, b, xs, es, tol)
-        return total if z_from.real < z_to.real else -total
-    a, b = _split(np.array([z_from]), np.array([z_to]), xs)
-    return _refined("upper", a, b, xs, es, tol)
-
-
-def _leg_of(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Leg j holds the panels that start in [xs[j], xs[j + 1]).
-    return np.searchsorted(xs, a, side="right") - 1
-
-
-def _finite_legs_pass(a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-                      es: np.ndarray):
-    """Leg integrals and their derivatives from one pass over axis panels.
-
-    Leg j runs from xs[j] to xs[j + 1]. Returns the legs that own panels,
-    their integrals I and derivative rows D, D[i, k] = dI_(legs[i])/dxs[k].
-    With t = (zeta - z_j)/(z_{j+1} - z_j) on leg j and c_j = 1 + e_j +
-    e_{j+1}, differentiating under the integral sign gives
-
-        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
-        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
-        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s,
-
-    where s = sum_{k off the leg} e_k/(zeta - z_k). Each integrand keeps
-    the endpoint powers of f, so the panels and rules of f serve as they
-    are; every column is summed per leg with reduceat, one block of
-    panels at a time.
-    """
-    leg_of = _leg_of(xs, a)
-    keep = np.argsort(leg_of, kind="stable")
-    a, b, leg_of = a[keep], b[keep], leg_of[keep]
-    legs = leg_of[np.flatnonzero(np.diff(leg_of, prepend=-1))]
-    sums = np.zeros((legs.size, xs.size + 2), dtype=complex)
-    for i in range(0, a.size, _PASS_BLOCK):
-        block = slice(i, i + _PASS_BLOCK)
-        starts = np.flatnonzero(np.diff(leg_of[block], prepend=-1))
-        rows = np.searchsorted(legs, leg_of[block][starts])
-        sums[rows] += np.add.reduceat(
-            _leg_columns(a[block], b[block], leg_of[block], xs, es),
-            starts, axis=0)
-    I, T = sums[:, 0], sums[:, -1]
-    D = -es * sums[:, 1:-1]
-    jump = (1.0 + es[legs] + es[legs + 1]) * I / (xs[legs + 1] - xs[legs])
-    row = np.arange(legs.size)
-    D[row, legs] = -D.sum(axis=1) - T - jump
-    D[row, legs + 1] = T + jump
-    return legs, I, D
-
-
-def _leg_columns(a: np.ndarray, b: np.ndarray, leg_of: np.ndarray,
-                 xs: np.ndarray, es: np.ndarray) -> np.ndarray:
-    # Per panel: int f, int f/(zeta - z_k) for every k, and int f t s.
-    nodes, f, w, scale = _panel_terms("axis", a, b, xs, es)
-    # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (moved to -inf).
-    k = np.arange(xs.size)
-    own = (k == leg_of[:, None]) | (k == leg_of[:, None] + 1)
-    inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
-    fw = f * w
-    t = (nodes - xs[leg_of, None]) / (xs[leg_of + 1] - xs[leg_of])[:, None]
-    moments = np.stack([fw, fw * t], axis=1) @ inv
-    cols = np.column_stack([np.einsum("kj,kj->k", f, w), moments[:, 0],
-                            moments[:, 1] @ es])
-    return scale[:, None] * cols
-
-
-def _leg_sizes(I: np.ndarray, D: np.ndarray) -> np.ndarray:
-    # Values and derivative rows converge each on their own scale: the
-    # derivative row of a short leg is far larger than its value.
-    return np.column_stack([np.abs(I), np.linalg.norm(D, axis=1)])
+    out = np.zeros(z_to.shape, dtype=complex)
+    moved = z_from != z_to
+    if not moved.any():
+        return out
+    p, q = z_from[moved], z_to[moved]
+    label = np.arange(p.size)
+    xs = np.asarray(map.prevertices.finite_points, dtype=float)
+    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
+    if p.imag.any() or q.imag.any():
+        out[moved] = _refine("upper", p, q, label, xs, es, tol)[:, 0]
+        return out
+    # Each axis leg is cut at the prevertices inside it; the pieces keep
+    # its label, so the leg converges as a whole.
+    lo, hi = np.minimum(p.real, q.real), np.maximum(p.real, q.real)
+    inner, k = np.nonzero((lo[:, None] < xs) & (xs < hi[:, None]))
+    cuts = np.concatenate([lo, xs[k], hi])
+    of = np.concatenate([label, inner, label])
+    order = np.lexsort((cuts, of))
+    cuts, of = cuts[order], of[order]
+    piece = of[:-1] == of[1:]
+    I = _refine("axis", cuts[:-1][piece], cuts[1:][piece], of[:-1][piece],
+                xs, es, tol)[:, 0]
+    out[moved] = np.where(p.real < q.real, I, -I)
+    return out
 
 
 def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
@@ -370,11 +393,8 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     their exponents; the exponent at infinity plays no role on these legs.
     Returns I of length m - 1, the bare integrals over (z_j, z_{j+1}) as
     integrate_sc gives them, and D of shape (m - 1, m) with D[j, k] =
-    dI_j/dz_k. All legs share one panel split and one halving loop; a leg
-    stops halving once its value and its derivative row each agree to
-    ``tol`` between two levels. Values are settled before derivative
-    rows, so a value that cannot converge fails the call before any row
-    is refined deep.
+    dI_j/dz_k. Each leg stops halving once its value and its derivative
+    row each agree to ``tol`` between two levels.
     """
     xs = np.asarray(points, dtype=float)
     es = np.asarray(alphas, dtype=float) - 1.0
@@ -386,36 +406,9 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
         raise InvalidExponent("exponents must be positive")
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
-    a, b = _split(xs[:-1], xs[1:], xs)
-    _, I, D = _finite_legs_pass(a, b, xs, es)
-    # Per leg: value, derivative row not yet converged.
-    unsettled = np.ones((xs.size - 1, 2), dtype=bool)
-    level = np.zeros(xs.size - 1, dtype=int)
-    while unsettled.any():
-        # Next to prevertices closer than the float resolution of their
-        # position a derivative row stalls at rounding level, and there
-        # some value fails anyway: rows wait until every value converged.
-        turn = (unsettled[:, 0] if unsettled[:, 0].any()
-                else unsettled[:, 1])
-        if level[turn].max() == MAX_LEVELS:
-            worst = np.unravel_index(np.argmax(diff - tol * denom), diff.shape)
-            raise NoConvergence(
-                f"panel refinement stalled at {diff[worst]:.3e} relative to "
-                f"{denom[worst]:.3e} (tol {tol:.1e})")
-        mine = turn[_leg_of(xs, a)]
-        halved = _halve(a[mine], b[mine])
-        legs, I_new, D_new = _finite_legs_pass(*halved, xs, es)
-        diff = _leg_sizes(I_new - I[legs], D_new - D[legs])
-        denom = np.maximum(_leg_sizes(I_new, D_new),
-                           _leg_sizes(I[legs], D[legs]))
-        I[legs], D[legs] = I_new, D_new
-        level[legs] += 1
-        unsettled[legs] = diff > tol * denom
-        a = np.concatenate([a[~mine], halved[0]])
-        b = np.concatenate([b[~mine], halved[1]])
-        keep = unsettled.any(axis=1)[_leg_of(xs, a)]
-        a, b = a[keep], b[keep]
-    return I, D
+    sums = _refine("axis", xs[:-1], xs[1:], np.arange(xs.size - 1), xs, es,
+                   tol, rows=True)
+    return sums[:, 0], sums[:, 1:]
 
 
 def integrate_to_infinity(map: "SCMap", z_from: float,
@@ -427,7 +420,8 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     singularity at u = 0 (the decay exponent at infinity) and smooth positive
     factors, since every 1/z_j lies outside the interval.
     """
-    xs, es = _sc_singularities(map)
+    xs = np.asarray(map.prevertices.finite_points, dtype=float)
+    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
     z_from = float(z_from)
     if not z_from > xs[-1]:
         raise ValidationError(
@@ -437,5 +431,6 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     nonzero = xs != 0.0
     us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
     ues = np.concatenate(([map.exponents.alphas[-1] - 1.0], es[nonzero]))
-    a, b = _split(np.array([0.0]), np.array([1.0 / z_from]), us)
-    return _refined("tail", a, b, us, ues, tol)
+    tail = _refine("tail", np.array([0.0]), np.array([1.0 / z_from]),
+                   np.zeros(1, dtype=int), us, ues, tol)
+    return complex(tail[0, 0])

@@ -114,22 +114,13 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL,
     span = max(zs[-1] - zs[0], 1.0)
     x_lo, x_hi = zs[0] - 0.5 * span, zs[-1] + 0.5 * span
     height = 0.75 * span
-    curves = []
-    for k in range(lines):
-        x = x_lo + (k + 0.5) * (x_hi - x_lo) / lines
-        curve = []
-        for j in range(samples_per_line):
-            y = height * (j + 1) / samples_per_line
-            curve.append(evaluate(m, complex(x, y), tol))
-        curves.append(curve)
-    for k in range(lines):
-        y = height * (k + 0.5) / lines
-        curve = []
-        for j in range(samples_per_line):
-            x = x_lo + j * (x_hi - x_lo) / (samples_per_line - 1)
-            curve.append(evaluate(m, complex(x, y), tol))
-        curves.append(curve)
-    return curves
+    k = np.arange(lines)[:, None]
+    j = np.arange(samples_per_line)
+    verticals = (x_lo + (k + 0.5) * (x_hi - x_lo) / lines
+                 + 1j * (height * (j + 1) / samples_per_line))
+    horizontals = (x_lo + j * (x_hi - x_lo) / (samples_per_line - 1)
+                   + 1j * (height * (k + 0.5) / lines))
+    return evaluate(m, np.vstack([verticals, horizontals]), tol).tolist()
 
 
 def scmap_svg(m: SCMap, grid: int = 0, tol: float = DEFAULT_TOL,

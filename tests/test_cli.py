@@ -107,6 +107,15 @@ def test_parser_defaults_are_the_dataclass_defaults():
     assert args.box == SweepConfig(n=6, samples=1).chart_box
 
 
+def test_seed_belongs_to_sweep_only():
+    parser = build_parser(1e-10)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["forward", "x.json", "--seed", "1"])
+    assert exc.value.code == 2
+    args = parser.parse_args(["sweep", "--n", "5", "--samples", "1"])
+    assert args.seed == SweepConfig.seed
+
+
 def test_sweep_counts(capsys):
     code, out = run_cli(capsys, "sweep", "--n", "5", "--samples", "8",
                         "--seed", "3")

@@ -367,6 +367,17 @@ def test_screen_clockwise_square_fails():
     assert not rep.ok
 
 
+def test_screen_measures_angles_once(monkeypatch, hex_large):
+    # The turning number comes from the angles the screen has measured.
+    calls = []
+    measure = geometry.interior_angles
+    monkeypatch.setattr(geometry, "interior_angles",
+                        lambda poly: calls.append(poly) or measure(poly))
+    report = check_immersion_necessary(hex_large)
+    assert calls == [hex_large]
+    assert report.turning_number == turning_number(hex_large)
+
+
 def test_screen_points_sampled(unit_square, bowtie, hex_large, hex_lens):
     # The clockwise square stops at its first probe, which has negative
     # winding, and the bowtie at its third.

@@ -8,8 +8,10 @@ from scpoly import (
     ExponentVector,
     InvalidExponent,
     Prevertices,
+    INFINITY,
     SCMap,
     ValidationError,
+    evaluate,
     gauss_jacobi,
     integrate_sc,
     integrate_to_infinity,
@@ -256,3 +258,17 @@ def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
     assert np.allclose(blocked_values, values, rtol=1e-13, atol=0.0)
     assert np.allclose(blocked_derivs, derivs, rtol=1e-13,
                        atol=1e-13 * np.abs(derivs).max())
+
+
+def test_values_sum_the_same_in_blocks(monkeypatch, crowded_map):
+    # Values-only calls: one axis path of three pieces under one label,
+    # and one batch of upper-plane legs with a shared tail.
+    points = np.array([0.5 + 0.2j, -0.5 + 0.01j, 0.04 + 0.001j, 3.0,
+                       INFINITY])
+    path = integrate_sc(crowded_map, -1.0, 3.0)
+    images = evaluate(crowded_map, points)
+    monkeypatch.setattr(quadrature, "_PASS_BLOCK", 7)
+    blocked = integrate_sc(crowded_map, -1.0, 3.0)
+    assert abs(blocked - path) <= 1e-13 * abs(path)
+    assert np.allclose(evaluate(crowded_map, points), images, rtol=1e-13,
+                       atol=0.0)

@@ -1,13 +1,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import scpoly.render as render
 from scpoly import (
+    INFINITY,
     ChartPoint,
     ExponentVector,
     InvalidExponent,
     LabelledPolygon,
+    NoConvergence,
     NotIncreasing,
     NotNormalized,
     Prevertices,
@@ -19,11 +23,15 @@ from scpoly import (
     evaluate,
     forward,
     forward_extended,
+    integrate_sc,
+    integrate_to_infinity,
     interior_angles,
     moduli_unchart,
     sample_chart_point,
     turning_angle_sum,
 )
+from scpoly.quadrature import integrate_finite_legs
+from scpoly.scmap import BASE_POINT, _bare_vertices, _tail_waypoint
 
 from conftest import (
     BETA_THIRD,
@@ -114,6 +122,27 @@ def test_infinity_sentinel(triangle_map):
     assert abs(third) == pytest.approx(BETA_THIRD, rel=1e-9)
 
 
+def test_evaluate_batch_matches_scalar_calls(monkeypatch):
+    # The render grid of a sampled map, as grid_curves hands it over, plus
+    # a prevertex, the base point and infinity twice: one batched call
+    # against one call per point.
+    pt = sample_chart_point(SweepConfig(n=8, samples=1, seed=3), 0)
+    m = SCMap(*moduli_unchart(pt), A=0.8 - 1.1j, B=2.5 + 1.0j)
+    grids = []
+    monkeypatch.setattr(render, "evaluate", lambda m, z, tol:
+                        grids.append(z) or evaluate(m, z, tol))
+    render.grid_curves(m, 4)
+    points = np.append(grids[0], [m.prevertices.finite_points[2], BASE_POINT,
+                                  INFINITY, INFINITY])
+    batch = evaluate(m, points)
+    assert batch.shape == points.shape
+    for z, w in zip(points, batch):
+        scalar = evaluate(m, z)
+        assert type(scalar) is complex
+        assert abs(w - scalar) <= 1e-14 * abs(scalar)
+    assert evaluate(m, points.reshape(2, -1)).shape == (2, points.size // 2)
+
+
 def test_constants_act_as_similarity(square_map):
     m = SCMap(square_map.prevertices, square_map.exponents,
               A=1.5 + 0.5j, B=-2j)
@@ -176,6 +205,37 @@ def test_forward_survives_crowded_prevertices():
                 for t, a in zip(interior_angles(poly).values,
                                 moduli_unchart(pt)[1].alphas))
     assert worst < 1e-9
+
+
+def test_bare_sides_match_single_leg_integrals():
+    # Sample 4 of the n = 12, box 6 stream (seed 1): its two closest
+    # prevertices are 3.8e-6 of the prevertex span apart. The sides come
+    # from one batch of axis legs; each must be the integral over its leg
+    # alone, up to the rounding of the running vertex sums.
+    cfg = SweepConfig(n=12, samples=200, seed=1, chart_box=6.0)
+    pre, exp = moduli_unchart(sample_chart_point(cfg, 4))
+    m, zs, tol = SCMap(pre, exp), pre.finite_points, 1e-12
+    w = _bare_vertices(pre, exp, tol)
+    R = _tail_waypoint(zs)
+    legs = ([integrate_sc(m, BASE_POINT, zs[0], tol)]
+            + [integrate_sc(m, a, b, tol) for a, b in zip(zs, zs[1:])]
+            + [integrate_sc(m, zs[-1], R, tol)
+               + integrate_to_infinity(m, R, tol)])
+    sides = [w[0]] + [b - a for a, b in zip(w, w[1:])]
+    diameter = LabelledPolygon(tuple(w)).diameter
+    for side, leg in zip(sides, legs):
+        assert abs(side - leg) <= 1e-13 * abs(leg) + 1e-15 * diameter
+
+
+def test_forward_never_waits_on_derivative_rows():
+    # Sample 125 of the n = 8, box 6 stream (seed 5): a derivative row of
+    # its finite legs stalls at 3.4e-11 relative, so settling the sides
+    # together with their rows fails; forward needs the values only.
+    cfg = SweepConfig(n=8, samples=150, seed=5, chart_box=6.0)
+    pre, exp = moduli_unchart(sample_chart_point(cfg, 125))
+    with pytest.raises(NoConvergence):
+        integrate_finite_legs(pre.finite_points, exp.alphas[:-1], 1e-12)
+    assert forward(pre, exp).n == 8
 
 
 def test_forward_moves_continuously():
