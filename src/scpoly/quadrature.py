@@ -10,16 +10,14 @@ singular endpoints. A singularity sitting at a panel endpoint is absorbed
 exactly into that panel's Jacobi weight; every other factor is evaluated
 at the Gauss nodes, in one array pass over all panels.
 
-Every integral goes through one per-leg halving loop. Each panel carries
-the label of its leg, and a leg stops halving once two successive levels
-agree to the tolerance relative to the larger; the refined value is
-returned. The pieces of a real-axis path cut at prevertices share one
-label, so the path converges as a whole; a batch of legs (the sides of a
-polygon, the points of a grid) takes one call. integrate_finite_legs
-adds, per finite leg, the derivatives of its integral in every finite
-prevertex: integrals over the same panels with the same endpoint powers,
-judged once every value has converged. Values-only calls carry no
-derivative columns.
+Every integral goes through one per-leg halving loop: each panel carries
+the label of its leg, and only legs whose last two levels still differ
+by more than the tolerance relative to the larger are halved again. The
+pieces of a real-axis path cut at prevertices share one label, so the
+path converges as a whole. integrate_finite_legs passes every finite leg
+of a map at once and adds per leg the derivatives of its integral in
+every finite prevertex (integrals over the same panels with the same
+endpoint powers), judged once every value has converged.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -51,8 +49,8 @@ MAX_LEVELS = 14
 _MAX_SPLIT_DEPTH = 64
 _LN2 = math.log(2.0)
 # Panels per block of a pass: caps each (nodes x prevertices) array of a
-# large batch or a deep refinement at about 2 MB.
-_PASS_BLOCK = 1024
+# deep refinement at a few MB.
+_PASS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def total_moment(a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=512)
-def _jacobi_nodes_weights(order: int, a: float, b: float):
+def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
     # Golub-Welsch on the symmetric tridiagonal recurrence matrix. Not
     # scipy.special.roots_jacobi: its nodes and weights drift to ~1e-12
     # relative error for a near -1 once the order passes ~24, visibly
@@ -106,23 +104,22 @@ def _jacobi_nodes_weights(order: int, a: float, b: float):
         raise NumericalError(f"Jacobi rule weight sum off: {np.sum(w)} vs {m0}")
     x.setflags(write=False)
     w.setflags(write=False)
-    return x, w
+    return QuadratureRule(nodes=x, weights=w, exponent_left=b,
+                          exponent_right=a, order=order)
 
 
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule of the given order for weight (1-x)^a (1+x)^b.
 
     The weight sum is checked against the closed-form total moment to
-    1e-13 relative when the rule is built (once per cached rule); a
-    violation means a broken rule and raises.
+    1e-13 relative when the rule is built; a violation means a broken rule
+    and raises. Rules are read-only, so one cached rule serves every call.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidExponent(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
-    x, w = _jacobi_nodes_weights(order, float(a), float(b))
-    return QuadratureRule(nodes=x, weights=w, exponent_left=float(b),
-                          exponent_right=float(a), order=order)
+    return _jacobi_rule(order, float(a), float(b))
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
@@ -146,7 +143,7 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
         own = (sa == 0.0) | (avoid == b[:, None])
         m = (a + b) / 2
         fine = ((dist >= 0.5) | own).all(axis=1) | (m == a) | (m == b)
-        if fine.all():
+        if np.count_nonzero(fine) == fine.size:
             done.append((a, b, leg))
             break
         if depth == _MAX_SPLIT_DEPTH:
@@ -154,8 +151,10 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
                 raise PathThroughSingularity("path runs through a singularity")
             raise NoConvergence("panel subdivision failed to terminate")
         done.append((a[fine], b[fine], leg[fine]))
-        a, m, b, leg = a[~fine], m[~fine], b[~fine], leg[~fine]
-        a, b, leg = (np.concatenate(c) for c in ((a, m), (m, b), (leg, leg)))
+        cut = ~fine
+        a, m, b, leg = a[cut], m[cut], b[cut], leg[cut]
+        a, b, leg = (np.concatenate([a, m]), np.concatenate([m, b]),
+                     np.concatenate([leg, leg]))
     return tuple(np.concatenate(part) for part in zip(*done))
 
 
@@ -193,40 +192,42 @@ def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     order = DEFAULT_ORDER
     own_left = a[:, None] == xs
     own_right = b[:, None] == xs
-    e_left = own_left @ es
-    e_right = own_right @ es
-    own = own_left | own_right
-    # The Jacobi rule of each panel: one per absorbed exponent pair.
-    ks, js = np.nonzero(own)
+    ks, js = np.nonzero(own_left | own_right)
+    # One Jacobi rule per absorbed exponent pair; ((b - a)/2)^e goes to logs.
     rule_of = np.zeros(a.size, dtype=np.intp)
     pairs = {(0.0, 0.0): 0}
-    for k in ks.tolist():
-        rule_of[k] = pairs.setdefault((e_right[k], e_left[k]), len(pairs))
+    logs = 0.0
+    if ks.size:
+        e_left = own_left @ es
+        e_right = own_right @ es
+        for k in ks.tolist():
+            rule_of[k] = pairs.setdefault((e_right[k], e_left[k]), len(pairs))
+        if kind == "upper":
+            # Into the upper half-plane from each end: the principal branch.
+            logs = (e_left * (np.log(b - a) - _LN2)
+                    + e_right * (np.log(a - b) - _LN2))
+        else:
+            logs = (e_left + e_right) * (np.log(b - a) - _LN2)
     rules = [gauss_jacobi(order, a=eR, b=eL) for eR, eL in pairs]
-    t = np.array([r.nodes for r in rules])[rule_of]
-    w = np.array([r.weights for r in rules])[rule_of]
+    t, w = np.array([[r.nodes for r in rules],
+                     [r.weights for r in rules]])[:, rule_of]
     half = (b - a) / 2.0
     nodes = a[:, None] + (t + 1.0) * half[:, None]
     if kind == "upper":
         f = nodes.reshape(-1, 1) - xs
-        # The directions point from each singular endpoint into the closed
-        # upper half-plane, where the principal log is the right branch.
-        logs = (e_left * (np.log(b - a) - _LN2)
-                + e_right * (np.log(a - b) - _LN2))
     else:
         f = np.abs(nodes.reshape(-1, 1) - xs)
         if kind == "tail":
             f /= np.where(xs == 0.0, 1.0, np.abs(xs))
-        logs = (e_left + e_right) * (np.log(b - a) - _LN2)
         if kind == "axis":
             # An absorbed right end lies right of the nodes: its phase counts.
             logs = logs + 1j * math.pi * ((xs >= b[:, None]) @ es)
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
-    f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
+    if ks.size:
+        f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
     f = np.exp(np.log(f, out=f) @ es).reshape(t.shape)
     return nodes, f, w, half * np.exp(logs)
-
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
@@ -239,11 +240,14 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
         if rows:
-            cols = _leg_columns(a[block], b[block], leg[block], xs, es)
-        else:
-            _, f, w, scale = _panel_terms(kind, a[block], b[block], xs, es)
-            cols = (scale * np.einsum("kj,kj->k", f, w))[:, None]
-        np.add.at(sums, leg[block], cols)
+            np.add.at(sums, leg[block],
+                      _leg_columns(a[block], b[block], leg[block], xs, es))
+            continue
+        _, f, w, scale = _panel_terms(kind, a[block], b[block], xs, es)
+        v = scale * np.einsum("kj,kj->k", f, w)
+        for j in range(legs):
+            # np.sum's pairwise rounding, which lone integrals have had.
+            sums[j, 0] += np.add.reduce(v[leg[block] == j])
     if not rows:
         return sums
     I, T = sums[:, 0], sums[:, -1]
@@ -287,52 +291,70 @@ def _leg_columns(a: np.ndarray, b: np.ndarray, leg: np.ndarray,
 def _sizes(R: np.ndarray) -> np.ndarray:
     # Values and derivative rows converge each on their own scale: the
     # derivative row of a short leg is far larger than its value.
-    if R.shape[1] == 1:
+    if R.shape[-1] == 1:
         return np.abs(R)
-    return np.column_stack([np.abs(R[:, 0]), np.linalg.norm(R[:, 1:], axis=1)])
+    return np.stack([np.abs(R[..., 0]), np.linalg.norm(R[..., 1:], axis=-1)],
+                    axis=-1)
 
 
-def _refine(kind: str, p: np.ndarray, q: np.ndarray, leg: np.ndarray,
-            xs: np.ndarray, es: np.ndarray, tol: float, rows: bool = False
-            ) -> np.ndarray:
-    """_leg_sums over the legs [p_i, q_i] labelled leg[i], each leg halved
-    until its value and, with ``rows``, its derivative row differ between
-    two levels by at most ``tol`` times the larger. Values settle first."""
+def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
+            es: np.ndarray, tol: float, leg: np.ndarray | None = None,
+            rows: bool = False) -> np.ndarray:
+    """_leg_sums over the legs [p_i, q_i], labelled leg[i] = 0, 1, ... in
+    ascending order (one leg without ``leg``), each leg halved until its
+    value and, with ``rows``, its derivative row differ between two levels
+    by at most ``tol`` times the larger. Values settle first."""
+    leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
+    legs = int(leg[-1]) + 1
     a, b, leg = _split(p, q, leg, xs)
-    legs = int(leg.max()) + 1
     cur = _leg_sums(kind, a, b, leg, xs, es, legs, rows)
-    # Per leg: value, derivative row not yet settled.
-    unsettled = np.ones((legs, 1 + rows), dtype=bool)
-    level = np.zeros(legs, dtype=int)
-    turn = unsettled[:, 0]
+    # Per leg (a handful, so plain lists): halvings so far, and whether its
+    # value and derivative row have settled. The legs halved next.
+    level, turn = [0] * legs, list(range(legs))
+    settled = [[False] * (1 + rows)] * legs
     # Panels of the legs whose derivative row waits for the values.
     waiting = a[:0], b[:0], leg[:0]
     while True:
         a, b, leg = _halve(a, b, leg)
-        old = cur[turn]
-        new = _leg_sums(kind, a, b, leg, xs, es, legs, rows)[turn]
-        diff = _sizes(new - old)
-        denom = np.maximum(_sizes(new), _sizes(old))
-        cur[turn] = new
-        level += turn
-        unsettled[turn] = ~(diff <= tol * denom)
-        if not unsettled.any():
-            return cur
+        new = _leg_sums(kind, a, b, leg, xs, es, legs, rows)
+        # Rows j, legs + j, 2 legs + j: the change of leg j and its sizes.
+        sizes = _sizes(np.concatenate([new - cur, new, cur])).tolist()
+        for j in turn:
+            level[j] += 1
+            settled[j] = [d <= tol * max(n, o) for d, n, o in
+                          zip(*sizes[j::legs])]
+        if len(turn) == legs:
+            cur = new
+        else:
+            cur[turn] = new[turn]
         # Next to prevertices closer than the float resolution of their
         # position a derivative row stalls at rounding level, and there
         # some value fails anyway: rows wait until every value converged.
-        turn = unsettled[:, 0] if unsettled[:, 0].any() else unsettled[:, 1]
-        if level[turn].max() == MAX_LEVELS:
-            worst = np.unravel_index(np.argmax(diff - tol * denom), diff.shape)
+        phase = int(rows and all(s[0] for s in settled))
+        judged, turn = turn, [j for j, s in enumerate(settled) if not s[phase]]
+        if not turn:
+            return cur
+        if any(level[j] == MAX_LEVELS for j in turn):
+            d, m = max(((d, max(n, o)) for j in judged
+                        for d, n, o in zip(*sizes[j::legs])),
+                       key=lambda dm: dm[0] - tol * dm[1])
             raise NoConvergence(
-                f"panel refinement stalled at {diff[worst]:.3e} relative to "
-                f"{denom[worst]:.3e} (tol {tol:.1e})")
-        if rows:
-            a, b, leg = (np.concatenate(c) for c in zip((a, b, leg), waiting))
-            wait = ~turn[leg] & unsettled[leg, 1]
-            waiting = a[wait], b[wait], leg[wait]
-        mine = turn[leg]
-        a, b, leg = a[mine], b[mine], leg[mine]
+                f"panel refinement stalled at {d:.3e} relative to {m:.3e} "
+                f"(tol {tol:.1e})")
+        if rows or len(turn) < legs:
+            mine = np.isin(np.arange(legs), turn)
+            if rows:
+                a, b, leg = (np.concatenate(c)
+                             for c in zip((a, b, leg), waiting))
+                wait = ~mine & ~np.array([s[-1] for s in settled])
+                waiting = a[wait[leg]], b[wait[leg]], leg[wait[leg]]
+            a, b, leg = a[mine[leg]], b[mine[leg]], leg[mine[leg]]
+
+
+def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(map.prevertices.finite_points, dtype=float)
+    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
+    return xs, es
 
 
 def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
@@ -343,46 +365,26 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     legs crossing a prevertex are split there, so the integral is the
     convergent improper one; this keeps additivity across prevertices.
     """
-    ends = np.array([complex(z_from)]), np.array([complex(z_to)])
-    return complex(_sc_legs(map, *ends, tol)[0])
-
-
-def _sc_legs(map: "SCMap", z_from: np.ndarray, z_to: np.ndarray,
-             tol: float) -> np.ndarray:
-    """integrate_sc over the legs z_from[i] -> z_to[i], each settled on its
-    own. The legs run all along the real axis or all off it."""
+    z_from, z_to = complex(z_from), complex(z_to)
     for z, name in ((z_from, "z_from"), (z_to, "z_to")):
-        if not np.isfinite(z).all():
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValidationError(f"{name} must be finite")
-        if (z.imag < 0.0).any():
+        if z.imag < 0.0:
             raise ValidationError(
                 f"{name} must lie in the closed upper half-plane")
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
-    out = np.zeros(z_to.shape, dtype=complex)
-    moved = z_from != z_to
-    if not moved.any():
-        return out
-    p, q = z_from[moved], z_to[moved]
-    label = np.arange(p.size)
-    xs = np.asarray(map.prevertices.finite_points, dtype=float)
-    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
-    if p.imag.any() or q.imag.any():
-        out[moved] = _refine("upper", p, q, label, xs, es, tol)[:, 0]
-        return out
-    # Each axis leg is cut at the prevertices inside it; the pieces keep
-    # its label, so the leg converges as a whole.
-    lo, hi = np.minimum(p.real, q.real), np.maximum(p.real, q.real)
-    inner, k = np.nonzero((lo[:, None] < xs) & (xs < hi[:, None]))
-    cuts = np.concatenate([lo, xs[k], hi])
-    of = np.concatenate([label, inner, label])
-    order = np.lexsort((cuts, of))
-    cuts, of = cuts[order], of[order]
-    piece = of[:-1] == of[1:]
-    I = _refine("axis", cuts[:-1][piece], cuts[1:][piece], of[:-1][piece],
-                xs, es, tol)[:, 0]
-    out[moved] = np.where(p.real < q.real, I, -I)
-    return out
+    if z_from == z_to:
+        return 0j
+    xs, es = _sc_singularities(map)
+    if z_from.imag == 0.0 and z_to.imag == 0.0:
+        lo, hi = sorted((z_from.real, z_to.real))
+        cuts = np.concatenate(([lo], xs[(lo < xs) & (xs < hi)], [hi]))
+        # The pieces share one label, so the path converges as a whole.
+        total = _refine("axis", cuts[:-1], cuts[1:], xs, es, tol)[0, 0]
+        return complex(total if z_from.real < z_to.real else -total)
+    return complex(_refine("upper", np.array([z_from]), np.array([z_to]), xs,
+                           es, tol)[0, 0])
 
 
 def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
@@ -406,8 +408,8 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
         raise InvalidExponent("exponents must be positive")
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
-    sums = _refine("axis", xs[:-1], xs[1:], np.arange(xs.size - 1), xs, es,
-                   tol, rows=True)
+    sums = _refine("axis", xs[:-1], xs[1:], xs, es, tol,
+                   leg=np.arange(xs.size - 1), rows=True)
     return sums[:, 0], sums[:, 1:]
 
 
@@ -420,8 +422,7 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     singularity at u = 0 (the decay exponent at infinity) and smooth positive
     factors, since every 1/z_j lies outside the interval.
     """
-    xs = np.asarray(map.prevertices.finite_points, dtype=float)
-    es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
+    xs, es = _sc_singularities(map)
     z_from = float(z_from)
     if not z_from > xs[-1]:
         raise ValidationError(
@@ -431,6 +432,5 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     nonzero = xs != 0.0
     us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
     ues = np.concatenate(([map.exponents.alphas[-1] - 1.0], es[nonzero]))
-    tail = _refine("tail", np.array([0.0]), np.array([1.0 / z_from]),
-                   np.zeros(1, dtype=int), us, ues, tol)
-    return complex(tail[0, 0])
+    return complex(_refine("tail", np.array([0.0]), np.array([1.0 / z_from]),
+                           us, ues, tol)[0, 0])

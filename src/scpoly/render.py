@@ -120,7 +120,8 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL,
                  + 1j * (height * (j + 1) / samples_per_line))
     horizontals = (x_lo + j * (x_hi - x_lo) / (samples_per_line - 1)
                    + 1j * (height * (k + 0.5) / lines))
-    return evaluate(m, np.vstack([verticals, horizontals]), tol).tolist()
+    return [[evaluate(m, z, tol) for z in curve]
+            for curve in np.vstack([verticals, horizontals])]
 
 
 def scmap_svg(m: SCMap, grid: int = 0, tol: float = DEFAULT_TOL,

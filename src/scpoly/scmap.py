@@ -26,8 +26,7 @@ from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
                        interior_angles)
-from .quadrature import (DEFAULT_TOL, _sc_legs, integrate_sc,
-                         integrate_to_infinity)
+from .quadrature import DEFAULT_TOL, integrate_sc, integrate_to_infinity
 
 BASE_POINT = 1j
 INFINITY = complex(math.inf, 0.0)
@@ -133,32 +132,32 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
              ) -> complex | np.ndarray:
     """F(z) = A * integral(base point -> z) + B, for z in the closed upper
     half-plane or the infinity sentinel (any infinite value). An array of
-    points gives an array, from one batch of legs in which the points at
-    infinity share one waypoint leg and one tail; a scalar gives a complex.
-    """
-    z = np.asarray(z, dtype=complex)
-    far = np.isinf(z.real) | np.isinf(z.imag)
-    R = _tail_waypoint(map.prevertices.finite_points)
-    ends, back = np.unique(np.where(far, R, z).ravel(), return_inverse=True)
-    bare = _sc_legs(map, np.full(ends.shape, BASE_POINT), ends, tol)
-    bare = bare[back].reshape(z.shape)
-    if far.any():
-        bare[far] += integrate_to_infinity(map, R, tol)
-    images = map.A * bare + map.B
-    return complex(images) if images.ndim == 0 else images
+    points gives the array of their images."""
+    if np.ndim(z):
+        return np.array([evaluate(map, w, tol) for w in np.ravel(z)],
+                        dtype=complex).reshape(np.shape(z))
+    z = complex(z)
+    if math.isinf(z.real) or math.isinf(z.imag):
+        R = _tail_waypoint(map.prevertices.finite_points)
+        bare = (integrate_sc(map, BASE_POINT, complex(R), tol)
+                + integrate_to_infinity(map, R, tol))
+        return map.A * bare + map.B
+    return map.A * integrate_sc(map, BASE_POINT, z, tol) + map.B
 
 
 def _bare_vertices(pre: Prevertices, exp: ExponentVector,
                    quad_tol: float) -> list[complex]:
-    """Vertices of the A=1, B=0 polygon from the base-point leg, one batch
-    of axis legs (the sides and the waypoint leg) and the tail."""
+    """Vertices of the A=1, B=0 polygon, built leg by leg along the axis."""
     m = SCMap(pre, exp)
     zs = pre.finite_points
+    w = [integrate_sc(m, BASE_POINT, complex(zs[0]), quad_tol)]
+    for a, b in zip(zs, zs[1:]):
+        w.append(w[-1] + integrate_sc(m, complex(a), complex(b), quad_tol))
     R = _tail_waypoint(zs)
-    sides = _sc_legs(m, np.array(zs), np.array(zs[1:] + (R,)), quad_tol)
-    sides[-1] += integrate_to_infinity(m, R, quad_tol)
-    first = integrate_sc(m, BASE_POINT, complex(zs[0]), quad_tol)
-    return np.cumsum(np.append(first, sides)).tolist()
+    tail = (integrate_sc(m, complex(zs[-1]), complex(R), quad_tol)
+            + integrate_to_infinity(m, R, quad_tol))
+    w.append(w[-1] + tail)
+    return w
 
 
 def _circular_gap(x: float, y: float) -> float:

@@ -262,7 +262,7 @@ def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
 
 def test_values_sum_the_same_in_blocks(monkeypatch, crowded_map):
     # Values-only calls: one axis path of three pieces under one label,
-    # and one batch of upper-plane legs with a shared tail.
+    # and upper-plane legs and a tail through evaluate.
     points = np.array([0.5 + 0.2j, -0.5 + 0.01j, 0.04 + 0.001j, 3.0,
                        INFINITY])
     path = integrate_sc(crowded_map, -1.0, 3.0)

@@ -124,16 +124,16 @@ def test_infinity_sentinel(triangle_map):
 
 def test_evaluate_batch_matches_scalar_calls(monkeypatch):
     # The render grid of a sampled map, as grid_curves hands it over, plus
-    # a prevertex, the base point and infinity twice: one batched call
-    # against one call per point.
+    # a prevertex, the base point and infinity twice: one call with the
+    # array against one call per point.
     pt = sample_chart_point(SweepConfig(n=8, samples=1, seed=3), 0)
     m = SCMap(*moduli_unchart(pt), A=0.8 - 1.1j, B=2.5 + 1.0j)
-    grids = []
+    grid = []
     monkeypatch.setattr(render, "evaluate", lambda m, z, tol:
-                        grids.append(z) or evaluate(m, z, tol))
+                        grid.append(z) or evaluate(m, z, tol))
     render.grid_curves(m, 4)
-    points = np.append(grids[0], [m.prevertices.finite_points[2], BASE_POINT,
-                                  INFINITY, INFINITY])
+    points = np.append(grid, [m.prevertices.finite_points[2], BASE_POINT,
+                              INFINITY, INFINITY])
     batch = evaluate(m, points)
     assert batch.shape == points.shape
     for z, w in zip(points, batch):
@@ -209,9 +209,9 @@ def test_forward_survives_crowded_prevertices():
 
 def test_bare_sides_match_single_leg_integrals():
     # Sample 4 of the n = 12, box 6 stream (seed 1): its two closest
-    # prevertices are 3.8e-6 of the prevertex span apart. The sides come
-    # from one batch of axis legs; each must be the integral over its leg
-    # alone, up to the rounding of the running vertex sums.
+    # prevertices are 3.8e-6 of the prevertex span apart. Each side must
+    # be the integral over its leg alone, up to the rounding of the
+    # running vertex sums.
     cfg = SweepConfig(n=12, samples=200, seed=1, chart_box=6.0)
     pre, exp = moduli_unchart(sample_chart_point(cfg, 4))
     m, zs, tol = SCMap(pre, exp), pre.finite_points, 1e-12
