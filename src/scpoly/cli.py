@@ -24,7 +24,7 @@ from . import jsonio
 from .charts import moduli_chart, moduli_unchart
 from .errors import NumericalError, ScpolyError, ValidationError
 from .paramsolve import SolveOptions, solve_parameter_problem
-from .quadrature import DEFAULT_TOL
+from .quadrature import DEFAULT_TOL, check_tol
 from .render import polygon_svg, scmap_svg
 from .scmap import SCMap, evaluate, forward, forward_extended
 from .sweep import SweepConfig, run_sweep
@@ -150,8 +150,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ValidationError(f"SCPOLY_TOL is not a number: {raw!r}") from None
-    if not tol > 0.0:
-        raise ValidationError(f"SCPOLY_TOL must be positive, got {tol}")
+    check_tol(tol, "SCPOLY_TOL")
     return tol
 
 
@@ -228,18 +227,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser(_default_tol())
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except ScpolyError as exc:
         body = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(jsonio.dumps(body))
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        body = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(jsonio.dumps(body))
-        return EXIT_NUMERICAL
-    except ScpolyError as exc:  # future subclasses outside the two trees
-        body = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(jsonio.dumps(body))
-        return EXIT_VALIDATION
+        return (EXIT_NUMERICAL if isinstance(exc, NumericalError)
+                else EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -82,11 +82,6 @@ class LabelledPolygon:
         """Side j joins vertex j to vertex j+1 (cyclically), 0-based."""
         return self.vertices[j], self.vertices[(j + 1) % self.n]
 
-    @classmethod
-    def from_points(cls, pts: Sequence) -> "LabelledPolygon":
-        return cls(tuple(complex(p[0], p[1]) if not isinstance(p, complex) else p
-                         for p in pts))
-
 
 @dataclass(frozen=True)
 class AngleVector:

@@ -28,7 +28,7 @@ from .charts import _exact_sum, z_unchart
 from .errors import DegenerateSide, NoConvergence, NotImmersedInput, \
     ValidationError
 from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
-from .quadrature import integrate_finite_legs
+from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
 from .scmap import ExponentVector, Prevertices, SCMap, _bare_vertices
@@ -44,8 +44,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be positive")
-        if self.residual_tol <= 0.0 or self.quadrature_tol <= 0.0:
-            raise ValidationError("tolerances must be positive")
+        check_tol(self.residual_tol, "residual_tol")
+        check_tol(self.quadrature_tol, "quadrature_tol")
         if not self.residual_tol > self.quadrature_tol:
             raise ValidationError("residual_tol must exceed quadrature_tol")
         if self.initial_gaps is not None:

@@ -17,7 +17,11 @@ pieces of a real-axis path cut at prevertices share one label, so the
 path converges as a whole. integrate_finite_legs passes every finite leg
 of a map at once and adds per leg the derivatives of its integral in
 every finite prevertex (integrals over the same panels with the same
-endpoint powers), judged once every value has converged.
+endpoint powers), judged once every value has converged. Each level is
+one pass function over blocks of panels, giving per panel its integral
+and, for those derivatives, its moments, and one per-leg sum of those
+columns (np.sum's pairwise order for a single column, panel by panel
+for several).
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -30,6 +34,7 @@ two conventions agree).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -108,6 +113,12 @@ def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
                           exponent_right=a, order=order)
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValidationError unless ``tol`` is a positive finite number."""
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {tol}")
+
+
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule of the given order for weight (1-x)^a (1+x)^b.
 
@@ -115,11 +126,12 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     1e-13 relative when the rule is built; a violation means a broken rule
     and raises. Rules are read-only, so one cached rule serves every call.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidExponent(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
-    return _jacobi_rule(order, float(a), float(b))
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise InvalidExponent(
+            f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
+    return _jacobi_rule(int(order), float(a), float(b))
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
@@ -170,13 +182,10 @@ def _halve(a: np.ndarray, b: np.ndarray, leg: np.ndarray
             np.concatenate([leg, leg[cut]]))
 
 
-def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-                 es: np.ndarray):
-    """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b].
-
-    Returns the nodes, the integrand at the nodes, the weights (each of
-    shape (panels, order)) and a per-panel scale, so that panel k
-    integrates to scale[k] * sum_j weights[k, j] * f[k, j].
+def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
+             xs: np.ndarray, es: np.ndarray, rows: bool) -> np.ndarray:
+    """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b]:
+    per panel, int f and, with ``rows``, the moments of its derivatives.
 
     ``xs`` are the singular points in the integration variable t and ``es``
     their exponents. A singular point sitting exactly at a panel endpoint
@@ -188,6 +197,20 @@ def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     - ``upper``: principal (t - x)^e, on complex panels;
     - ``tail``: t = 1/zeta real; (1 - t/x)^e, which is t^e at x = 0, the
       only singular point within reach of a tail panel.
+
+    With ``rows`` (axis panels of leg j from z_j = xs[j] to z_{j+1}) the
+    columns go on with int f/(zeta - z_k) for every k and int f t s, where
+    t = (zeta - z_j)/(z_{j+1} - z_j) and s = sum_{k off the leg}
+    e_k/(zeta - z_k). With c_j = 1 + e_j + e_{j+1}, differentiating under
+    the integral sign gives
+
+        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
+        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
+        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s.
+
+    Each integrand keeps the endpoint powers of f, so the panels and rules
+    of f serve as they are; _leg_sums assembles the rows from the per-leg
+    sums.
     """
     order = DEFAULT_ORDER
     own_left = a[:, None] == xs
@@ -227,7 +250,17 @@ def _panel_terms(kind: str, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
     if ks.size:
         f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
     f = np.exp(np.log(f, out=f) @ es).reshape(t.shape)
-    return nodes, f, w, half * np.exp(logs)
+    cols = np.einsum("kj,kj->k", f, w)[:, None]
+    if rows:
+        # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (at -inf).
+        k = np.arange(xs.size)
+        own = (k == leg[:, None]) | (k == leg[:, None] + 1)
+        inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
+        fw = f * w
+        t = (nodes - xs[leg, None]) / (xs[leg + 1] - xs[leg])[:, None]
+        moments = np.stack([fw, fw * t], axis=1) @ inv
+        cols = np.column_stack([cols, moments[:, 0], moments[:, 1] @ es])
+    return (half * np.exp(logs))[:, None] * cols
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
@@ -239,15 +272,9 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     sums = np.zeros((legs, xs.size + 2 if rows else 1), dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
-        if rows:
-            np.add.at(sums, leg[block],
-                      _leg_columns(a[block], b[block], leg[block], xs, es))
-            continue
-        _, f, w, scale = _panel_terms(kind, a[block], b[block], xs, es)
-        v = scale * np.einsum("kj,kj->k", f, w)
+        cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
         for j in range(legs):
-            # np.sum's pairwise rounding, which lone integrals have had.
-            sums[j, 0] += np.add.reduce(v[leg[block] == j])
+            sums[j] += np.add.reduce(cols[leg[block] == j], axis=0)
     if not rows:
         return sums
     I, T = sums[:, 0], sums[:, -1]
@@ -257,35 +284,6 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     D[j, j] = -D.sum(axis=1) - T - jump
     D[j, j + 1] = T + jump
     return np.column_stack([I, D])
-
-
-def _leg_columns(a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-                 xs: np.ndarray, es: np.ndarray) -> np.ndarray:
-    """Per axis panel of leg j (from z_j = xs[j] to z_{j+1}): int f,
-    int f/(zeta - z_k) for every k, and int f t s.
-
-    With t = (zeta - z_j)/(z_{j+1} - z_j) on leg j and c_j = 1 + e_j +
-    e_{j+1}, differentiating under the integral sign gives
-
-        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
-        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
-        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s,
-
-    where s = sum_{k off the leg} e_k/(zeta - z_k). Each integrand keeps
-    the endpoint powers of f, so the panels and rules of f serve as they
-    are; _leg_sums assembles the rows from the per-leg sums.
-    """
-    nodes, f, w, scale = _panel_terms("axis", a, b, xs, es)
-    # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (moved to -inf).
-    k = np.arange(xs.size)
-    own = (k == leg[:, None]) | (k == leg[:, None] + 1)
-    inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
-    fw = f * w
-    t = (nodes - xs[leg, None]) / (xs[leg + 1] - xs[leg])[:, None]
-    moments = np.stack([fw, fw * t], axis=1) @ inv
-    cols = np.column_stack([np.einsum("kj,kj->k", f, w), moments[:, 0],
-                            moments[:, 1] @ es])
-    return scale[:, None] * cols
 
 
 def _sizes(R: np.ndarray) -> np.ndarray:
@@ -372,8 +370,7 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
         if z.imag < 0.0:
             raise ValidationError(
                 f"{name} must lie in the closed upper half-plane")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    check_tol(tol)
     if z_from == z_to:
         return 0j
     xs, es = _sc_singularities(map)
@@ -406,8 +403,7 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
         raise ValidationError("points must be finite and strictly increasing")
     if not np.all(es > -1.0):
         raise InvalidExponent("exponents must be positive")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    check_tol(tol)
     sums = _refine("axis", xs[:-1], xs[1:], xs, es, tol,
                    leg=np.arange(xs.size - 1), rows=True)
     return sums[:, 0], sums[:, 1:]
@@ -427,8 +423,7 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     if not z_from > xs[-1]:
         raise ValidationError(
             f"tail start {z_from} must exceed the last finite prevertex {xs[-1]}")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    check_tol(tol)
     nonzero = xs != 0.0
     us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
     ues = np.concatenate(([map.exponents.alphas[-1] - 1.0], es[nonzero]))

@@ -26,7 +26,8 @@ from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
                        interior_angles)
-from .quadrature import DEFAULT_TOL, integrate_sc, integrate_to_infinity
+from .quadrature import (DEFAULT_TOL, check_tol, integrate_sc,
+                         integrate_to_infinity)
 
 BASE_POINT = 1j
 INFINITY = complex(math.inf, 0.0)
@@ -165,8 +166,8 @@ def _circular_gap(x: float, y: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector,
-                           gate_extended: bool) -> tuple[float, int]:
+def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector
+                           ) -> tuple[float, int]:
     try:
         measured = interior_angles(poly).values
     except DegenerateSide as exc:
@@ -175,7 +176,8 @@ def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector,
         raise NumericalError(f"computed polygon is degenerate: {exc}") from exc
     worst, worst_j = 0.0, -1
     for j, (theta, alpha) in enumerate(zip(measured, exp.alphas)):
-        if alpha >= 2.0 and not gate_extended:
+        if alpha >= 2.0:
+            # Only extended vectors reach 2; those angles carry no gate.
             continue
         dev = _circular_gap(theta, alpha * math.pi)
         if dev > worst:
@@ -183,20 +185,21 @@ def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector,
     return worst, worst_j
 
 
-def _checked_polygon(pre: Prevertices, exp: ExponentVector, tol: float,
-                     gate_extended: bool) -> LabelledPolygon:
+def _checked_polygon(pre: Prevertices, exp: ExponentVector, tol: float
+                     ) -> LabelledPolygon:
+    check_tol(tol)
     # Integrate two orders tighter than the angle gate; vertex positions
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
     poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
-    worst, worst_j = _worst_angle_deviation(poly, exp, gate_extended)
+    worst, worst_j = _worst_angle_deviation(poly, exp)
     if worst > 5.0 * tol and quad_tol > _QUAD_TOL_FLOOR:
         # Crowded prevertices make sides tiny relative to the diameter and
         # amplify leg errors by that ratio; retighten by the measured
         # excess (with headroom) instead of guessing the geometry.
         quad_tol = max(0.5 * quad_tol * tol / worst, _QUAD_TOL_FLOOR)
         poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
-        worst, worst_j = _worst_angle_deviation(poly, exp, gate_extended)
+        worst, worst_j = _worst_angle_deviation(poly, exp)
     if worst > 10.0 * tol:
         raise AngleMismatch(
             f"vertex {worst_j + 1} angle off by {worst:.3e} "
@@ -211,7 +214,7 @@ def forward(pre: Prevertices, exp: ExponentVector,
     alpha*pi and the immersion screen runs as a postcondition."""
     if exp.extended:
         raise ValidationError("extended exponents go through forward_extended")
-    poly = _checked_polygon(pre, exp, tol, gate_extended=True)
+    poly = _checked_polygon(pre, exp, tol)
     report = check_immersion_necessary(poly)
     if not report.ok:
         raise NumericalError(
@@ -226,7 +229,7 @@ def forward_extended(pre: Prevertices, exp: ExponentVector,
     No immersion claim: vertices with alpha >= 2 carry their geometric
     angle mod 2*pi and are exempt from the angle gate.
     """
-    return _checked_polygon(pre, exp, tol, gate_extended=False)
+    return _checked_polygon(pre, exp, tol)
 
 
 def apply_similarity(poly: LabelledPolygon, a: complex,

@@ -235,6 +235,15 @@ def test_env_tolerance_override(monkeypatch, capsys):
     assert json.loads(out)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_2(monkeypatch, capsys, tol):
+    code, out = run_cli(capsys, "forward", SQUARE_CHART, "--tol", tol)
+    assert (code, json.loads(out)["error"]) == (2, "ValidationError")
+    monkeypatch.setenv("SCPOLY_TOL", tol)
+    code, out = run_cli(capsys, "forward", SQUARE_CHART)
+    assert (code, json.loads(out)["error"]) == (2, "ValidationError")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(SQUARE_CHART))

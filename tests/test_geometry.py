@@ -127,6 +127,21 @@ def test_winding_on_trace_rejected(unit_square):
         winding_number(unit_square, 1j)
 
 
+def test_winding_needs_whole_turns(monkeypatch, unit_square):
+    # With the distance rule turned off, the 1e-6 integer-residual rule
+    # alone must leave the vertex 0j undefined: its turns sum to 0.25.
+    real = geometry._scaled_offsets
+
+    def far(poly, points):
+        ur, ui, dist2, e = real(poly, points)
+        return ur, ui, dist2 + 1.0, e
+
+    monkeypatch.setattr(geometry, "_scaled_offsets", far)
+    k, defined = geometry._windings(unit_square, [0j, 0.5 + 0.5j])
+    assert defined.tolist() == [False, True]
+    assert k[1] == 1
+
+
 def test_winding_rejects_nonfinite_points(unit_square):
     for p in (complex(math.inf, 0.0), complex(math.nan, 0.0),
               complex(0.5, -math.inf)):

@@ -194,6 +194,9 @@ def test_options_validation():
         SolveOptions(residual_tol=-1e-10)
     with pytest.raises(ValidationError):
         SolveOptions(residual_tol=1e-12, quadrature_tol=1e-11)
+    # Every residual would pass an infinite tolerance: all solves converged.
+    with pytest.raises(ValidationError):
+        SolveOptions(residual_tol=math.inf)
     opts = SolveOptions(initial_gaps=(0.5, -0.5))
     assert opts.initial_gaps == (0.5, -0.5)
 

@@ -83,11 +83,19 @@ def test_exponent_at_or_below_minus_one_rejected():
         gauss_jacobi(4, -1.0, 0.0)
     with pytest.raises(InvalidExponent):
         gauss_jacobi(4, 0.0, -1.5)
+    # Not a bare ValueError from the eigensolver after RuntimeWarnings.
+    for a, b in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.5)):
+        with pytest.raises(InvalidExponent):
+            gauss_jacobi(4, a, b)
 
 
 def test_order_must_be_positive():
     with pytest.raises(ValidationError):
         gauss_jacobi(0, 0.0, 0.0)
+    for order in (2.5, 8.0):
+        with pytest.raises(ValidationError):
+            gauss_jacobi(order, 0.0, 0.0)
+    assert gauss_jacobi(np.int64(8), 0.5, 0.0) is gauss_jacobi(8, 0.5, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,17 @@ def test_lower_half_plane_rejected(tri_map):
 def test_nonpositive_tol_rejected(tri_map):
     with pytest.raises(ValidationError):
         integrate_sc(tri_map, -1.0, 0.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_tol_rejected(tri_map, tol):
+    # NaN would refine every leg to MAX_LEVELS; inf would stop after one.
+    with pytest.raises(ValidationError):
+        integrate_sc(tri_map, 1j, 0.5 + 0.5j, tol=tol)
+    with pytest.raises(ValidationError):
+        integrate_finite_legs((-1.0, 0.0), (1 / 3, 1 / 3), tol)
+    with pytest.raises(ValidationError):
+        integrate_to_infinity(tri_map, 1.0, tol)
 
 
 def test_pentagon_leg_against_substitution_oracle():

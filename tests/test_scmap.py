@@ -170,6 +170,15 @@ def test_forward_square(square_map):
                                                          abs=1e-8)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_forward_rejects_bad_tol(square_map, tol):
+    pre, exp = square_map.prevertices, square_map.exponents
+    with pytest.raises(ValidationError):
+        forward(pre, exp, tol)
+    with pytest.raises(ValidationError):
+        forward_extended(pre, exp, tol)
+
+
 def test_forward_rejects_extended_exponents():
     exp = ExponentVector(PENTAGON_ALPHAS, extended=True)
     with pytest.raises(ValidationError):

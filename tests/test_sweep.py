@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ def test_forward_failures_are_counted(monkeypatch):
     assert res.failures > 0
     assert res.tested == 40
     assert res.simple_count + len(res.nonsimple_instances) + res.failures == 40
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_bad_tol_is_rejected_not_counted(tol):
+    with pytest.raises(ValidationError):
+        run_sweep(SweepConfig(n=5, samples=3, seed=0), tol)
 
 
 def test_degenerate_forward_output_counts_as_failure():
