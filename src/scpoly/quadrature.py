@@ -18,10 +18,9 @@ path converges as a whole. integrate_finite_legs passes every finite leg
 of a map at once and adds per leg the derivatives of its integral in
 every finite prevertex (integrals over the same panels with the same
 endpoint powers), judged once every value has converged. Each level is
-one pass function over blocks of panels, giving per panel its integral
-and, for those derivatives, its moments, and one per-leg sum of those
-columns (np.sum's pairwise order for a single column, panel by panel
-for several).
+one pass over blocks of panels, giving per panel its integral and, for
+those derivatives, its moments, and one per-leg sum over each block
+(np.sum's pairwise order for values alone, panel by panel for rows).
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -34,7 +33,6 @@ two conventions agree).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -81,8 +79,15 @@ def total_moment(a: float, b: float) -> float:
                     - math.lgamma(a + b + 2.0))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
+    # Arguments are checked here, once per rule: a failed build caches
+    # nothing, and typed keys keep 8.0 from hitting the rule of order 8.
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise InvalidExponent(
+            f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
     # Golub-Welsch on the symmetric tridiagonal recurrence matrix. Not
     # scipy.special.roots_jacobi: its nodes and weights drift to ~1e-12
     # relative error for a near -1 once the order passes ~24, visibly
@@ -126,12 +131,7 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     1e-13 relative when the rule is built; a violation means a broken rule
     and raises. Rules are read-only, so one cached rule serves every call.
     """
-    if not isinstance(order, numbers.Integral) or order < 1:
-        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise InvalidExponent(
-            f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
-    return _jacobi_rule(int(order), float(a), float(b))
+    return _jacobi_rule(order, float(a), float(b))
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
@@ -185,7 +185,8 @@ def _halve(a: np.ndarray, b: np.ndarray, leg: np.ndarray
 def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
              xs: np.ndarray, es: np.ndarray, rows: bool) -> np.ndarray:
     """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b]:
-    per panel, int f and, with ``rows``, the moments of its derivatives.
+    per panel, int f or, with ``rows``, a row of int f and the moments of
+    its derivatives.
 
     ``xs`` are the singular points in the integration variable t and ``es``
     their exponents. A singular point sitting exactly at a panel endpoint
@@ -250,7 +251,8 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     if ks.size:
         f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
     f = np.exp(np.log(f, out=f) @ es).reshape(t.shape)
-    cols = np.einsum("kj,kj->k", f, w)[:, None]
+    scale = half * np.exp(logs)
+    cols = scale * np.einsum("kj,kj->k", f, w)
     if rows:
         # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (at -inf).
         k = np.arange(xs.size)
@@ -259,8 +261,9 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
         fw = f * w
         t = (nodes - xs[leg, None]) / (xs[leg + 1] - xs[leg])[:, None]
         moments = np.stack([fw, fw * t], axis=1) @ inv
-        cols = np.column_stack([cols, moments[:, 0], moments[:, 1] @ es])
-    return (half * np.exp(logs))[:, None] * cols
+        cols = np.column_stack([cols, scale[:, None] * moments[:, 0],
+                                scale * (moments[:, 1] @ es)])
+    return cols
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
@@ -269,14 +272,14 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     """Per leg, summed over its panels one block of at most _PASS_BLOCK at a
     time: the integral and, with ``rows`` (axis leg j from xs[j] to
     xs[j + 1]), its derivatives in every xs."""
-    sums = np.zeros((legs, xs.size + 2 if rows else 1), dtype=complex)
+    sums = np.zeros((legs, xs.size + 2) if rows else legs, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
         cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
-        for j in range(legs):
-            sums[j] += np.add.reduce(cols[leg[block] == j], axis=0)
+        for j, mine in enumerate(leg[block] == np.arange(legs)[:, None]):
+            sums[j] += np.add.reduce(cols[mine], axis=0)
     if not rows:
-        return sums
+        return sums[:, None]
     I, T = sums[:, 0], sums[:, -1]
     D = -es * sums[:, 1:-1]
     jump = (1.0 + es[:-1] + es[1:]) * I / np.diff(xs)

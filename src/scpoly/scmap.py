@@ -134,6 +134,7 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
     """F(z) = A * integral(base point -> z) + B, for z in the closed upper
     half-plane or the infinity sentinel (any infinite value). An array of
     points gives the array of their images."""
+    check_tol(tol)
     if np.ndim(z):
         return np.array([evaluate(map, w, tol) for w in np.ravel(z)],
                         dtype=complex).reshape(np.shape(z))

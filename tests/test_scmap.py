@@ -177,6 +177,8 @@ def test_forward_rejects_bad_tol(square_map, tol):
         forward(pre, exp, tol)
     with pytest.raises(ValidationError):
         forward_extended(pre, exp, tol)
+    with pytest.raises(ValidationError):
+        evaluate(square_map, np.array([], dtype=complex), tol)
 
 
 def test_forward_rejects_extended_exponents():
