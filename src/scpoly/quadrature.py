@@ -276,8 +276,8 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
         cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
-        for j, mine in enumerate(leg[block] == np.arange(legs)[:, None]):
-            sums[j] += np.add.reduce(cols[mine], axis=0)
+        for j in range(legs):
+            sums[j] += np.add.reduce(cols[leg[block] == j], axis=0)
     if not rows:
         return sums[:, None]
     I, T = sums[:, 0], sums[:, -1]
