@@ -18,9 +18,9 @@ path converges as a whole. integrate_finite_legs passes every finite leg
 of a map at once and adds per leg the derivatives of its integral in
 every finite prevertex (integrals over the same panels with the same
 endpoint powers), judged once every value has converged. Each level is
-one pass over blocks of panels, giving per panel its integral and, for
-those derivatives, its moments, and one per-leg sum over each block
-(np.sum's pairwise order for values alone, panel by panel for rows).
+one pass per block of panels (per panel its integral, or a row of it and
+its derivative moments) and one per-leg sum of the block (np.sum's
+pairwise order for values, panel by panel for rows).
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -81,8 +81,7 @@ def total_moment(a: float, b: float) -> float:
 
 @lru_cache(maxsize=512, typed=True)
 def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
-    # Arguments are checked here, once per rule: a failed build caches
-    # nothing, and typed keys keep 8.0 from hitting the rule of order 8.
+    # Checked once per rule; typed keys keep 8.0 off the order-8 rule.
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValidationError(f"order must be an integer >= 1, got {order!r}")
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
@@ -130,6 +129,8 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     The weight sum is checked against the closed-form total moment to
     1e-13 relative when the rule is built; a violation means a broken rule
     and raises. Rules are read-only, so one cached rule serves every call.
+    An order that is not an integer >= 1 raises ValidationError, an
+    exponent that is not a finite number above -1 InvalidExponent.
     """
     return _jacobi_rule(order, float(a), float(b))
 
