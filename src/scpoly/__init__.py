@@ -12,8 +12,7 @@ from .geometry import (AngleVector, ImmersionReport, LabelledPolygon,
                        find_multiwound_witness, interior_angles, is_simple,
                        turning_angle_sum, turning_number, winding_number)
 from .paramsolve import (SolveOptions, SolveReport, extract_exponents,
-                         fit_affine_constants, side_length_residual,
-                         solve_parameter_problem)
+                         fit_affine_constants, solve_parameter_problem)
 from .quadrature import (QuadratureRule, gauss_jacobi, integrate_sc,
                          integrate_to_infinity, total_moment)
 from .render import grid_curves, polygon_svg, scmap_svg
@@ -39,7 +38,7 @@ __all__ = [
     "forward_extended", "gauss_jacobi", "grid_curves", "integrate_sc",
     "integrate_to_infinity", "interior_angles", "is_simple", "moduli_chart",
     "moduli_unchart", "polygon_svg", "run_sweep", "sample_chart_point",
-    "scmap_svg", "side_length_residual", "solve_parameter_problem",
-    "total_moment", "turning_angle_sum", "turning_number", "winding_number",
-    "z_chart", "z_unchart",
+    "scmap_svg", "solve_parameter_problem", "total_moment",
+    "turning_angle_sum", "turning_number", "winding_number", "z_chart",
+    "z_unchart",
 ]

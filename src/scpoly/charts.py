@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import OnBoundary, ValidationError
+from .errors import NumericalError, OnBoundary, ValidationError
 from .scmap import ExponentVector, Prevertices, SCMap
 
 # Distance from {0, 2} below which an exponent counts as on the boundary.
@@ -72,15 +72,25 @@ def z_chart(prevertices: Union[Prevertices, Sequence[float]]) -> tuple[float, ..
 def z_unchart(coords: Sequence[float]) -> Prevertices:
     """Inverse of z_chart: z_3 = e^(c_1), z_(k+1) = z_k + e^(c_k).
 
-    Any finite coordinates produce a valid, strictly increasing
-    configuration; n is implied by the coordinate count.
+    Any finite coordinates name a valid, strictly increasing
+    configuration; n is implied by the coordinate count. Where floats
+    cannot hold it (a gap that overflows, or that vanishes against its
+    position), NumericalError is raised.
     """
     pts = [-1.0, 0.0]
     for c in coords:
         c = float(c)
         if not math.isfinite(c):
             raise ValidationError("gap coordinates must be finite")
-        pts.append(pts[-1] + math.exp(c))
+        try:
+            z = pts[-1] + math.exp(c)
+        except OverflowError:
+            z = math.inf
+        if not pts[-1] < z < math.inf:
+            raise NumericalError(
+                f"z_{len(pts)} + e^{c} is {z} in floats, "
+                f"with z_{len(pts)} = {pts[-1]}")
+        pts.append(z)
     return Prevertices(tuple(pts))
 
 
@@ -163,7 +173,10 @@ def _exact_sum(values: np.ndarray, total: float) -> np.ndarray:
 
 def a_unchart(coords: Sequence[float]) -> ExponentVector:
     """Inverse radial chart. Outputs are strictly inside the domain and
-    sum to n - 2 in exact floating point."""
+    sum to n - 2 in exact floating point. Coordinates whose norm
+    overflows, or whose image rounds onto the boundary (some alpha_j - 1
+    at -1 or 1 in floats, where no integral exists), raise
+    NumericalError."""
     y = np.asarray([float(c) for c in coords], dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValidationError("need at least 2 coordinates (n >= 3)")
@@ -171,14 +184,21 @@ def a_unchart(coords: Sequence[float]) -> ExponentVector:
         raise ValidationError("chart coordinates must be finite")
     n = y.size + 1
     c = _barycenter(n)
-    s = float(np.linalg.norm(y))
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(y))
     if s == 0.0:
         alphas = _exact_sum(c, float(n - 2))
         return ExponentVector(tuple(alphas))
+    if s == math.inf:
+        raise NumericalError("the norm of the exponent coordinates overflows")
     u = direction_basis(n) @ (y / s)
     rho = _boundary_distance(c, u)
     r = rho * (s / (1.0 + s))
     alphas = _exact_sum(c + r * u, float(n - 2))
+    # The integrand's powers alpha_j - 1 must lie in (-1, 1) in floats.
+    if not np.all(np.abs(alphas - 1.0) < 1.0):
+        raise NumericalError(f"radius {s} rounds onto the boundary: "
+                             f"exponents {alphas.tolist()}")
     return ExponentVector(tuple(alphas))
 
 

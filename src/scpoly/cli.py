@@ -8,8 +8,8 @@ print a JSON body {"error": <class>, "message": ...} on stdout and set
 the exit code: 2 for validation problems, 3 for numerical failures, 4
 when the parameter solve does not converge.
 
-SCPOLY_TOL in the environment overrides the default tolerance; an
-explicit --tol wins over both.
+SCPOLY_TOL in the environment overrides the default quadrature tolerance;
+an explicit --tol (forward, sweep, render and eval) wins over both.
 """
 
 from __future__ import annotations
@@ -156,10 +156,11 @@ def _default_tol() -> float:
 
 def build_parser(default_tol: float) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=default_tol,
-                        help="quadrature tolerance (default %(default)g)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
+    quad = argparse.ArgumentParser(add_help=False, parents=[common])
+    quad.add_argument("--tol", type=float, default=default_tol,
+                      help="quadrature tolerance (default %(default)g)")
 
     parser = argparse.ArgumentParser(
         prog="scpoly",
@@ -167,7 +168,7 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
                     "half-plane conformal maps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", parents=[common],
+    p = sub.add_parser("forward", parents=[quad],
                        help="chart point JSON -> polygon JSON")
     p.add_argument("input")
     p.add_argument("--extended", action="store_true",
@@ -185,7 +186,7 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
                    default=SolveOptions.quadrature_tol)
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[quad],
                        help="random chart samples -> simplicity statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -195,7 +196,7 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
                    help="seed of the chart sample stream")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[quad],
                        help="polygon or map JSON -> SVG")
     p.add_argument("input")
     p.add_argument("--grid", type=int, default=0,
@@ -204,7 +205,7 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
                    default=[], help="mark RE,IM with a dot (repeatable)")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[quad],
                        help="map JSON + point list -> image list")
     p.add_argument("input")
     p.add_argument("points", help="JSON list of [re, im] pairs")

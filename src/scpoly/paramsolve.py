@@ -2,11 +2,11 @@
 
 Exponents come straight from the measured vertex angles. The finite
 prevertices beyond the two pinned ones are the real unknowns; they are
-solved in log-gap coordinates (ordering for free) by damped Gauss-Newton
-iteration on side-length ratios: with n - 3 unknowns, the ratios of sides
-2..n-2 to side 1 give exactly n - 3 equations, and the two sides meeting
-the last vertex are determined by closure. The affine constants A, B are
-fitted afterwards from the first target side.
+solved in log-gap coordinates (ordering for free) by Levenberg-Marquardt
+iteration on the logs of side-length ratios: with n - 3 unknowns, the
+ratios of sides 2..n-2 to side 1 give exactly n - 3 equations, and the two
+sides meeting the last vertex are determined by closure. The affine
+constants A, B are fitted afterwards from the first target side.
 
 The Jacobian is exact: the same quadrature pass that gives the side
 integrals gives their derivatives in the prevertices, and the chain rule
@@ -25,13 +25,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .charts import _exact_sum, z_unchart
-from .errors import DegenerateSide, NoConvergence, NotImmersedInput, \
-    ValidationError
+from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
+                     ValidationError)
 from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
 from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
-from .scmap import ExponentVector, Prevertices, SCMap, _bare_vertices
+from .scmap import ExponentVector, SCMap, _bare_vertices
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class SolveOptions:
     max_iterations: int = 200
     residual_tol: float = 1e-10
     quadrature_tol: float = 1e-11
-    initial_gaps: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -48,12 +47,6 @@ class SolveOptions:
         check_tol(self.quadrature_tol, "quadrature_tol")
         if not self.residual_tol > self.quadrature_tol:
             raise ValidationError("residual_tol must exceed quadrature_tol")
-        if self.initial_gaps is not None:
-            gaps = tuple(float(g) for g in self.initial_gaps)
-            for g in gaps:
-                if not math.isfinite(g):
-                    raise ValidationError("initial gaps must be finite")
-            object.__setattr__(self, "initial_gaps", gaps)
 
 
 @dataclass(frozen=True)
@@ -89,60 +82,34 @@ def extract_exponents(poly: LabelledPolygon) -> ExponentVector:
     return ExponentVector(tuple(_exact_sum(raw, float(poly.n - 2))))
 
 
-def _gap_lengths(pre: Prevertices, exp: ExponentVector,
-                 quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Moduli s_j of the bare side integrals over (z_j, z_{j+1}), j =
-    1..n-2, and their log-derivatives d log s_j / d z_k over the finite
-    prevertices."""
-    I, D = integrate_finite_legs(pre.finite_points, exp.alphas[:-1], quad_tol)
-    return np.abs(I), (D / I[:, None]).real
-
-
 def _target_sides(target: LabelledPolygon) -> np.ndarray:
     w = target.vertices
     return np.array([abs(w[j + 1] - w[j]) for j in range(target.n - 2)])
 
 
-def side_length_residual(gaps: Sequence[float], exponents: ExponentVector,
-                         target: LabelledPolygon,
-                         quadrature_tol: float = SolveOptions.quadrature_tol
-                         ) -> np.ndarray:
-    """Candidate-vs-target side-length ratios, sides 2..n-2 against side 1.
-
-    Empty for n = 3, where the shape is pinned by the angles alone.
-    """
-    n = exponents.n
-    gaps = tuple(float(g) for g in gaps)
-    if len(gaps) != n - 3:
-        raise ValidationError(f"expected {n - 3} gaps, got {len(gaps)}")
-    if target.n != n:
-        raise ValidationError(
-            f"target has {target.n} vertices, exponents say {n}")
-    if n == 3:
-        return np.zeros(0)
-    s, _ = _gap_lengths(z_unchart(gaps), exponents, quadrature_tol)
-    t = _target_sides(target)
-    return s[1:] / s[0] - t[1:] / t[0]
-
-
 def _log_residual(g: np.ndarray, exps: ExponentVector,
                   log_ratio_t: np.ndarray, quad_tol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The solver's residual log(s_j/s_1) - log(t_j/t_1) at log gaps g,
-    with its exact Jacobian in g. A walled point (|g_k| > 700, a caught
-    quadrature failure, or a non-finite result) gives the constant 1e8
-    and a zero Jacobian."""
+    """The parameter problem's residual log(s_j/s_1) - log(t_j/t_1) at log
+    gaps g, with its exact Jacobian in g; s_j is the modulus of the bare
+    side integral over (z_j, z_{j+1}), t_j the target side. A walled point
+    (|g_k| > 700 or NaN, a numerical failure of the chart or the
+    quadrature, or a non-finite result) gives the constant 1e8 and a zero
+    Jacobian."""
     m = g.size
     wall = (np.full(m, 1e8), np.zeros((m, m)))
-    if np.any(np.abs(g) > 700.0):
+    if not np.all(np.abs(g) <= 700.0):
         return wall
     try:
-        s, dlog = _gap_lengths(z_unchart(tuple(g)), exps, quad_tol)
-        r = np.log(s[1:] / s[0]) - log_ratio_t
-    except (NoConvergence, ValidationError, OverflowError):
+        I, D = integrate_finite_legs(z_unchart(tuple(g)).finite_points,
+                                     exps.alphas[:-1], quad_tol)
+    except NumericalError:
         return wall
-    # z_p = e^(g_1) + ... + e^(g_(p-2)) for p >= 3: g_k moves every
-    # prevertex from z_(k+2) on by e^(g_k).
+    s = np.abs(I)
+    r = np.log(s[1:] / s[0]) - log_ratio_t
+    # d log s_j / d z_k; z_p = e^(g_1) + ... + e^(g_(p-2)) for p >= 3, so
+    # g_k moves every prevertex from z_(k+2) on by e^(g_k).
+    dlog = (D / I[:, None]).real
     ds = np.cumsum(dlog[:, :1:-1], axis=1)[:, ::-1] * np.exp(g)
     J = ds[1:] - ds[0]
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
@@ -168,11 +135,11 @@ def solve_parameter_problem(
     """Normalized map parameters reproducing the given polygon.
 
     Levenberg-Marquardt (MINPACK lmder) with an exact Jacobian and
-    residual-norm step acceptance. The iteration drives the
-    side-ratio system to zero in log form, log(s_j/s_1) - log(t_j/t_1),
-    which has the same zero set as side_length_residual and agrees with
-    the relative error to first order near it. Side ratios span orders
-    of magnitude, so a plain norm would let large ratios drown the small
+    residual-norm step acceptance. The iteration drives the side-ratio
+    system s_j/s_1 = t_j/t_1 to zero in log form, log(s_j/s_1) -
+    log(t_j/t_1), which has the same zero set and agrees with the
+    relative error to first order near it. Side ratios span orders of
+    magnitude, so a plain norm would let large ratios drown the small
     ones, while a relative one saturates (gradient dies) when a candidate
     ratio collapses below its target; the log form suffers neither.
     Residual norms in the report are of this log form.
@@ -181,27 +148,20 @@ def solve_parameter_problem(
     the derivatives of the leg integrals on the same quadrature panels;
     lmder asks for the Jacobian at the point it evaluated last, so only
     a request at any other point costs quadrature again. Where the
-    residual is walled (|gap coordinate| > 700, or the quadrature
-    fails), the Jacobian is zero. max_iterations is spent in MINPACK's
-    own budget currency, (m + 1) residual calls per nominal iteration.
-    Non-convergence is reported via the returned SolveReport rather
-    than raised.
+    residual is walled (|gap coordinate| > 700, or the chart or the
+    quadrature fails numerically), the Jacobian is zero. max_iterations
+    is spent in MINPACK's own budget currency, (m + 1) residual calls
+    per nominal iteration. Non-convergence is reported via the returned
+    SolveReport rather than raised.
 
-    Starts from equal gaps (or ``initial_gaps``); if that attempt ends
-    above residual_tol, one deterministic retry runs from gaps matching
-    the target's side-length ratios, and the better endpoint wins. The
-    report's history covers the winning attempt; its iteration count
-    covers both.
+    Starts from equal gaps; if that attempt ends above residual_tol, one
+    deterministic retry runs from gaps matching the target's side-length
+    ratios, and the better endpoint wins. The report's history covers
+    the winning attempt; its iteration count covers both.
     """
     opts = opts or SolveOptions()
     exps = extract_exponents(poly)
     m = poly.n - 3
-    if opts.initial_gaps is not None and len(opts.initial_gaps) != m:
-        raise ValidationError(
-            f"expected {m} initial gaps, got {len(opts.initial_gaps)}")
-    x = np.array(opts.initial_gaps if opts.initial_gaps is not None
-                 else np.zeros(m), dtype=float)
-
     t = _target_sides(poly)
     log_ratio_t = np.log(t[1:] / t[0])
 
@@ -237,18 +197,19 @@ def solve_parameter_problem(
         return result.x, nrm, tuple(history), result.njev
 
     iterations = 0
+    x = np.zeros(m)
     if m == 0:
         # Triangles are pinned by their angles; nothing to iterate.
         hist = (0.0,)
         nrm = 0.0
     else:
-        start = x.copy()
-        x, nrm, hist, iterations = attempt(start)
-        if nrm > opts.residual_tol and not np.array_equal(log_ratio_t, start):
+        x, nrm, hist, iterations = attempt(x)
+        if nrm > opts.residual_tol and log_ratio_t.any():
             # Equal gaps occasionally stall at a nonzero local minimum of
-            # the least-squares landscape. Second deterministic start:
-            # log gap ratios equal to the target's log side ratios, which
-            # places wildly uneven sides in the right basin. The history
+            # the least-squares landscape. Second deterministic start
+            # (unless it is equal gaps again): log gap ratios equal to
+            # the target's log side ratios, which places wildly uneven
+            # sides in the right basin. The history
             # reported is that of the attempt whose result is returned;
             # iterations count the total work.
             x2, nrm2, hist2, extra = attempt(log_ratio_t.copy())

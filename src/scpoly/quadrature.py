@@ -268,16 +268,17 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-              xs: np.ndarray, es: np.ndarray, legs: int, rows: bool
-              ) -> np.ndarray:
+              xs: np.ndarray, es: np.ndarray, legs: int, turn: list[int],
+              rows: bool) -> np.ndarray:
     """Per leg, summed over its panels one block of at most _PASS_BLOCK at a
     time: the integral and, with ``rows`` (axis leg j from xs[j] to
-    xs[j + 1]), its derivatives in every xs."""
+    xs[j + 1]), its derivatives in every xs. Only the legs in ``turn``,
+    which hold all the panels, are summed; the others read zero."""
     sums = np.zeros((legs, xs.size + 2) if rows else legs, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
         cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
-        for j in range(legs):
+        for j in turn:
             sums[j] += np.add.reduce(cols[leg[block] == j], axis=0)
     if not rows:
         return sums[:, None]
@@ -309,16 +310,16 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
     legs = int(leg[-1]) + 1
     a, b, leg = _split(p, q, leg, xs)
-    cur = _leg_sums(kind, a, b, leg, xs, es, legs, rows)
     # Per leg (a handful, so plain lists): halvings so far, and whether its
     # value and derivative row have settled. The legs halved next.
     level, turn = [0] * legs, list(range(legs))
+    cur = _leg_sums(kind, a, b, leg, xs, es, legs, turn, rows)
     settled = [[False] * (1 + rows)] * legs
     # Panels of the legs whose derivative row waits for the values.
     waiting = a[:0], b[:0], leg[:0]
     while True:
         a, b, leg = _halve(a, b, leg)
-        new = _leg_sums(kind, a, b, leg, xs, es, legs, rows)
+        new = _leg_sums(kind, a, b, leg, xs, es, legs, turn, rows)
         # Rows j, legs + j, 2 legs + j: the change of leg j and its sizes.
         sizes = _sizes(np.concatenate([new - cur, new, cur])).tolist()
         for j in turn:

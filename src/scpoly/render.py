@@ -21,6 +21,8 @@ _CANVAS = 1000.0
 _POLY_STROKE = "#1b3f8f"
 _GRID_STROKE = "#9aa7b8"
 _WITNESS_FILL = "#c0392b"
+# Samples along each grid line.
+_LINE_SAMPLES = 48
 
 
 def _fmt(v: float) -> str:
@@ -99,10 +101,10 @@ def polygon_svg(poly: LabelledPolygon,
     return "\n".join(lines) + "\n"
 
 
-def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL,
-                samples_per_line: int = 48) -> list[list[PlanePoint]]:
+def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL
+                ) -> list[list[PlanePoint]]:
     """Images of ``lines`` vertical and ``lines`` horizontal segments of
-    the upper half-plane under the map, as sampled polylines.
+    the upper half-plane under the map, as polylines of 48 samples each.
 
     The window covers the finite prevertices with half a span of slack on
     both sides and reaches comparably high; verticals stop just short of
@@ -115,10 +117,10 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL,
     x_lo, x_hi = zs[0] - 0.5 * span, zs[-1] + 0.5 * span
     height = 0.75 * span
     k = np.arange(lines)[:, None]
-    j = np.arange(samples_per_line)
+    j = np.arange(_LINE_SAMPLES)
     verticals = (x_lo + (k + 0.5) * (x_hi - x_lo) / lines
-                 + 1j * (height * (j + 1) / samples_per_line))
-    horizontals = (x_lo + j * (x_hi - x_lo) / (samples_per_line - 1)
+                 + 1j * (height * (j + 1) / _LINE_SAMPLES))
+    horizontals = (x_lo + j * (x_hi - x_lo) / (_LINE_SAMPLES - 1)
                    + 1j * (height * (k + 0.5) / lines))
     return [[evaluate(m, z, tol) for z in curve]
             for curve in np.vstack([verticals, horizontals])]

@@ -10,6 +10,7 @@ reproduce the serial result exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,11 @@ class SweepConfig:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if not self.chart_box > 0.0:
-            raise ValidationError("chart_box must be positive")
+        # Samples are drawn from an interval of width 2 * chart_box.
+        if not 0.0 < 2.0 * self.chart_box < math.inf:
+            raise ValidationError(
+                f"chart_box must be positive with 2 * chart_box finite, "
+                f"got {self.chart_box}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +80,17 @@ def sample_chart_point(cfg: SweepConfig, index: int) -> ChartPoint:
 def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     """Forward-and-classify ``cfg.samples`` chart points.
 
-    Failures count forward constructions that died numerically; chart
-    points themselves are always valid (the chart covers all of the cube).
+    Failures count chart points whose map floats cannot hold and forward
+    constructions that died numerically; chart points themselves are
+    always valid (the chart covers all of the cube).
     """
     simple = 0
     failures = 0
     nonsimple: list[NonSimpleInstance] = []
     for index in range(cfg.samples):
         pt = sample_chart_point(cfg, index)
-        pre, exp = moduli_unchart(pt)
         try:
-            poly = forward(pre, exp, tol)
+            poly = forward(*moduli_unchart(pt), tol)
         except NumericalError:
             failures += 1
             continue

@@ -6,6 +6,7 @@ import pytest
 from scpoly import (
     ChartPoint,
     ExponentVector,
+    NumericalError,
     OnBoundary,
     Prevertices,
     SCMap,
@@ -45,6 +46,20 @@ def test_z_round_trip_random():
         assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
+def test_z_unchart_overflowing_gap_fails_numerically():
+    # Valid chart points whose prevertices floats cannot hold.
+    for coords in ((710.0,), (709.7, 709.7)):
+        with pytest.raises(NumericalError):
+            z_unchart(coords)
+
+
+def test_z_unchart_vanishing_gap_fails_numerically():
+    # e^-800 is 0 in floats, and e^-40 vanishes against a position e^10.
+    for coords in ((-800.0,), (1.0, -800.0), (10.0, -40.0)):
+        with pytest.raises(NumericalError):
+            z_unchart(coords)
+
+
 def test_z_chart_requires_normalized_input():
     with pytest.raises(ValidationError):
         z_chart((0.0, 1.0, 2.0))
@@ -60,6 +75,18 @@ def test_a_chart_center_is_origin():
 def test_a_unchart_zero_gives_barycenter():
     assert a_unchart((0.0, 0.0)).alphas == pytest.approx((1 / 3,) * 3)
     assert a_unchart((0.0,) * 4).alphas == pytest.approx((0.6,) * 5)
+
+
+def test_a_unchart_beyond_floats_fails_numerically():
+    # From a radius of about 2^53 on the image rounds onto the boundary
+    # (at -8e15 alpha_1 - 1 rounds to -1); past about 1e154 the norm
+    # itself overflows.
+    for coords in ((1e16, 0.0), (-1e16, 3.0), (-8e15, 3.0), (1e150, 1e150),
+                   (1e200, 1e200)):
+        with pytest.raises(NumericalError):
+            a_unchart(coords)
+    alphas = a_unchart((1e15, 0.0)).alphas
+    assert min(alphas) > 0.0 and math.fsum(alphas) == 1.0
 
 
 def test_a_chart_norm_grows_toward_boundary():

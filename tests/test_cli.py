@@ -57,6 +57,30 @@ def test_forward_numerical_failure(capsys):
     assert "error" in json.loads(out)
 
 
+def test_chart_points_beyond_floats_exit_3(capsys):
+    # An overflowing gap, and one that vanishes against its position.
+    code, out = run_cli(capsys, "unchart",
+                        '{"n": 4, "z": [710.0], "a": [0.0, 0.0, 0.0]}')
+    assert (code, json.loads(out)["error"]) == (3, "NumericalError")
+    code, out = run_cli(capsys, "forward",
+                        '{"n": 5, "z": [1.0, -800.0], "a": [0.0, 0.0, 0.0, 0.0]}')
+    assert (code, json.loads(out)["error"]) == (3, "NumericalError")
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("chart", '{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
+              ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": [1, 0], "B": [0, 0],'
+              ' "mode": "standard"}'),
+    ("unchart", SQUARE_CHART),
+    ("invert", dumps(polygon_to_json(LabelledPolygon(SQUARE_VERTICES)))),
+], ids=["chart", "unchart", "invert"])
+def test_tol_belongs_to_quadrature_commands(capsys, command, payload):
+    # invert has its own --quadrature-tol; chart and unchart integrate
+    # nothing.
+    code, _ = run_cli(capsys, command, payload, "--tol", "1e-9")
+    assert code == 2
+
+
 def test_forward_reads_file_and_writes_file(tmp_path, capsys):
     src = tmp_path / "chart.json"
     src.write_text(SQUARE_CHART)
@@ -129,6 +153,12 @@ def test_sweep_counts(capsys):
 def test_sweep_zero_samples_rejected(capsys):
     code, out = run_cli(capsys, "sweep", "--n", "5", "--samples", "0")
     assert code == 2
+
+
+def test_sweep_infinite_box_rejected(capsys):
+    code, out = run_cli(capsys, "sweep", "--n", "5", "--samples", "1",
+                        "--box", "inf")
+    assert (code, json.loads(out)["error"]) == (2, "ValidationError")
 
 
 def test_eval_base_point_and_vertex(capsys):

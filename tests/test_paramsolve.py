@@ -20,11 +20,10 @@ from scpoly import (
     moduli_chart,
     moduli_unchart,
     sample_chart_point,
-    side_length_residual,
     solve_parameter_problem,
 )
 
-from scpoly.paramsolve import _log_residual
+from scpoly.paramsolve import _log_residual, _target_sides
 
 from conftest import sup_dist
 
@@ -77,11 +76,18 @@ def test_extract_rejects_wrapped_pentagon(pentagon_poly):
         extract_exponents(pentagon_poly)
 
 
-# -------------------------------------------------- side_length_residual
+# ---------------------------------------------------------- _log_residual
+
+def residual(g, exp, target):
+    """The solver's residual at log gaps g against the target's sides."""
+    t = _target_sides(target)
+    return _log_residual(np.asarray(g, dtype=float), exp,
+                         np.log(t[1:] / t[0]), SolveOptions.quadrature_tol)[0]
+
 
 def test_residual_empty_for_triangle():
     tri = LabelledPolygon((0j, 1 + 0j, 0.5 + math.sqrt(3) / 2 * 1j))
-    r = side_length_residual((), extract_exponents(tri), tri)
+    r = residual((), extract_exponents(tri), tri)
     assert len(r) == 0
 
 
@@ -89,48 +95,25 @@ def test_residual_vanishes_on_consistent_data():
     pt = sample_chart_point(SweepConfig(n=6, samples=1, seed=9), 0)
     pre, exp = moduli_unchart(pt)
     poly = forward(pre, exp)
-    r = side_length_residual(pt.z_coords, exp, poly)
+    r = residual(pt.z_coords, exp, poly)
     assert np.max(np.abs(r)) <= 1e-9
 
 
 def test_residual_square_scan_single_zero(square_map):
     """1-D scan in the quadrilateral's only unknown.
 
-    The residual s_2/s_1 - t_2/t_1 is continuous in the gap coordinate and
-    crosses zero exactly once, at the symmetric prevertex placement g = 0.
+    The residual log(s_2/s_1) - log(t_2/t_1) is continuous in the gap
+    coordinate and crosses zero exactly once, at the symmetric prevertex
+    placement g = 0.
     """
     target = forward(square_map.prevertices, square_map.exponents)
     exp = square_map.exponents
     grid = np.linspace(-2.0, 2.0, 41)
-    vals = [side_length_residual((g,), exp, target)[0] for g in grid]
+    vals = [residual((g,), exp, target)[0] for g in grid]
     zeros = [g for g, v in zip(grid, vals) if v == 0.0]
     assert zeros == [0.0]
     assert all(v < 0.0 for g, v in zip(grid, vals) if g < 0)
     assert all(v > 0.0 for g, v in zip(grid, vals) if g > 0)
-    assert side_length_residual((0.0,), exp, target)[0] == pytest.approx(0.0,
-                                                                         abs=1e-9)
-
-
-def test_residual_jacobian_difference_quotients():
-    # central difference quotients at h and h/2 agree to O(h^2):
-    # the residual is smooth in the gap coordinates
-    pt = sample_chart_point(SweepConfig(n=5, samples=1, seed=21), 0)
-    pre, exp = moduli_unchart(pt)
-    target = forward(pre, exp)
-    g = np.asarray(pt.z_coords)
-
-    def jac(h):
-        cols = []
-        for k in range(g.size):
-            e = np.zeros(g.size)
-            e[k] = h
-            cols.append((np.asarray(side_length_residual(g + e, exp, target))
-                         - side_length_residual(g - e, exp, target)) / (2 * h))
-        return np.column_stack(cols)
-
-    j1, j2 = jac(1e-4), jac(5e-5)
-    scale = np.max(np.abs(j1))
-    assert np.max(np.abs(j1 - j2)) <= 1e-6 * scale + 1e-10
 
 
 @pytest.mark.parametrize("n,seed", [(5, 21), (6, 9), (8, 42)])
@@ -157,12 +140,14 @@ def test_exact_jacobian_matches_difference_quotients(n, seed):
     err = np.max(np.abs(J - np.column_stack(cols)))
     assert err <= 1e-6 * np.max(np.abs(J))
 
-    walled = g.copy()
-    walled[-1] = 701.0
-    r, J = _log_residual(walled, exp, log_ratio_t, tol)
-    assert np.all(r == 1e8)
-    assert J.shape == (n - 3, n - 3)
-    assert np.all(np.isfinite(J)) and not J.any()
+    # Beyond 700, NaN, and a gap that vanishes against its position.
+    for k, v in ((-1, 701.0), (0, math.nan), (-1, -700.0)):
+        walled = g.copy()
+        walled[k] = v
+        r, J = _log_residual(walled, exp, log_ratio_t, tol)
+        assert np.all(r == 1e8)
+        assert J.shape == (n - 3, n - 3)
+        assert np.all(np.isfinite(J)) and not J.any()
 
 
 # --------------------------------------------------- fit_affine_constants
@@ -197,13 +182,6 @@ def test_options_validation():
     # Every residual would pass an infinite tolerance: all solves converged.
     with pytest.raises(ValidationError):
         SolveOptions(residual_tol=math.inf)
-    opts = SolveOptions(initial_gaps=(0.5, -0.5))
-    assert opts.initial_gaps == (0.5, -0.5)
-
-
-def test_wrong_initial_gap_count(unit_square):
-    with pytest.raises(ValidationError):
-        solve_parameter_problem(unit_square, SolveOptions(initial_gaps=(0.1, 0.2)))
 
 
 # ------------------------------------------------- solve_parameter_problem

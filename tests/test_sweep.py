@@ -31,8 +31,18 @@ def test_config_validation():
         SweepConfig(n=5, samples=0)
     with pytest.raises(ValidationError):
         SweepConfig(n=5, samples=10, seed=-1)
-    with pytest.raises(ValidationError):
-        SweepConfig(n=5, samples=10, chart_box=0.0)
+    # The samples come from [-box, box], whose width 2 * box must be finite.
+    for box in (0.0, math.inf, math.nan, 1e308):
+        with pytest.raises(ValidationError):
+            SweepConfig(n=5, samples=10, chart_box=box)
+
+
+@pytest.mark.parametrize("n,box", [(3, 1e16), (3, 1e300), (6, 1e300)])
+def test_chart_points_beyond_floats_count_as_failures(n, box):
+    # At n = 3 only exponent coordinates are drawn: at 1e16 they round
+    # onto the boundary, at 1e300 their norm overflows.
+    res = run_sweep(SweepConfig(n=n, samples=4, seed=5, chart_box=box))
+    assert (res.tested, res.failures) == (4, 4)
 
 
 def test_result_counts_must_balance():
