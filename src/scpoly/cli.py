@@ -8,8 +8,8 @@ print a JSON body {"error": <class>, "message": ...} on stdout and set
 the exit code: 2 for validation problems, 3 for numerical failures, 4
 when the parameter solve does not converge.
 
-SCPOLY_TOL in the environment overrides the default quadrature tolerance;
-an explicit --tol (forward, sweep, render and eval) wins over both.
+SCPOLY_TOL in the environment overrides the default --tol of forward,
+sweep, render and eval, and only theirs; an explicit --tol wins over both.
 """
 
 from __future__ import annotations
@@ -143,9 +143,7 @@ def cmd_unchart(args: argparse.Namespace) -> int:
 
 
 def _default_tol() -> float:
-    raw = os.environ.get("SCPOLY_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+    raw = os.environ.get("SCPOLY_TOL", repr(DEFAULT_TOL))
     try:
         tol = float(raw)
     except ValueError:
@@ -154,13 +152,15 @@ def _default_tol() -> float:
     return tol
 
 
-def build_parser(default_tol: float) -> argparse.ArgumentParser:
+def build_parser(default_tol: Optional[float] = None) -> argparse.ArgumentParser:
+    """The CLI; an omitted --tol is ``default_tol`` (None: SCPOLY_TOL)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     quad = argparse.ArgumentParser(add_help=False, parents=[common])
     quad.add_argument("--tol", type=float, default=default_tol,
-                      help="quadrature tolerance (default %(default)g)")
+                      help="quadrature tolerance (default: SCPOLY_TOL, "
+                           f"else {DEFAULT_TOL:g})")
 
     parser = argparse.ArgumentParser(
         prog="scpoly",
@@ -179,7 +179,9 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
                        help="polygon JSON -> map + chart + solve report")
     p.add_argument("input")
     p.add_argument("--max-iterations", type=int,
-                   default=SolveOptions.max_iterations)
+                   default=SolveOptions.max_iterations,
+                   help="Levenberg-Marquardt steps per start, each one "
+                        "residual evaluation (default %(default)d)")
     p.add_argument("--residual-tol", type=float,
                    default=SolveOptions.residual_tol)
     p.add_argument("--quadrature-tol", type=float,
@@ -225,8 +227,9 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser(_default_tol())
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if "tol" in args and args.tol is None:
+            args.tol = _default_tol()
         return args.func(args)
     except ScpolyError as exc:
         body = {"error": type(exc).__name__, "message": str(exc)}

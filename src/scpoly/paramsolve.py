@@ -6,13 +6,9 @@ solved in log-gap coordinates (ordering for free) by Levenberg-Marquardt
 iteration on the logs of side-length ratios: with n - 3 unknowns, the
 ratios of sides 2..n-2 to side 1 give exactly n - 3 equations, and the two
 sides meeting the last vertex are determined by closure. The affine
-constants A, B are fitted afterwards from the first target side.
-
-The Jacobian is exact: the same quadrature pass that gives the side
-integrals gives their derivatives in the prevertices, and the chain rule
-carries them to the log gaps. Everything here is deterministic: fixed
-initial guess, no randomness. Failure to converge is reported, not
-raised; callers get the final iterate plus its diagnostics either way.
+constants A, B are fitted afterwards from the first target side. The
+Jacobian is exact (the side integrals' own quadrature pass gives their
+derivatives); fixed starts make every solve deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .charts import _exact_sum, z_unchart
 from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
@@ -32,6 +27,14 @@ from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
 from .scmap import ExponentVector, SCMap, _bare_vertices
+
+# Levenberg-Marquardt: the starting damping, the largest move of a log gap
+# per step (a factor e^2 on the gap), the least cut in the norm that lets
+# a step under the tolerance continue, and the least step relative to |x|.
+_MU_START = 1e-3
+_MAX_STEP = 2.0
+_STOP_CUT = 100.0
+_MIN_STEP = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,10 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Iteration diagnostics. ``residual_history`` holds the norm at the
-    initial guess and after each accepted step, so it never increases.
-    ``reconstruction_error`` is the max vertex deviation of the refitted
-    polygon, relative to the target diameter."""
+    """Iteration diagnostics. ``iterations`` counts the steps tried.
+    ``residual_history`` holds the norm at the start and after each
+    accepted step, so it never increases. ``reconstruction_error`` is the
+    max vertex deviation of the refitted polygon over the diameter."""
 
     converged: bool
     iterations: int
@@ -82,20 +85,13 @@ def extract_exponents(poly: LabelledPolygon) -> ExponentVector:
     return ExponentVector(tuple(_exact_sum(raw, float(poly.n - 2))))
 
 
-def _target_sides(target: LabelledPolygon) -> np.ndarray:
-    w = target.vertices
-    return np.array([abs(w[j + 1] - w[j]) for j in range(target.n - 2)])
-
-
 def _log_residual(g: np.ndarray, exps: ExponentVector,
                   log_ratio_t: np.ndarray, quad_tol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter problem's residual log(s_j/s_1) - log(t_j/t_1) at log
-    gaps g, with its exact Jacobian in g; s_j is the modulus of the bare
-    side integral over (z_j, z_{j+1}), t_j the target side. A walled point
-    (|g_k| > 700 or NaN, a numerical failure of the chart or the
-    quadrature, or a non-finite result) gives the constant 1e8 and a zero
-    Jacobian."""
+    """The residual log(s_j/s_1) - log(t_j/t_1) at log gaps g and its exact
+    Jacobian; s_j = |bare side integral over (z_j, z_{j+1})|, t_j the
+    target side. A walled point (|g_k| > 700 or NaN, a numerical failure
+    of chart or quadrature, a non-finite result) gives 1e8 and J = 0."""
     m = g.size
     wall = (np.full(m, 1e8), np.zeros((m, m)))
     if not np.all(np.abs(g) <= 700.0):
@@ -129,102 +125,102 @@ def fit_affine_constants(bare_vertices: Sequence[complex],
     return A, t1 - A * u1
 
 
+def least_squares(fun, x0: np.ndarray, max_iterations: int, tol: float
+                  ) -> tuple[np.ndarray, list[float], int]:
+    """Levenberg-Marquardt on fun(x) = (r, J) from x0.
+
+    A step h solves [J; sqrt(mu |r|) I] h = [-r; 0] by least squares,
+    shortened so no coordinate moves more than _MAX_STEP, and is accepted
+    if it lowers |r|. The damping mu |r| vanishes with r, so the tail is
+    Gauss-Newton and quadratic (Fan and Yuan 2005); mu follows Nielsen's
+    gain-ratio rule (IMM-REP-1999-05). Stops after max_iterations steps,
+    when |h| <= _MIN_STEP (|x| + _MIN_STEP) (Nielsen's test that x no
+    longer moves), or once |r| <= tol and a step is rejected or cuts |r|
+    by less than _STOP_CUT. Returns x, |r| at x0 and
+    after each accepted step, and the number of steps tried.
+    """
+    x, (r, J) = x0, fun(x0)
+    history = [float(np.linalg.norm(r))]
+    mu, nu, steps = _MU_START, 2.0, 0
+    while steps < max_iterations:
+        last = history[-1]
+        damped = np.vstack([J, math.sqrt(mu * last) * np.eye(x.size)])
+        h = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(x.size)]),
+                            rcond=None)[0]
+        h *= _MAX_STEP / max(_MAX_STEP, float(np.max(np.abs(h))))
+        if np.linalg.norm(h) <= _MIN_STEP * (np.linalg.norm(x) + _MIN_STEP):
+            break
+        trial = x + h
+        steps += 1
+        r_new, J_new = fun(trial)
+        nrm = float(np.linalg.norm(r_new))
+        if nrm < last:
+            # Gain ratio: actual over predicted decrease of |r|^2, capped
+            # at 1, where Nielsen's factor has already reached 1/3.
+            Jh = J @ h
+            predicted = -float(Jh @ (2.0 * r + Jh))
+            gain = (last - nrm) * (last + nrm)
+            rho = gain / predicted if gain < predicted else 1.0
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            x, r, J = trial, r_new, J_new
+            history.append(nrm)
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        # A rejected step has nrm >= last, so it passes the cut test.
+        if history[-1] <= tol and last < _STOP_CUT * nrm:
+            break
+    return x, history, steps
+
+
 def solve_parameter_problem(
         poly: LabelledPolygon,
         opts: Optional[SolveOptions] = None) -> tuple[SCMap, SolveReport]:
     """Normalized map parameters reproducing the given polygon.
 
-    Levenberg-Marquardt (MINPACK lmder) with an exact Jacobian and
-    residual-norm step acceptance. The iteration drives the side-ratio
-    system s_j/s_1 = t_j/t_1 to zero in log form, log(s_j/s_1) -
-    log(t_j/t_1), which has the same zero set and agrees with the
-    relative error to first order near it. Side ratios span orders of
-    magnitude, so a plain norm would let large ratios drown the small
-    ones, while a relative one saturates (gradient dies) when a candidate
-    ratio collapses below its target; the log form suffers neither.
-    Residual norms in the report are of this log form.
-
-    Each residual evaluation also yields the Jacobian at its point, from
-    the derivatives of the leg integrals on the same quadrature panels;
-    lmder asks for the Jacobian at the point it evaluated last, so only
-    a request at any other point costs quadrature again. Where the
-    residual is walled (|gap coordinate| > 700, or the chart or the
-    quadrature fails numerically), the Jacobian is zero. max_iterations
-    is spent in MINPACK's own budget currency, (m + 1) residual calls
-    per nominal iteration. Non-convergence is reported via the returned
-    SolveReport rather than raised.
+    :func:`least_squares` drives the side-ratio system s_j/s_1 = t_j/t_1
+    to zero in log form (same zeros, relative error to first order): a
+    plain norm lets large ratios drown small ones, and a relative one
+    saturates when a ratio collapses below its target. Report norms are of
+    this form. A walled point has a zero Jacobian, and its step fails.
+    max_iterations bounds the steps of each start, each one residual
+    evaluation. Non-convergence is reported, not raised.
 
     Starts from equal gaps; if that attempt ends above residual_tol, one
-    deterministic retry runs from gaps matching the target's side-length
-    ratios, and the better endpoint wins. The report's history covers
-    the winning attempt; its iteration count covers both.
+    retry runs from gaps matching the target's side-length ratios, and
+    the better endpoint wins. The report's history is the winner's; its
+    iteration count is the steps tried by both.
     """
     opts = opts or SolveOptions()
     exps = extract_exponents(poly)
-    m = poly.n - 3
-    t = _target_sides(poly)
+    t = np.abs(np.diff(poly.vertices[:-1]))  # sides 1 .. n-2
     log_ratio_t = np.log(t[1:] / t[0])
 
-    history: list[float] = []
-    # (point bytes, Jacobian) of the last residual evaluation.
-    cached = (None, None)
-
-    def tracked(g: np.ndarray) -> np.ndarray:
-        nonlocal cached
-        r, J = _log_residual(g, exps, log_ratio_t, opts.quadrature_tol)
-        cached = (g.tobytes(), J)
-        nrm = float(np.linalg.norm(r))
-        if not history or nrm < history[-1]:
-            history.append(nrm)
-        return r
-
-    def jacobian(g: np.ndarray) -> np.ndarray:
-        key, J = cached
-        if key == g.tobytes():
-            return J
-        return _log_residual(g, exps, log_ratio_t, opts.quadrature_tol)[1]
-
     def attempt(x0: np.ndarray):
-        nonlocal history
-        history = []
-        result = least_squares(
-            tracked, x0, jac=jacobian, method="lm",
-            ftol=1e-15, xtol=1e-15, gtol=1e-15,
-            max_nfev=opts.max_iterations * (m + 1))
-        nrm = float(np.linalg.norm(result.fun))
-        if nrm < history[-1]:
-            history.append(nrm)
-        return result.x, nrm, tuple(history), result.njev
+        return least_squares(
+            lambda g: _log_residual(g, exps, log_ratio_t, opts.quadrature_tol),
+            x0, opts.max_iterations, opts.residual_tol)
 
-    iterations = 0
-    x = np.zeros(m)
-    if m == 0:
-        # Triangles are pinned by their angles; nothing to iterate.
-        hist = (0.0,)
-        nrm = 0.0
-    else:
-        x, nrm, hist, iterations = attempt(x)
-        if nrm > opts.residual_tol and log_ratio_t.any():
-            # Equal gaps occasionally stall at a nonzero local minimum of
-            # the least-squares landscape. Second deterministic start
-            # (unless it is equal gaps again): log gap ratios equal to
-            # the target's log side ratios, which places wildly uneven
-            # sides in the right basin. The history
-            # reported is that of the attempt whose result is returned;
-            # iterations count the total work.
-            x2, nrm2, hist2, extra = attempt(log_ratio_t.copy())
+    # Triangles have no unknowns: their angles pin them.
+    x, hist, iterations = np.zeros(poly.n - 3), [0.0], 0
+    if x.size:
+        x, hist, iterations = attempt(x)
+        if hist[-1] > opts.residual_tol and log_ratio_t.any():
+            # Equal gaps can stall at a nonzero local minimum. Log gap
+            # ratios equal to the target's log side ratios (unless that is
+            # equal gaps again) put wildly uneven sides in the right basin.
+            x2, hist2, extra = attempt(log_ratio_t)
             iterations += extra
-            if nrm2 < nrm:
-                x, nrm, hist = x2, nrm2, hist2
-    converged = nrm <= opts.residual_tol
+            if hist2[-1] < hist[-1]:
+                x, hist = x2, hist2
 
     pre = z_unchart(tuple(x))
     bare = _bare_vertices(pre, exps, opts.quadrature_tol)
     A, B = fit_affine_constants(bare, poly)
     deviation = max(abs(A * u + B - w)
                     for u, w in zip(bare, poly.vertices))
-    report = SolveReport(converged=converged, iterations=iterations,
-                         final_residual_norm=nrm,
-                         residual_history=hist,
+    report = SolveReport(converged=hist[-1] <= opts.residual_tol,
+                         iterations=iterations, final_residual_norm=hist[-1],
+                         residual_history=tuple(hist),
                          reconstruction_error=deviation / poly.diameter)
     return SCMap(pre, exps, A, B), report

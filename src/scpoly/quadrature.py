@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (InvalidExponent, NoConvergence, NumericalError,
                      PathThroughSingularity, ValidationError)
@@ -87,7 +86,8 @@ def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise InvalidExponent(
             f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
-    # Golub-Welsch on the symmetric tridiagonal recurrence matrix. Not
+    # Golub-Welsch on the symmetric tridiagonal recurrence matrix (dense,
+    # lower triangle: a few dozen rows at most, built once per rule). Not
     # scipy.special.roots_jacobi: its nodes and weights drift to ~1e-12
     # relative error for a near -1 once the order passes ~24, visibly
     # polluting high moments. The k = 0 diagonal and k = 1 off-diagonal
@@ -106,7 +106,7 @@ def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
         t = 2.0 * j + s
         off[1:] = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + s)
                           / (t * t * (t * t - 1.0)))
-    x, v = eigh_tridiagonal(diag, off)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
     m0 = total_moment(a, b)
     w = m0 * v[0] ** 2
     if abs(float(np.sum(w)) - m0) > 1e-13 * m0:

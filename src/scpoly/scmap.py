@@ -51,8 +51,9 @@ class ExponentVector:
         if n < 3:
             raise ValidationError(f"need at least 3 exponents, got {n}")
         for j, a in enumerate(vals):
-            if not math.isfinite(a) or a <= 0.0:
-                raise InvalidExponent(f"alpha_{j + 1} = {a} must be positive")
+            # The integrand's power alpha - 1 must exceed -1 in floats.
+            if not math.isfinite(a) or a - 1.0 <= -1.0:
+                raise InvalidExponent(f"alpha_{j + 1} = {a} must exceed 2^-54")
             if not self.extended and a >= 2.0:
                 raise InvalidExponent(
                     f"alpha_{j + 1} = {a} needs the extended flag (>= 2)")

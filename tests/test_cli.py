@@ -67,18 +67,31 @@ def test_chart_points_beyond_floats_exit_3(capsys):
     assert (code, json.loads(out)["error"]) == (3, "NumericalError")
 
 
-@pytest.mark.parametrize("command,payload", [
+QUAD_FREE_COMMANDS = pytest.mark.parametrize("command,payload", [
     ("chart", '{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
               ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": [1, 0], "B": [0, 0],'
               ' "mode": "standard"}'),
     ("unchart", SQUARE_CHART),
     ("invert", dumps(polygon_to_json(LabelledPolygon(SQUARE_VERTICES)))),
 ], ids=["chart", "unchart", "invert"])
+
+
+@QUAD_FREE_COMMANDS
 def test_tol_belongs_to_quadrature_commands(capsys, command, payload):
     # invert has its own --quadrature-tol; chart and unchart integrate
     # nothing.
     code, _ = run_cli(capsys, command, payload, "--tol", "1e-9")
     assert code == 2
+
+
+@QUAD_FREE_COMMANDS
+def test_env_tol_belongs_to_quadrature_commands(monkeypatch, capsys,
+                                                command, payload):
+    monkeypatch.setenv("SCPOLY_TOL", "nan")
+    code, _ = run_cli(capsys, command, payload)
+    assert code == 0
+    code, out = run_cli(capsys, "forward", SQUARE_CHART)
+    assert (code, json.loads(out)["error"]) == (2, "ValidationError")
 
 
 def test_forward_reads_file_and_writes_file(tmp_path, capsys):
@@ -183,6 +196,18 @@ def test_eval_rejects_non_finite_constants(capsys, A, B):
     code, out = run_cli(capsys, "eval", m, '[[0, 1]]')
     assert code == 2
     assert json.loads(out)["error"] == "ValidationError"
+
+
+def test_eval_rejects_exponent_without_jacobi_rule(capsys):
+    # alpha_1 - 1 rounds to -1, the power no Gauss-Jacobi rule takes.
+    m = ('{"n": 3, "prevertices": [-1.0, 0.0],'
+         ' "alphas": [3.7e-17, 0.6666666666666667, 0.3333333333333332],'
+         ' "A": [1, 0], "B": [0, 0], "mode": "standard"}')
+    code, out = run_cli(capsys, "eval", m, '[[-0.5, 0]]')
+    assert code == 2
+    body = json.loads(out)
+    assert body["error"] == "InvalidExponent"
+    assert "alpha_1" in body["message"]
 
 
 def test_eval_batch_performance(capsys):

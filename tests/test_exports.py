@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import scpoly
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +17,11 @@ def test_star_import_binds_the_export_list():
     namespace = {}
     exec("from scpoly import *", namespace)
     assert set(scpoly.__all__) <= namespace.keys()
+
+
+def test_import_needs_numpy_only():
+    code = ("import sys, scpoly; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC_DIR,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

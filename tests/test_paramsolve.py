@@ -23,7 +23,7 @@ from scpoly import (
     solve_parameter_problem,
 )
 
-from scpoly.paramsolve import _log_residual, _target_sides
+from scpoly.paramsolve import _MAX_STEP, _log_residual, least_squares
 
 from conftest import sup_dist
 
@@ -80,7 +80,7 @@ def test_extract_rejects_wrapped_pentagon(pentagon_poly):
 
 def residual(g, exp, target):
     """The solver's residual at log gaps g against the target's sides."""
-    t = _target_sides(target)
+    t = np.abs(np.diff(np.asarray(target.vertices[:-1])))
     return _log_residual(np.asarray(g, dtype=float), exp,
                          np.log(t[1:] / t[0]), SolveOptions.quadrature_tol)[0]
 
@@ -241,7 +241,58 @@ def test_report_history_never_increases():
     hist = rep.residual_history
     assert len(hist) >= 1
     assert all(x >= y for x, y in zip(hist, hist[1:]))
-    assert rep.final_residual_norm == pytest.approx(hist[-1], rel=1e-12)
+    assert rep.final_residual_norm == hist[-1]
+    # Below residual_tol the loop steps on only while a step still cuts
+    # the norm sharply; the quadratic tail reaches rounding in one step.
+    assert rep.converged
+    assert sum(h <= SolveOptions().residual_tol for h in hist) <= 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_step_budget_per_start(k):
+    # max_iterations bounds the steps of each of the two starts, and the
+    # report counts the steps tried by both.
+    pt = sample_chart_point(SweepConfig(n=8, samples=20, seed=42), 4)
+    poly = forward(*moduli_unchart(pt))
+    _, rep = solve_parameter_problem(poly, SolveOptions(max_iterations=k))
+    assert rep.iterations <= 2 * k
+    assert len(rep.residual_history) <= k + 1
+
+
+def rosenbrock(x):
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    J = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return r, J
+
+
+def test_least_squares_on_rosenbrock():
+    x, hist, steps = least_squares(rosenbrock, np.array([-1.2, 1.0]), 100,
+                                   1e-10)
+    assert np.max(np.abs(x - 1.0)) < 1e-10
+    assert hist[-1] <= 1e-10
+    assert all(a > b for a, b in zip(hist, hist[1:]))
+    assert len(hist) - 1 <= steps <= 100
+
+
+def test_least_squares_caps_each_step():
+    # r = x - 50 wants one step of 50; each step moves at most _MAX_STEP.
+    def fun(x):
+        return x - 50.0, np.eye(1)
+    x, hist, steps = least_squares(fun, np.zeros(1), 3, 1e-10)
+    assert steps == 3
+    assert x[0] == pytest.approx(3 * _MAX_STEP)
+    x, hist, steps = least_squares(fun, np.zeros(1), 100, 1e-10)
+    assert x[0] == pytest.approx(50.0, abs=1e-12)
+    assert steps < 50.0 / _MAX_STEP + 5
+
+
+def test_least_squares_stops_where_no_step_moves():
+    # A walled start (constant residual, zero Jacobian) takes no step.
+    def fun(x):
+        return np.full(2, 1e8), np.zeros((2, 2))
+    x, hist, steps = least_squares(fun, np.zeros(2), 200, 1e-10)
+    assert (steps, hist) == (0, [float(np.linalg.norm(np.full(2, 1e8)))])
+    assert not x.any()
 
 
 def test_crowded_octagon_regression():

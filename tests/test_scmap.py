@@ -59,6 +59,16 @@ def test_exponent_range_standard_mode():
         ExponentVector((-0.1, 0.6, 0.5))
 
 
+def test_exponent_without_jacobi_rule_rejected():
+    # alpha - 1 is -1 in floats below 2^-53: the integrand's power has no
+    # Gauss-Jacobi rule, so the vector is rejected where it is built.
+    with pytest.raises(InvalidExponent, match="alpha_1"):
+        ExponentVector((3.7e-17, 0.6666666666666667, 0.3333333333333332))
+    with pytest.raises(InvalidExponent, match="alpha_2"):
+        ExponentVector((0.5, 2.0 ** -54, 0.5 - 2.0 ** -54))
+    assert ExponentVector((2.0 ** -53, 0.5, 0.5 - 2.0 ** -53)).n == 3
+
+
 def test_extended_flag_admits_large_exponents():
     exp = ExponentVector(PENTAGON_ALPHAS, extended=True)
     assert exp.extended
