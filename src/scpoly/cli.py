@@ -152,13 +152,13 @@ def _default_tol() -> float:
     return tol
 
 
-def build_parser(default_tol: Optional[float] = None) -> argparse.ArgumentParser:
-    """The CLI; an omitted --tol is ``default_tol`` (None: SCPOLY_TOL)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI; an omitted --tol stays None for ``main`` to fill."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     quad = argparse.ArgumentParser(add_help=False, parents=[common])
-    quad.add_argument("--tol", type=float, default=default_tol,
+    quad.add_argument("--tol", type=float, default=None,
                       help="quadrature tolerance (default: SCPOLY_TOL, "
                            f"else {DEFAULT_TOL:g})")
 

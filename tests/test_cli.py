@@ -135,7 +135,7 @@ def test_invert_nonconvergence_exit_code(capsys):
 
 
 def test_parser_defaults_are_the_dataclass_defaults():
-    parser = build_parser(1e-9)
+    parser = build_parser()
     args = parser.parse_args(["invert", "poly.json"])
     opts = SolveOptions()
     assert (args.max_iterations, args.residual_tol, args.quadrature_tol) \
@@ -145,7 +145,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
 
 
 def test_seed_belongs_to_sweep_only():
-    parser = build_parser(1e-10)
+    parser = build_parser()
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["forward", "x.json", "--seed", "1"])
     assert exc.value.code == 2
