@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,7 +69,22 @@ class LabelledPolygon:
 
     @cached_property
     def diameter(self) -> float:
-        return max(abs(a - b) for a, b in combinations(self.vertices, 2))
+        # np.hypot, unlike np.abs, rounds as Python's abs of a complex does.
+        u = np.asarray(self.vertices)[:, None] - self.vertices
+        return float(np.hypot(u.real, u.imag).max())
+
+    @cached_property
+    def _sides(self) -> tuple[np.ndarray, ...]:
+        # Side vectors w_{j+1} - w_j, lengths and unit vectors, read-only;
+        # the first side within the coincidence tolerance raises.
+        w = np.asarray(self.vertices)
+        d = _following(w) - w
+        length = np.abs(d)
+        short = np.flatnonzero(length <= COINCIDENCE_RTOL * self.diameter)
+        if short.size:
+            j = int(short[0])
+            raise DegenerateSide(f"vertices {j} and {(j + 1) % self.n} coincide")
+        return d, length, d.real / length, d.imag / length
 
     @cached_property
     def _contacts(self) -> tuple[np.ndarray, ...]:
@@ -102,11 +116,8 @@ class AngleVector:
 
     @property
     def straight_indices(self) -> tuple[int, ...]:
-        out = []
-        for j, t in enumerate(self.values):
-            if t <= ANGLE_TOL or t >= TWO_PI - ANGLE_TOL:
-                out.append(j)
-        return tuple(out)
+        return tuple(j for j, t in enumerate(self.values)
+                     if t <= ANGLE_TOL or t >= TWO_PI - ANGLE_TOL)
 
     def sum_defect(self) -> float:
         """(n-2)*pi minus the actual angle sum."""
@@ -130,12 +141,8 @@ class ImmersionReport:
 
 def _check_sides(poly: LabelledPolygon) -> float:
     """Validate consecutive-distinct; returns the coincidence tolerance."""
-    tol = COINCIDENCE_RTOL * poly.diameter
-    for j in range(poly.n):
-        a, b = poly.side(j)
-        if abs(a - b) <= tol:
-            raise DegenerateSide(f"vertices {j} and {(j + 1) % poly.n} coincide")
-    return tol
+    poly._sides  # raises DegenerateSide on a side too short
+    return COINCIDENCE_RTOL * poly.diameter
 
 
 def interior_angles(poly: LabelledPolygon) -> AngleVector:
@@ -146,8 +153,7 @@ def interior_angles(poly: LabelledPolygon) -> AngleVector:
     rays coincide) report as 2*pi.
     """
     _check_sides(poly)
-    w = poly.vertices
-    n = poly.n
+    w, n = poly.vertices, poly.n
     out = []
     for j in range(n):
         d_prev = w[(j - 1) % n] - w[j]
@@ -198,9 +204,7 @@ def _scaled_offsets(poly: LabelledPolygon, points: Sequence[complex]
     u = a - p
     _, e = np.frexp(np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0))
     ur, ui = np.ldexp(u.real, -e), np.ldexp(u.imag, -e)
-    d = _following(a) - a
-    length = np.abs(d)
-    dr, di = d.real / length, d.imag / length
+    _, length, dr, di = (side[:, None] for side in poly._sides)
     # Foot of the perpendicular from p, clamped to the side.
     s = np.minimum(np.maximum(-(ur * dr + ui * di), 0.0), np.ldexp(length, -e))
     x, y = ur + s * dr, ui + s * di
@@ -316,11 +320,9 @@ def _line_clearance(poly: LabelledPolygon,
                     points: Sequence[complex]) -> np.ndarray:
     """Distance from each point to the nearest side-supporting (infinite)
     line."""
-    p = np.asarray(points, dtype=complex)[None, :]
-    a = np.asarray(poly.vertices)[:, None]
-    d = _following(a) - a
-    pa = p - a
-    return (np.abs(d.real * pa.imag - d.imag * pa.real) / np.abs(d)).min(axis=0)
+    pa = np.asarray(points, dtype=complex) - np.asarray(poly.vertices)[:, None]
+    d, length = (side[:, None] for side in poly._sides[:2])
+    return (np.abs(d.real * pa.imag - d.imag * pa.real) / length).min(axis=0)
 
 
 def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
@@ -343,8 +345,7 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
     """
     angles = interior_angles(poly)
     t = _turning(angles)[1]
-    pointwise_ok = not angles.straight_indices
-    angles_in_range = pointwise_ok and t <= 1
+    angles_in_range = not angles.straight_indices and t <= 1
     angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1
 
     k, defined = _windings(poly, _sector_probes(poly))
@@ -371,8 +372,7 @@ def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
     """
     n = poly.n
     i, j, s, k = poly._contacts
-    w = np.asarray(poly.vertices)
-    d = _following(w) - w
+    w, d = np.asarray(poly.vertices), poly._sides[0]
     # A float cross product can vanish where the exact test sees a crossing.
     cross = d[i].real * d[j].imag - d[i].imag * d[j].real
     i, j, cross = i[cross != 0.0], j[cross != 0.0], cross[cross != 0.0]

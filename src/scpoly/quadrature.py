@@ -17,10 +17,11 @@ pieces of a real-axis path cut at prevertices share one label, so the
 path converges as a whole. integrate_finite_legs passes every finite leg
 of a map at once and adds per leg the derivatives of its integral in
 every finite prevertex (integrals over the same panels with the same
-endpoint powers), judged once every value has converged. Each level is
-one pass per block of panels (per panel its integral, or a row of it and
-its derivative moments) and one per-leg sum of the block (np.sum's
-pairwise order for values, panel by panel for rows).
+endpoint powers); a leg stops once its value and its derivative row both
+agree between two levels. Each level is one pass per block of panels
+(per panel its integral, or a row of it and its derivative moments) and
+one per-leg sum of the block (np.sum's pairwise order for values, panel
+by panel for rows).
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -268,18 +269,22 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-              xs: np.ndarray, es: np.ndarray, legs: int, turn: list[int],
+              xs: np.ndarray, es: np.ndarray, live: np.ndarray,
               rows: bool) -> np.ndarray:
     """Per leg, summed over its panels one block of at most _PASS_BLOCK at a
     time: the integral and, with ``rows`` (axis leg j from xs[j] to
-    xs[j + 1]), its derivatives in every xs. Only the legs in ``turn``,
-    which hold all the panels, are summed; the others read zero."""
+    xs[j + 1]), its derivatives in every xs. Only the ``live`` legs, which
+    hold all the panels, are summed; the others read zero."""
+    legs = live.size
+    turn = [j for j, on in enumerate(live.tolist()) if on]
     sums = np.zeros((legs, xs.size + 2) if rows else legs, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
         cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
         for j in turn:
-            sums[j] += np.add.reduce(cols[leg[block] == j], axis=0)
+            # A lone live leg holds every panel.
+            mine = cols if len(turn) == 1 else cols[leg[block] == j]
+            sums[j] += np.add.reduce(mine, axis=0)
     if not rows:
         return sums[:, None]
     I, T = sums[:, 0], sums[:, -1]
@@ -305,53 +310,38 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
             rows: bool = False) -> np.ndarray:
     """_leg_sums over the legs [p_i, q_i], labelled leg[i] = 0, 1, ... in
     ascending order (one leg without ``leg``), each leg halved until its
-    value and, with ``rows``, its derivative row differ between two levels
-    by at most ``tol`` times the larger. Values settle first."""
+    value and, with ``rows``, its derivative row both differ between two
+    levels by at most ``tol`` times the larger."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
-    legs = int(leg[-1]) + 1
+    # The legs still halved, and how many. No leg's panels or sums depend
+    # on another's, so a settled leg leaves for good, its sums kept in out.
+    live = np.ones(int(leg[-1]) + 1, dtype=bool)
+    left = live.size
     a, b, leg = _split(p, q, leg, xs)
-    # Per leg (a handful, so plain lists): halvings so far, and whether its
-    # value and derivative row have settled. The legs halved next.
-    level, turn = [0] * legs, list(range(legs))
-    cur = _leg_sums(kind, a, b, leg, xs, es, legs, turn, rows)
-    settled = [[False] * (1 + rows)] * legs
-    # Panels of the legs whose derivative row waits for the values.
-    waiting = a[:0], b[:0], leg[:0]
-    while True:
+    cur = _leg_sums(kind, a, b, leg, xs, es, live, rows)
+    out = np.empty_like(cur)
+    for _ in range(MAX_LEVELS):
         a, b, leg = _halve(a, b, leg)
-        new = _leg_sums(kind, a, b, leg, xs, es, legs, turn, rows)
-        # Rows j, legs + j, 2 legs + j: the change of leg j and its sizes.
-        sizes = _sizes(np.concatenate([new - cur, new, cur])).tolist()
-        for j in turn:
-            level[j] += 1
-            settled[j] = [d <= tol * max(n, o) for d, n, o in
-                          zip(*sizes[j::legs])]
-        if len(turn) == legs:
-            cur = new
-        else:
-            cur[turn] = new[turn]
-        # Next to prevertices closer than the float resolution of their
-        # position a derivative row stalls at rounding level, and there
-        # some value fails anyway: rows wait until every value converged.
-        phase = int(rows and all(s[0] for s in settled))
-        judged, turn = turn, [j for j, s in enumerate(settled) if not s[phase]]
-        if not turn:
-            return cur
-        if any(level[j] == MAX_LEVELS for j in turn):
-            d, m = max(((d, max(n, o)) for j in judged
-                        for d, n, o in zip(*sizes[j::legs])),
-                       key=lambda dm: dm[0] - tol * dm[1])
-            raise NoConvergence(
-                f"panel refinement stalled at {d:.3e} relative to {m:.3e} "
-                f"(tol {tol:.1e})")
-        if rows or len(turn) < legs:
-            mine = np.isin(np.arange(legs), turn)
-            if rows:
-                a, b, leg = (np.concatenate(c)
-                             for c in zip((a, b, leg), waiting))
-                wait = ~mine & ~np.array([s[-1] for s in settled])
-                waiting = a[wait[leg]], b[wait[leg]], leg[wait[leg]]
-            a, b, leg = a[mine[leg]], b[mine[leg]], leg[mine[leg]]
+        new = _leg_sums(kind, a, b, leg, xs, es, live, rows)
+        change, size = _sizes(new - cur), np.maximum(_sizes(new), _sizes(cur))
+        # Value and row (one column without rows) both within tol.
+        ok = change <= tol * size
+        done = live & ok[:, 0] & ok[:, -1]
+        cur = new
+        gone = np.count_nonzero(done)
+        if gone:
+            np.copyto(out, new, where=done[:, None])
+            left -= gone
+            if not left:
+                return out
+            live ^= done
+            keep = live[leg]
+            a, b, leg = a[keep], b[keep], leg[keep]
+    # The worst value or row of a leg that never settled.
+    worst = np.argmax(np.where(live[:, None], change - tol * size, -np.inf))
+    raise NoConvergence(
+        f"panel refinement stalled at {change.flat[worst]:.3e} relative to "
+        f"{size.flat[worst]:.3e} (tol {tol:.1e})")
 
 
 def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:

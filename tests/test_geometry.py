@@ -51,11 +51,28 @@ def test_polygon_accessors(unit_square):
 
 
 def test_degenerate_side_detected():
-    pinched = LabelledPolygon((0j, 1 + 0j, 1 + 0j, 1j))
-    with pytest.raises(DegenerateSide):
-        interior_angles(pinched)
-    with pytest.raises(DegenerateSide):
-        is_simple(pinched)
+    cases = [
+        ((0j, 1 + 0j, 1 + 0j, 1j), "1 and 2"),
+        # The closing side, from the last vertex back to the first.
+        ((0j, 1 + 0j, 1j, 0j), "3 and 0"),
+        # Coincident within the relative tolerance, not exactly.
+        ((0j, 1 + 0j, 1 + 1e-13j, 1j), "1 and 2"),
+        # Two coinciding pairs: the first one is named.
+        ((0j, 0j, 1 + 0j, 1 + 0j, 1j), "0 and 1"),
+    ]
+    for vertices, pair in cases:
+        pinched = LabelledPolygon(vertices)
+        match = f"vertices {pair} coincide"
+        with pytest.raises(DegenerateSide, match=match):
+            interior_angles(pinched)
+        with pytest.raises(DegenerateSide, match=match):
+            is_simple(pinched)
+        with pytest.raises(DegenerateSide, match=match):
+            check_immersion_necessary(pinched)
+        with pytest.raises(DegenerateSide, match=match):
+            winding_number(pinched, 0.25 + 0.25j)
+        with pytest.raises(DegenerateSide, match=match):
+            find_multiwound_witness(pinched)
 
 
 # --------------------------------------------------------------- angles

@@ -251,6 +251,10 @@ def test_finite_leg_derivatives_against_oracle():
     zs, alphas = [-1.0, 0.0, 0.7, 1.9], [0.6, 1.3, 0.8, 1.1]
     values, derivs = integrate_finite_legs(zs, alphas)
     assert values.shape == (3,) and derivs.shape == (3, 4)
+    _assert_legs_match_oracle(zs, alphas, values, derivs)
+
+
+def _assert_legs_match_oracle(zs, alphas, values, derivs):
     h = mp.mpf("1e-15")
 
     def legs(points):
@@ -266,6 +270,28 @@ def test_finite_leg_derivatives_against_oracle():
         for j, (a, b) in enumerate(zip(legs(up), legs(down))):
             want = complex((a - b) / (2 * h))
             assert abs(derivs[j, k] - want) <= 1e-8 * abs(want), (j, k)
+
+
+def test_finite_legs_never_revisit_a_settled_leg(monkeypatch):
+    """A leg stops once its value and its derivative row have settled, so
+    each pass refines a subset of the legs of the pass before it, and the
+    results keep the accuracy of the oracle test above."""
+    zs = (-1.0, 0.0, 0.9229810407284639, 3.9617207567930968)
+    alphas = (0.35658918882628143, 0.4230460944098081, 0.16617772905042053,
+              1.513640717080413)
+    passes = []
+    leg_sums = quadrature._leg_sums
+
+    def recording(kind, a, b, leg, *args):
+        passes.append(set(leg.tolist()))
+        return leg_sums(kind, a, b, leg, *args)
+
+    monkeypatch.setattr(quadrature, "_leg_sums", recording)
+    values, derivs = integrate_finite_legs(zs, alphas, 1e-11)
+    assert passes[0] == {0, 1, 2}
+    for before, after in zip(passes, passes[1:]):
+        assert after <= before, passes
+    _assert_legs_match_oracle(zs, alphas, values, derivs)
 
 
 def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
