@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, OnBoundary, ValidationError
+from .errors import NumericalError, OnBoundary, ValidationError, check_int
 from .scmap import ExponentVector, Prevertices, SCMap
 
 # Distance from {0, 2} below which an exponent counts as on the boundary.
@@ -39,8 +39,7 @@ class ChartPoint:
     a_coords: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValidationError(f"n must be >= 3, got {self.n}")
+        check_int(self.n, "n", 3)
         zc = tuple(float(v) for v in self.z_coords)
         ac = tuple(float(v) for v in self.a_coords)
         if len(zc) != self.n - 3:

@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-iterations", type=int,
                    default=SolveOptions.max_iterations,
-                   help="Levenberg-Marquardt steps per start, each one "
-                        "residual evaluation (default %(default)d)")
+                   help="Levenberg-Marquardt steps, each one residual "
+                        "evaluation (default %(default)d)")
     p.add_argument("--residual-tol", type=float,
                    default=SolveOptions.residual_tol)
     p.add_argument("--quadrature-tol", type=float,

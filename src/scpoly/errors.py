@@ -4,6 +4,8 @@ Three families, mirroring the CLI exit codes: input validation (exit 2),
 numerical evaluation failures (exit 3), and solver non-convergence (exit 4).
 """
 
+import numbers
+
 
 class ScpolyError(Exception):
     """Base class for every error raised by this package."""
@@ -63,3 +65,14 @@ class NoConvergence(NumericalError):
 
 class AngleMismatch(NumericalError):
     """Forward-map verification found angles off their prescribed values."""
+
+
+# -- checks ------------------------------------------------------------------
+
+def check_int(value, what: str, least: int) -> None:
+    """Raise ValidationError unless value is an integer, Python's or
+    NumPy's (a bool or an integral float is not), of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValidationError(
+            f"{what} must be an integer >= {least}, got {value!r}")

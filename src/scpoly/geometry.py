@@ -12,10 +12,10 @@ read off one orientation matrix per polygon, whose entries are
 float-filtered with the error bound of :mod:`scpoly.predicates` and
 escalated one by one to its exact predicate; ``is_simple`` decides from it.
 Winding numbers are computed by one array kernel over a whole batch of
-query points. The immersion screen and the witness search wind one probe
-set: a point inside each sector at every vertex of the curve's
-arrangement (polygon vertices and proper crossings), which reaches every
-face of the arrangement.
+query points. The immersion screen and the witness search share one
+probe set, wound once per polygon: a point inside each sector at every
+vertex of the curve's arrangement (polygon vertices and proper
+crossings), which reaches every face of the arrangement.
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ class LabelledPolygon:
         # One exact contact pass per polygon serves is_simple, the
         # immersion screen and the witness search; read-only by contract.
         return _contact_pass(self)
+
+    @cached_property
+    def _probes(self) -> tuple[np.ndarray, ...]:
+        # Sector probes, their windings and the defined mask, wound once
+        # for the immersion screen and the witness search; read-only.
+        points = _sector_probes(self)
+        return (points, *_windings(self, points))
 
     def side(self, j: int) -> tuple[complex, complex]:
         """Side j joins vertex j to vertex j+1 (cyclically), 0-based."""
@@ -348,7 +355,7 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
     angles_in_range = not angles.straight_indices and t <= 1
     angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1
 
-    k, defined = _windings(poly, _sector_probes(poly))
+    _, k, defined = poly._probes
     negative = np.flatnonzero(defined & (k < 0))
     if negative.size:
         # The screen stops at the first negative winding.
@@ -402,16 +409,14 @@ def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
 def find_multiwound_witness(poly: LabelledPolygon) -> Optional[PlanePoint]:
     """Hunt a point with winding number >= 2, clear of all side lines.
 
-    Deterministic: the probes of the immersion screen, one per sector at
-    every arrangement vertex, wound as one batch; returns the first
-    certified candidate in that order, or None. Every face gets a probe,
-    touchings included, so a face with winding >= 2 is missed only when
-    its probes lack a defined winding or the line clearance. Coincident
-    consecutive vertices raise :class:`DegenerateSide`.
+    Deterministic: the screen's probes, one per sector at every
+    arrangement vertex, and their windings, computed once per polygon;
+    returns the first certified candidate in that order, or None. Every
+    face gets a probe, touchings included, so a face with winding >= 2 is
+    missed only when its probes lack a defined winding or the line
+    clearance. Coincident consecutive vertices raise :class:`DegenerateSide`.
     """
-    _check_sides(poly)
-    points = _sector_probes(poly)
-    k, defined = _windings(poly, points)
+    points, k, defined = poly._probes
     clear = _line_clearance(poly, points) >= WITNESS_LINE_RTOL * poly.diameter
     hits = np.flatnonzero(defined & (k >= 2) & clear)
     return complex(points[hits[0]]) if hits.size else None

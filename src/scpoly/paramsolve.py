@@ -8,7 +8,8 @@ ratios of sides 2..n-2 to side 1 give exactly n - 3 equations, and the two
 sides meeting the last vertex are determined by closure. The affine
 constants A, B are fitted afterwards from the first target side. The
 Jacobian is exact (the side integrals' own quadrature pass gives their
-derivatives); fixed starts make every solve deterministic.
+derivatives); one fixed start, equal gaps, makes every solve
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .charts import _exact_sum, z_unchart
 from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
-                     ValidationError)
+                     ValidationError, check_int)
 from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
 from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
@@ -44,8 +45,7 @@ class SolveOptions:
     quadrature_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
+        check_int(self.max_iterations, "max_iterations", 1)
         check_tol(self.residual_tol, "residual_tol")
         check_tol(self.quadrature_tol, "quadrature_tol")
         if not self.residual_tol > self.quadrature_tol:
@@ -54,10 +54,11 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Iteration diagnostics. ``iterations`` counts the steps tried.
-    ``residual_history`` holds the norm at the start and after each
-    accepted step, so it never increases. ``reconstruction_error`` is the
-    max vertex deviation of the refitted polygon over the diameter."""
+    """Iteration diagnostics. ``iterations`` counts the steps tried from
+    the one start, at most max_iterations. ``residual_history`` holds the
+    norm at the start and after each accepted step, so it never increases.
+    ``reconstruction_error`` is the max vertex deviation of the refitted
+    polygon over the diameter."""
 
     converged: bool
     iterations: int
@@ -183,36 +184,20 @@ def solve_parameter_problem(
     plain norm lets large ratios drown small ones, and a relative one
     saturates when a ratio collapses below its target. Report norms are of
     this form. A walled point has a zero Jacobian, and its step fails.
-    max_iterations bounds the steps of each start, each one residual
-    evaluation. Non-convergence is reported, not raised.
-
-    Starts from equal gaps; if that attempt ends above residual_tol, one
-    retry runs from gaps matching the target's side-length ratios, and
-    the better endpoint wins. The report's history is the winner's; its
-    iteration count is the steps tried by both.
+    The one start is equal gaps; max_iterations bounds its steps, each one
+    residual evaluation. Non-convergence is reported, not raised.
     """
     opts = opts or SolveOptions()
     exps = extract_exponents(poly)
     t = np.abs(np.diff(poly.vertices[:-1]))  # sides 1 .. n-2
     log_ratio_t = np.log(t[1:] / t[0])
 
-    def attempt(x0: np.ndarray):
-        return least_squares(
-            lambda g: _log_residual(g, exps, log_ratio_t, opts.quadrature_tol),
-            x0, opts.max_iterations, opts.residual_tol)
-
     # Triangles have no unknowns: their angles pin them.
     x, hist, iterations = np.zeros(poly.n - 3), [0.0], 0
     if x.size:
-        x, hist, iterations = attempt(x)
-        if hist[-1] > opts.residual_tol and log_ratio_t.any():
-            # Equal gaps can stall at a nonzero local minimum. Log gap
-            # ratios equal to the target's log side ratios (unless that is
-            # equal gaps again) put wildly uneven sides in the right basin.
-            x2, hist2, extra = attempt(log_ratio_t)
-            iterations += extra
-            if hist2[-1] < hist[-1]:
-                x, hist = x2, hist2
+        x, hist, iterations = least_squares(
+            lambda g: _log_residual(g, exps, log_ratio_t, opts.quadrature_tol),
+            x, opts.max_iterations, opts.residual_tol)
 
     pre = z_unchart(tuple(x))
     bare = _bare_vertices(pre, exps, opts.quadrature_tol)

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidExponent, NoConvergence, NumericalError,
-                     PathThroughSingularity, ValidationError)
+                     PathThroughSingularity, ValidationError, check_int)
 
 if TYPE_CHECKING:
     from .scmap import SCMap
@@ -82,8 +82,7 @@ def total_moment(a: float, b: float) -> float:
 @lru_cache(maxsize=512, typed=True)
 def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
     # Checked once per rule; typed keys keep 8.0 off the order-8 rule.
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
+    check_int(order, "order", 1)
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise InvalidExponent(
             f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .charts import ChartPoint, moduli_unchart
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
                        winding_number)
 from .quadrature import DEFAULT_TOL
@@ -32,12 +32,9 @@ class SweepConfig:
     chart_box: float = 3.0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValidationError(f"n must be >= 3, got {self.n}")
-        if self.samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        check_int(self.n, "n", 3)
+        check_int(self.samples, "samples", 1)
+        check_int(self.seed, "seed", 0)
         # Samples are drawn from an interval of width 2 * chart_box.
         if not 0.0 < 2.0 * self.chart_box < math.inf:
             raise ValidationError(

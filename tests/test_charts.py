@@ -140,6 +140,11 @@ def test_chart_point_shape_checks():
         ChartPoint(5, (0.0, 0.0), (0.0,) * 3)  # needs n-1 = 4
     with pytest.raises(ValidationError):
         ChartPoint(4, (math.inf,), (0.0, 0.0, 0.0))
+    # n must be an integer, so its JSON form reads back.
+    for n in (4.0, True, np.float64(4.0)):
+        with pytest.raises(ValidationError):
+            ChartPoint(n, (0.0,), (0.0, 0.0, 0.0))
+    assert ChartPoint(np.int64(4), (0.0,), (0.0, 0.0, 0.0)).dimension == 4
     assert ChartPoint(6, (0.0,) * 3, (0.0,) * 5).dimension == 8
 
 

@@ -452,6 +452,20 @@ def test_hexagon_witnesses(which, frozen, hex_large, hex_lens):
         assert _line_clearance(poly, p) > 1e-9 * poly.diameter
 
 
+def test_witness_search_reuses_the_screen_probes(monkeypatch, hex_large):
+    # The screen winds the probe set; the search on the same polygon
+    # object builds it no second time and finds what a fresh search finds.
+    fresh = find_multiwound_witness(LabelledPolygon(hex_large.vertices))
+    poly = LabelledPolygon(hex_large.vertices)
+    check_immersion_necessary(poly)
+    calls = []
+    build = geometry._sector_probes
+    monkeypatch.setattr(geometry, "_sector_probes",
+                        lambda p: calls.append(p) or build(p))
+    assert find_multiwound_witness(poly) == fresh
+    assert fresh is not None and calls == []
+
+
 def test_sector_probes_split_each_crossing_into_four_faces():
     # Sides 0 and 2 of this bowtie-like quadrilateral cross at 1 + 1j; the
     # nearest other side is 1 away, so the probes there sit 1/2 out along

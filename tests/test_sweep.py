@@ -31,6 +31,13 @@ def test_config_validation():
         SweepConfig(n=5, samples=0)
     with pytest.raises(ValidationError):
         SweepConfig(n=5, samples=10, seed=-1)
+    # Integer fields take Python or NumPy integers, not bools or floats.
+    for bad in ({"n": 6.0}, {"samples": 2.0}, {"seed": 1.5},
+                {"samples": True}, {"n": np.float64(6.0)}):
+        with pytest.raises(ValidationError):
+            SweepConfig(**{"n": 6, "samples": 2, **bad})
+    cfg = SweepConfig(n=np.int64(5), samples=np.int32(2), seed=np.int64(1))
+    assert run_sweep(cfg).tested == 2
     # The samples come from [-box, box], whose width 2 * box must be finite.
     for box in (0.0, math.inf, math.nan, 1e308):
         with pytest.raises(ValidationError):
