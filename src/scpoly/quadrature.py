@@ -14,14 +14,22 @@ Every integral goes through one per-leg halving loop: each panel carries
 the label of its leg, and only legs whose last two levels still differ
 by more than the tolerance relative to the larger are halved again. The
 pieces of a real-axis path cut at prevertices share one label, so the
-path converges as a whole. integrate_finite_legs passes every finite leg
-of a map at once and adds per leg the derivatives of its integral in
-every finite prevertex (integrals over the same panels with the same
-endpoint powers); a leg stops once its value and its derivative row both
-agree between two levels. Each level is one pass per block of panels
-(per panel its integral, or a row of it and its derivative moments) and
-one per-leg sum of the block (np.sum's pairwise order for values, panel
-by panel for rows).
+path converges as a whole. integrate_axis_legs passes a chain of real
+legs at once for their values (forward's sides and tail waypoint leg);
+integrate_finite_legs passes every finite leg of a map at once and adds
+per leg the derivatives of its integral in every finite prevertex
+(integrals over the same panels with the same endpoint powers); a leg
+stops once its value and its derivative row both agree between two
+levels. Each level is one pass per block of panels (per panel its
+integral, or a row of it and its derivative moments) and one per-leg sum
+of the block (np.sum's pairwise order for values, panel by panel for
+rows).
+
+The Jacobi rules of a pass, one per exponent pair absorbed at panel
+ends, come from one bounded cache keyed on (order, a, b). The rules a
+pass misses, and those its halved panels will need, are built together:
+one stacked Golub-Welsch eigenproblem and one vectorised weight-sum
+check.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,42 +87,75 @@ def total_moment(a: float, b: float) -> float:
                     - math.lgamma(a + b + 2.0))
 
 
-@lru_cache(maxsize=512, typed=True)
-def _jacobi_rule(order: int, a: float, b: float) -> QuadratureRule:
-    # Checked once per rule; typed keys keep 8.0 off the order-8 rule.
-    check_int(order, "order", 1)
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise InvalidExponent(
-            f"Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
-    # Golub-Welsch on the symmetric tridiagonal recurrence matrix (dense,
-    # lower triangle: a few dozen rows at most, built once per rule). Not
-    # scipy.special.roots_jacobi: its nodes and weights drift to ~1e-12
-    # relative error for a near -1 once the order passes ~24, visibly
-    # polluting high moments. The k = 0 diagonal and k = 1 off-diagonal
-    # entries use cancelled closed forms; the general expressions hit 0/0
-    # at a + b = 0 and a + b = -1 respectively.
+# Rules kept at most; once a pass would overflow, the oldest go first.
+_RULE_CACHE_SIZE = 512
+_rules: dict[tuple[int, float, float], QuadratureRule] = {}
+
+
+def _golub_welsch(order: int, pairs: list[tuple[float, float]]
+                  ) -> list[QuadratureRule]:
+    for a, b in pairs:
+        if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+            raise InvalidExponent("Jacobi exponents must be finite and "
+                                  f"exceed -1, got a={a}, b={b}")
+    # Golub-Welsch on the symmetric tridiagonal recurrence matrices, one
+    # per pair (dense, lower triangle, a few dozen rows at most), all
+    # solved by one stacked eigh. Not scipy.special.roots_jacobi: its
+    # nodes and weights drift to ~1e-12 relative error for a near -1 once
+    # the order passes ~24, visibly polluting high moments. The k = 0
+    # diagonal and k = 1 off-diagonal entries use cancelled closed forms;
+    # the general expressions hit 0/0 at a + b = 0 and a + b = -1
+    # respectively.
+    a, b = np.array(pairs).T[:, :, None]
     s = a + b
-    diag = np.empty(order)
-    diag[0] = (b - a) / (s + 2.0)
     k = np.arange(1.0, order)
-    diag[1:] = (b * b - a * a) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
-    off = np.empty(order - 1)
-    if order > 1:
-        off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
-                           / ((s + 2.0) ** 2 * (s + 3.0)))
-        j = np.arange(2.0, order)
-        t = 2.0 * j + s
-        off[1:] = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + s)
-                          / (t * t * (t * t - 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    m0 = total_moment(a, b)
-    w = m0 * v[0] ** 2
-    if abs(float(np.sum(w)) - m0) > 1e-13 * m0:
-        raise NumericalError(f"Jacobi rule weight sum off: {np.sum(w)} vs {m0}")
+    t = 2.0 * k + s
+    # Row-major flat matrices: the diagonal is every (order + 1)-th entry
+    # from 0, the subdiagonal from order.
+    mats = np.zeros((len(pairs), order * order))
+    mats[:, :1] = (b - a) / (s + 2.0)
+    mats[:, order + 1::order + 1] = (b * b - a * a) / (t * (t + 2.0))
+    mats[:, order:order + 1] = np.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                                       / ((s + 2.0) ** 2 * (s + 3.0)))
+    k, t = k[1:], t[:, 1:]
+    mats[:, 2 * order + 1::order + 1] = np.sqrt(
+        4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t * t - 1.0)))
+    x, v = np.linalg.eigh(mats.reshape(-1, order, order))
+    m0 = np.array([total_moment(*pair) for pair in pairs])
+    w = m0[:, None] * v[:, 0] ** 2
+    sums = np.sum(w, axis=1)
+    bad = np.abs(sums - m0) > 1e-13 * m0
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise NumericalError(
+            f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
     x.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(nodes=x, weights=w, exponent_left=b,
-                          exponent_right=a, order=order)
+    return [QuadratureRule(nodes=x[r], weights=w[r], exponent_left=eb,
+                           exponent_right=ea, order=order)
+            for r, (ea, eb) in enumerate(pairs)]
+
+
+def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
+                  ) -> list[QuadratureRule]:
+    """The rules of a checked ``order`` for the exponent pairs (a, b); the
+    ones not cached are built together."""
+    try:
+        return [_rules[order, a, b] for a, b in pairs]
+    except KeyError:
+        pass
+    new = [(a, b) for a, b in dict.fromkeys(pairs)
+           if (order, a, b) not in _rules]
+    built = dict(zip(new, _golub_welsch(order, new)))
+    out = [built[a, b] if (a, b) in built else _rules[order, a, b]
+           for a, b in pairs]
+    # Every rule of the pass is in hand before any is evicted.
+    excess = len(_rules) + len(built) - _RULE_CACHE_SIZE
+    for key in list(islice(_rules, max(excess, 0))):
+        del _rules[key]
+    for (a, b), rule in list(built.items())[-_RULE_CACHE_SIZE:]:
+        _rules[order, a, b] = rule
+    return out
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -132,7 +173,9 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     An order that is not an integer >= 1 raises ValidationError, an
     exponent that is not a finite number above -1 InvalidExponent.
     """
-    return _jacobi_rule(order, float(a), float(b))
+    # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
+    check_int(order, "order", 1)
+    return _jacobi_rules(order, [(float(a), float(b))])[0]
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
@@ -226,14 +269,19 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
         e_left = own_left @ es
         e_right = own_right @ es
         for k in ks.tolist():
-            rule_of[k] = pairs.setdefault((e_right[k], e_left[k]), len(pairs))
+            pair = (float(e_right[k]), float(e_left[k]))
+            rule_of[k] = pairs.setdefault(pair, len(pairs))
         if kind == "upper":
             # Into the upper half-plane from each end: the principal branch.
             logs = (e_left * (np.log(b - a) - _LN2)
                     + e_right * (np.log(a - b) - _LN2))
         else:
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
-    rules = [gauss_jacobi(order, a=eR, b=eL) for eR, eL in pairs]
+    # Halving parts the two absorbed ends of a panel: the rules for its
+    # halves come in the same build.
+    halves = [h for eR, eL in pairs if eR and eL
+              for h in ((eR, 0.0), (0.0, eL))]
+    rules = _jacobi_rules(order, [*pairs, *halves])[:len(pairs)]
     t, w = np.array([[r.nodes for r in rules],
                      [r.weights for r in rules]])[:, rule_of]
     half = (b - a) / 2.0
@@ -376,6 +424,31 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
         return complex(total if z_from.real < z_to.real else -total)
     return complex(_refine("upper", np.array([z_from]), np.array([z_to]), xs,
                            es, tol)[0, 0])
+
+
+def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
+                        ) -> np.ndarray:
+    """Integrals over the real legs (t_0, t_1), ..., (t_{m-1}, t_m).
+
+    ``ts`` is a strictly increasing sequence of finite points. Each leg's
+    value is the one integrate_sc gives for it alone, but all the legs
+    are halved in one refinement loop, each until it settles on its own.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size < 2:
+        raise ValidationError("need at least 2 leg ends")
+    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
+        raise ValidationError(
+            "leg ends must be finite and strictly increasing")
+    check_tol(tol)
+    xs, es = _sc_singularities(map)
+    # Legs are cut at the prevertices inside them; the pieces of a leg
+    # share its label, as in integrate_sc. (Not np.union1d: it imports
+    # numpy.ma, a megabyte.)
+    cuts = np.sort(np.concatenate([ts, xs[(ts[0] < xs) & (xs < ts[-1])]]))
+    cuts = cuts[np.diff(cuts, prepend=-math.inf) > 0.0]
+    leg = np.searchsorted(ts, cuts[:-1], side="right") - 1
+    return _refine("axis", cuts[:-1], cuts[1:], xs, es, tol, leg=leg)[:, 0]
 
 
 def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL

@@ -26,8 +26,8 @@ from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
                        interior_angles)
-from .quadrature import (DEFAULT_TOL, check_tol, integrate_sc,
-                         integrate_to_infinity)
+from .quadrature import (DEFAULT_TOL, check_tol, integrate_axis_legs,
+                         integrate_sc, integrate_to_infinity)
 
 BASE_POINT = 1j
 INFINITY = complex(math.inf, 0.0)
@@ -150,16 +150,17 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
 
 def _bare_vertices(pre: Prevertices, exp: ExponentVector,
                    quad_tol: float) -> list[complex]:
-    """Vertices of the A=1, B=0 polygon, built leg by leg along the axis."""
+    """Vertices of the A=1, B=0 polygon: the upper leg to z_1, then the
+    sides and the leg to the tail waypoint in one batch, then the tail,
+    added up in that order."""
     m = SCMap(pre, exp)
     zs = pre.finite_points
-    w = [integrate_sc(m, BASE_POINT, complex(zs[0]), quad_tol)]
-    for a, b in zip(zs, zs[1:]):
-        w.append(w[-1] + integrate_sc(m, complex(a), complex(b), quad_tol))
     R = _tail_waypoint(zs)
-    tail = (integrate_sc(m, complex(zs[-1]), complex(R), quad_tol)
-            + integrate_to_infinity(m, R, quad_tol))
-    w.append(w[-1] + tail)
+    w = [integrate_sc(m, BASE_POINT, complex(zs[0]), quad_tol)]
+    *sides, last = integrate_axis_legs(m, zs + (R,), quad_tol).tolist()
+    for side in sides:
+        w.append(w[-1] + side)
+    w.append(w[-1] + (last + integrate_to_infinity(m, R, quad_tol)))
     return w
 
 

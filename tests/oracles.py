@@ -2,15 +2,17 @@
 
 Everything here deliberately avoids the package's own code paths: Beta
 values come from log-gamma, Jacobi moments from a three-term recursion in
-50-digit arithmetic, winding numbers from ray crossings, and complex leg
-integrals from power-substitution plus tanh-sinh quadrature. Tests compare
-the package against these, never against itself.
+50-digit arithmetic, Jacobi rules from one eigenproblem per rule, winding
+numbers from ray crossings, and complex leg integrals from
+power-substitution plus tanh-sinh quadrature. Tests compare the package
+against these, never against itself.
 """
 
 import math
 from itertools import combinations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -35,6 +37,32 @@ def jacobi_moments(kmax: int, a: float, b: float) -> list:
     for k in range(1, kmax):
         out.append(((b - a) * out[k] + k * out[k - 1]) / (a + b + k + 2))
     return out[:kmax + 1]
+
+
+def golub_welsch(order: int, a: float, b: float):
+    """Nodes and weights of one Gauss-Jacobi rule for (1-x)^a (1+x)^b.
+
+    The Jacobi matrix is filled entry by entry from the three-term
+    recurrence in float arithmetic, one dense eigh gives the nodes, and the
+    first eigenvector components times the total mass (log-gamma) give the
+    weights: the textbook Golub-Welsch build, one rule at a time.
+    """
+    s = a + b
+    jac = np.zeros((order, order))
+    jac[0, 0] = (b - a) / (s + 2.0)
+    for k in range(1, order):
+        jac[k, k] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2.0))
+    if order > 1:
+        jac[1, 0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                              / ((s + 2.0) ** 2 * (s + 3.0)))
+    for k in range(2, order):
+        t = 2 * k + s
+        jac[k, k - 1] = math.sqrt(4.0 * k * (k + a) * (k + b) * (k + s)
+                                  / (t * t * (t * t - 1.0)))
+    x, v = np.linalg.eigh(jac)
+    m0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                  + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
+    return x, m0 * v[0] ** 2
 
 
 def ray_crossing_winding(vertices, p: complex) -> int:

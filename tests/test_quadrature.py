@@ -7,6 +7,7 @@ import pytest
 from scpoly import (
     ExponentVector,
     InvalidExponent,
+    NumericalError,
     Prevertices,
     INFINITY,
     SCMap,
@@ -18,10 +19,11 @@ from scpoly import (
     total_moment,
 )
 import scpoly.quadrature as quadrature
-from scpoly.quadrature import integrate_finite_legs
+from scpoly.quadrature import integrate_axis_legs, integrate_finite_legs
 
 from conftest import BETA_THIRD, PENTAGON_ALPHAS
-from oracles import beta_lgamma, jacobi_moments, leg_integral, tail_integral
+from oracles import (beta_lgamma, golub_welsch, jacobi_moments, leg_integral,
+                     tail_integral)
 
 
 def test_single_node_legendre_is_midpoint():
@@ -97,6 +99,80 @@ def test_order_must_be_positive():
             gauss_jacobi(order, 0.0, 0.0)
     assert np.array_equal(gauss_jacobi(np.int64(8), 0.5, 0.0).nodes,
                           gauss_jacobi(8, 0.5, 0.0).nodes)
+    # As cache keys 8.0 == 8 and True == 1: a cached rule of the integer
+    # order must not let them through.
+    gauss_jacobi(8, 0.5, 0.0)
+    gauss_jacobi(1, 0.5, 0.0)
+    for order in (8.0, True):
+        with pytest.raises(ValidationError):
+            gauss_jacobi(order, 0.5, 0.0)
+    assert gauss_jacobi(np.int64(8), 0.5, 0.0) is gauss_jacobi(8, 0.5, 0.0)
+
+
+def _random_pairs(rng, count):
+    pairs = [tuple(ab) for ab in rng.uniform(-0.99, 3.0, size=(count, 2))]
+    return pairs + [(-1.0 + 1e-9, 0.25), (0.4, -1.0 + 1e-7), (0.0, 0.0)]
+
+
+def test_stacked_rules_match_one_at_a_time():
+    # One stacked eigh per build must give each rule as a lone
+    # Golub-Welsch eigenproblem does, to a few ulps.
+    rng = np.random.default_rng(2024)
+    for order in range(1, 41):
+        pairs = _random_pairs(rng, 12)
+        for (a, b), rule in zip(pairs, quadrature._golub_welsch(order, pairs)):
+            nodes, weights = golub_welsch(order, a, b)
+            mass = total_moment(a, b)
+            assert (rule.order, rule.exponent_right, rule.exponent_left) == (
+                order, a, b)
+            assert np.max(np.abs(rule.nodes - nodes)) <= 8 * np.spacing(1.0)
+            assert np.max(np.abs(rule.weights - weights)) <= (
+                8 * np.spacing(mass)), (order, a, b)
+
+
+def test_stacked_build_names_the_bad_pair():
+    pairs = [(0.1, 0.2), (0.3, -1.25), (0.5, 0.6)]
+    with pytest.raises(InvalidExponent, match=r"a=0\.3, b=-1\.25"):
+        quadrature._golub_welsch(8, pairs)
+    with pytest.raises(InvalidExponent, match=r"a=nan, b=0\.0"):
+        quadrature._jacobi_rules(8, [(0.1, 0.2), (math.nan, 0.0)])
+
+
+def test_stacked_build_checks_every_weight_sum(monkeypatch):
+    # The weights are m0 v0^2 with m0 = total_moment(a, b), so their sum
+    # is checked against m0 to catch eigenvectors that lost their unit
+    # norm. Here one matrix of the stack comes back 1e-12 off.
+    eigh = np.linalg.eigh
+
+    def off_in_one(mats):
+        x, v = eigh(mats)
+        v[2] *= 1.0 + 1e-12
+        return x, v
+
+    monkeypatch.setattr(np.linalg, "eigh", off_in_one)
+    pairs = _random_pairs(np.random.default_rng(7), 5)
+    with pytest.raises(NumericalError, match="weight sum off"):
+        quadrature._golub_welsch(8, pairs)
+
+
+def test_rule_cache_stays_bounded_and_exact(monkeypatch):
+    # Batches larger than the cache, one after another: every rule comes
+    # back as a fresh build gives it, and the cache never overflows.
+    cap = 16
+    monkeypatch.setattr(quadrature, "_RULE_CACHE_SIZE", cap)
+    monkeypatch.setattr(quadrature, "_rules", {})
+    rng = np.random.default_rng(11)
+    first = _random_pairs(rng, 2 * cap)
+    batches = [first, _random_pairs(rng, cap - 5) + first[-4:],
+               first[:cap // 2] + _random_pairs(rng, cap) + first[-2:]]
+    for pairs in batches:
+        rules = quadrature._jacobi_rules(8, pairs)
+        assert len(quadrature._rules) <= cap
+        for (a, b), rule, fresh in zip(pairs, rules,
+                                       quadrature._golub_welsch(8, pairs)):
+            assert (rule.exponent_right, rule.exponent_left) == (a, b)
+            assert np.array_equal(rule.nodes, fresh.nodes)
+            assert np.array_equal(rule.weights, fresh.weights)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +309,26 @@ def test_axis_leg_across_prevertices_against_oracle(crowded_map):
     want = sum(complex(leg_integral(ORACLE_ZS, ORACLE_ALPHAS, a, b))
                for a, b in zip(ORACLE_ZS, ORACLE_ZS[1:]))
     assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_axis_legs_in_one_loop_match_each_leg_alone(crowded_map):
+    # Legs from a prevertex, between prevertices, across two of them and
+    # past the last one: each is the integral integrate_sc gives it alone.
+    ts = [-1.0, -0.4, 0.05, 2.0, 3.0, 4.5]
+    got = integrate_axis_legs(crowded_map, ts)
+    assert got.shape == (len(ts) - 1,)
+    for value, a, b in zip(got, ts, ts[1:]):
+        alone = integrate_sc(crowded_map, a, b)
+        assert abs(value - alone) <= 1e-13 * abs(alone), (a, b)
+    cuts = [-0.4, 0.0, 0.05, 2.0]
+    want = sum(complex(leg_integral(ORACLE_ZS, ORACLE_ALPHAS, a, b))
+               for a, b in zip(cuts, cuts[1:]))
+    assert abs(got[1] + got[2] - want) <= 1e-11 * abs(want)
+    for bad in ([0.0], [0.0, 0.0, 1.0], [0.0, math.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValidationError):
+            integrate_axis_legs(crowded_map, bad)
+    with pytest.raises(ValidationError):
+        integrate_axis_legs(crowded_map, ts, tol=0.0)
 
 
 def test_tail_against_oracle(crowded_map):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import scpoly.quadrature as quadrature
 import scpoly.render as render
+import scpoly.scmap as scmap
 from scpoly import (
     INFINITY,
     ChartPoint,
@@ -246,6 +248,31 @@ def test_bare_sides_match_single_leg_integrals():
     diameter = LabelledPolygon(tuple(w)).diameter
     for side, leg in zip(sides, legs):
         assert abs(side - leg) <= 1e-13 * abs(leg) + 1e-15 * diameter
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_bare_vertices_make_three_integrals(monkeypatch, n):
+    # The upper leg, one axis batch of the n - 2 sides and the waypoint
+    # leg, and the tail: three refinement loops whatever n is.
+    refined, tails = [], []
+    refine, tail = quadrature._refine, scmap.integrate_to_infinity
+
+    def counted_refine(kind, p, *args, **kwargs):
+        out = refine(kind, p, *args, **kwargs)
+        refined.append((kind, out.shape[0]))
+        return out
+
+    def counted_tail(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(quadrature, "_refine", counted_refine)
+    monkeypatch.setattr(scmap, "integrate_to_infinity", counted_tail)
+    cfg = SweepConfig(n=n, samples=4, seed=3)
+    pre, exp = moduli_unchart(sample_chart_point(cfg, 1))
+    _bare_vertices(pre, exp, 1e-12)
+    assert refined == [("upper", 1), ("axis", n - 1), ("tail", 1)]
+    assert len(tails) == 1
 
 
 def test_forward_never_waits_on_derivative_rows():
