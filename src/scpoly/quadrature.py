@@ -12,24 +12,23 @@ at the Gauss nodes, in one array pass over all panels.
 
 Every integral goes through one per-leg halving loop: each panel carries
 the label of its leg, and only legs whose last two levels still differ
-by more than the tolerance relative to the larger are halved again. The
-pieces of a real-axis path cut at prevertices share one label, so the
-path converges as a whole. integrate_axis_legs passes a chain of real
-legs at once for their values (forward's sides and tail waypoint leg);
-integrate_finite_legs passes every finite leg of a map at once and adds
-per leg the derivatives of its integral in every finite prevertex
-(integrals over the same panels with the same endpoint powers); a leg
-stops once its value and its derivative row both agree between two
-levels. Each level is one pass per block of panels (per panel its
-integral, or a row of it and its derivative moments) and one per-leg sum
-of the block (np.sum's pairwise order for values, panel by panel for
-rows).
+by more than the tolerance relative to the larger are halved again. Real
+legs go through integrate_axis_legs, which passes a chain of them at once
+for their values (forward's sides and tail waypoint leg, or the one leg
+of integrate_sc); the pieces of a leg cut at prevertices share its label,
+so the leg converges as a whole. integrate_finite_legs passes every
+finite leg of a map at once and adds per leg the derivatives of its
+integral in every finite prevertex (integrals over the same panels with
+the same endpoint powers); a leg stops once its value and its derivative
+row both agree between two levels. Each level is one pass per block of
+panels (per panel its integral, or a row of it and its derivative
+moments) and one per-leg sum of the block (np.sum's pairwise order for
+values, panel by panel for rows).
 
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
-pass misses, and those its halved panels will need, are built together:
-one stacked Golub-Welsch eigenproblem and one vectorised weight-sum
-check.
+pass misses are built together: one stacked Golub-Welsch eigenproblem and
+one vectorised weight-sum check.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -88,6 +87,8 @@ def total_moment(a: float, b: float) -> float:
 
 
 # Rules kept at most; once a pass would overflow, the oldest go first.
+# Oldest by insertion, not by use: a hit does not reorder the cache, so a
+# pass whose rules are all cached is a plain lookup.
 _RULE_CACHE_SIZE = 512
 _rules: dict[tuple[int, float, float], QuadratureRule] = {}
 
@@ -129,11 +130,17 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
         r = int(np.argmax(bad))
         raise NumericalError(
             f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return [QuadratureRule(nodes=x[r], weights=w[r], exponent_left=eb,
-                           exponent_right=ea, order=order)
-            for r, (ea, eb) in enumerate(pairs)]
+    # Each rule owns copies of its rows: a view would keep the whole
+    # batch alive for as long as any of its rules stays cached.
+    rules = []
+    for r, (ea, eb) in enumerate(pairs):
+        nodes, weights = x[r].copy(), w[r].copy()
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        rules.append(QuadratureRule(nodes=nodes, weights=weights,
+                                    exponent_left=eb, exponent_right=ea,
+                                    order=order))
+    return rules
 
 
 def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
@@ -167,9 +174,11 @@ def check_tol(tol: float, name: str = "tol") -> None:
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule of the given order for weight (1-x)^a (1+x)^b.
 
-    The weight sum is checked against the closed-form total moment to
-    1e-13 relative when the rule is built; a violation means a broken rule
-    and raises. Rules are read-only, so one cached rule serves every call.
+    The weights are the closed-form total moment times the squared first
+    components of the eigenvectors; their sum is checked against that
+    moment to 1e-13 relative when the rule is built, which guards the unit
+    norm of the eigenvectors (not the moment itself), and a violation
+    raises. Rules are read-only, so one cached rule serves every call.
     An order that is not an integer >= 1 raises ValidationError, an
     exponent that is not a finite number above -1 InvalidExponent.
     """
@@ -277,11 +286,7 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
                     + e_right * (np.log(a - b) - _LN2))
         else:
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
-    # Halving parts the two absorbed ends of a panel: the rules for its
-    # halves come in the same build.
-    halves = [h for eR, eL in pairs if eR and eL
-              for h in ((eR, 0.0), (0.0, eL))]
-    rules = _jacobi_rules(order, [*pairs, *halves])[:len(pairs)]
+    rules = _jacobi_rules(order, list(pairs))
     t, w = np.array([[r.nodes for r in rules],
                      [r.weights for r in rules]])[:, rule_of]
     half = (b - a) / 2.0
@@ -401,9 +406,9 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
                  tol: float = DEFAULT_TOL) -> complex:
     """Path integral of prod_j (zeta - z_j)^(alpha_j - 1) from z_from to z_to.
 
-    The constants A, B of the enclosing map play no role here. Real-axis
-    legs crossing a prevertex are split there, so the integral is the
-    convergent improper one; this keeps additivity across prevertices.
+    The constants A, B of the enclosing map play no role here. A path on
+    the real axis is one leg of integrate_axis_legs, split at the
+    prevertices it crosses.
     """
     z_from, z_to = complex(z_from), complex(z_to)
     for z, name in ((z_from, "z_from"), (z_to, "z_to")):
@@ -415,13 +420,11 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     check_tol(tol)
     if z_from == z_to:
         return 0j
-    xs, es = _sc_singularities(map)
     if z_from.imag == 0.0 and z_to.imag == 0.0:
         lo, hi = sorted((z_from.real, z_to.real))
-        cuts = np.concatenate(([lo], xs[(lo < xs) & (xs < hi)], [hi]))
-        # The pieces share one label, so the path converges as a whole.
-        total = _refine("axis", cuts[:-1], cuts[1:], xs, es, tol)[0, 0]
+        total = integrate_axis_legs(map, [lo, hi], tol)[0]
         return complex(total if z_from.real < z_to.real else -total)
+    xs, es = _sc_singularities(map)
     return complex(_refine("upper", np.array([z_from]), np.array([z_to]), xs,
                            es, tol)[0, 0])
 
@@ -430,9 +433,10 @@ def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
                         ) -> np.ndarray:
     """Integrals over the real legs (t_0, t_1), ..., (t_{m-1}, t_m).
 
-    ``ts`` is a strictly increasing sequence of finite points. Each leg's
-    value is the one integrate_sc gives for it alone, but all the legs
-    are halved in one refinement loop, each until it settles on its own.
+    ``ts`` is a strictly increasing sequence of finite points. All the
+    legs are halved in one refinement loop, each until it settles on its
+    own. A leg crossing a prevertex is split there, so its integral is the
+    convergent improper one; this keeps additivity across prevertices.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size < 2:
@@ -443,8 +447,8 @@ def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
     check_tol(tol)
     xs, es = _sc_singularities(map)
     # Legs are cut at the prevertices inside them; the pieces of a leg
-    # share its label, as in integrate_sc. (Not np.union1d: it imports
-    # numpy.ma, a megabyte.)
+    # share its label, so the leg converges as a whole. (Not np.union1d:
+    # it imports numpy.ma, a megabyte.)
     cuts = np.sort(np.concatenate([ts, xs[(ts[0] < xs) & (xs < ts[-1])]]))
     cuts = cuts[np.diff(cuts, prepend=-math.inf) > 0.0]
     leg = np.searchsorted(ts, cuts[:-1], side="right") - 1
