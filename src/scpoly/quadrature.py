@@ -19,11 +19,11 @@ of integrate_sc); the pieces of a leg cut at prevertices share its label,
 so the leg converges as a whole. integrate_finite_legs passes every
 finite leg of a map at once and adds per leg the derivatives of its
 integral in every finite prevertex (integrals over the same panels with
-the same endpoint powers); a leg stops once its value and its derivative
-row both agree between two levels. Each level is one pass per block of
-panels (per panel its integral, or a row of it and its derivative
-moments) and one per-leg sum of the block (np.sum's pairwise order for
-values, panel by panel for rows).
+the same endpoint powers). A leg stops on its value alone: its
+derivative row rides along on the panels its value needed. Each level
+is one pass per block of panels (per panel its integral, or a row of it
+and its derivative moments) and one per-leg sum of the block (np.sum's
+pairwise order for values, panel by panel for rows).
 
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
@@ -348,22 +348,14 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     return np.column_stack([I, D])
 
 
-def _sizes(R: np.ndarray) -> np.ndarray:
-    # Values and derivative rows converge each on their own scale: the
-    # derivative row of a short leg is far larger than its value.
-    if R.shape[-1] == 1:
-        return np.abs(R)
-    return np.stack([np.abs(R[..., 0]), np.linalg.norm(R[..., 1:], axis=-1)],
-                    axis=-1)
-
-
 def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
             es: np.ndarray, tol: float, leg: np.ndarray | None = None,
             rows: bool = False) -> np.ndarray:
     """_leg_sums over the legs [p_i, q_i], labelled leg[i] = 0, 1, ... in
     ascending order (one leg without ``leg``), each leg halved until its
-    value and, with ``rows``, its derivative row both differ between two
-    levels by at most ``tol`` times the larger."""
+    value differs between two levels by at most ``tol`` times the larger.
+    A derivative row (with ``rows``) rides along on the same panels and
+    does not vote."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
     # The legs still halved, and how many. No leg's panels or sums depend
     # on another's, so a settled leg leaves for good, its sums kept in out.
@@ -375,10 +367,9 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     for _ in range(MAX_LEVELS):
         a, b, leg = _halve(a, b, leg)
         new = _leg_sums(kind, a, b, leg, xs, es, live, rows)
-        change, size = _sizes(new - cur), np.maximum(_sizes(new), _sizes(cur))
-        # Value and row (one column without rows) both within tol.
-        ok = change <= tol * size
-        done = live & ok[:, 0] & ok[:, -1]
+        change = np.abs(new[:, 0] - cur[:, 0])
+        size = np.maximum(np.abs(new[:, 0]), np.abs(cur[:, 0]))
+        done = live & (change <= tol * size)
         cur = new
         gone = np.count_nonzero(done)
         if gone:
@@ -389,11 +380,11 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
             live ^= done
             keep = live[leg]
             a, b, leg = a[keep], b[keep], leg[keep]
-    # The worst value or row of a leg that never settled.
-    worst = np.argmax(np.where(live[:, None], change - tol * size, -np.inf))
+    # The worst value of a leg that never settled.
+    worst = np.argmax(np.where(live, change - tol * size, -np.inf))
     raise NoConvergence(
-        f"panel refinement stalled at {change.flat[worst]:.3e} relative to "
-        f"{size.flat[worst]:.3e} (tol {tol:.1e})")
+        f"panel refinement stalled at {change[worst]:.3e} relative to "
+        f"{size[worst]:.3e} (tol {tol:.1e})")
 
 
 def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:
@@ -463,8 +454,9 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     their exponents; the exponent at infinity plays no role on these legs.
     Returns I of length m - 1, the bare integrals over (z_j, z_{j+1}) as
     integrate_sc gives them, and D of shape (m - 1, m) with D[j, k] =
-    dI_j/dz_k. Each leg stops halving once its value and its derivative
-    row each agree to ``tol`` between two levels.
+    dI_j/dz_k. Each leg stops halving once its value agrees to ``tol``
+    between two levels; its row comes from the same panels and does not
+    vote, so it is as accurate as those panels make it.
     """
     xs = np.asarray(points, dtype=float)
     es = np.asarray(alphas, dtype=float) - 1.0

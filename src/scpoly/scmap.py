@@ -194,19 +194,21 @@ def _checked_polygon(pre: Prevertices, exp: ExponentVector, tol: float
     # Integrate two orders tighter than the angle gate; vertex positions
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
+    gate = 10.0 * tol
     poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
     worst, worst_j = _worst_angle_deviation(poly, exp)
-    if worst > 5.0 * tol and quad_tol > _QUAD_TOL_FLOOR:
-        # Crowded prevertices make sides tiny relative to the diameter and
-        # amplify leg errors by that ratio; retighten by the measured
-        # excess (with headroom) instead of guessing the geometry.
+    if worst > gate and quad_tol > _QUAD_TOL_FLOOR:
+        # Only a polygon that fails the gate is retightened: crowded
+        # prevertices make sides tiny relative to the diameter and amplify
+        # leg errors by that ratio, so tighten by the measured excess (with
+        # headroom) instead of guessing the geometry.
         quad_tol = max(0.5 * quad_tol * tol / worst, _QUAD_TOL_FLOOR)
         poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
         worst, worst_j = _worst_angle_deviation(poly, exp)
-    if worst > 10.0 * tol:
+    if worst > gate:
         raise AngleMismatch(
             f"vertex {worst_j + 1} angle off by {worst:.3e} "
-            f"(allowed {10.0 * tol:.1e}); quadrature is misbehaving")
+            f"(allowed {gate:.1e}); quadrature is misbehaving")
     return poly
 
 

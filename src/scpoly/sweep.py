@@ -59,6 +59,8 @@ class SweepResult:
     failures: int
 
     def __post_init__(self):
+        for name in ("tested", "simple_count", "failures"):
+            check_int(getattr(self, name), name, 0)
         total = self.simple_count + len(self.nonsimple_instances) + self.failures
         if total != self.tested:
             raise ValidationError(
@@ -68,7 +70,8 @@ class SweepResult:
 def sample_chart_point(cfg: SweepConfig, index: int) -> ChartPoint:
     """Chart point of sample ``index``: 2n - 4 uniform draws in
     [-chart_box, chart_box] from the PCG64 stream seeded by (seed, index),
-    gap coordinates first."""
+    gap coordinates first. ``index`` is an integer >= 0."""
+    check_int(index, "index", 0)
     rng = np.random.default_rng([cfg.seed, index])
     y = rng.uniform(-cfg.chart_box, cfg.chart_box, size=2 * cfg.n - 4)
     return ChartPoint(cfg.n, tuple(y[:cfg.n - 3]), tuple(y[cfg.n - 3:]))

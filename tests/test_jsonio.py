@@ -153,6 +153,17 @@ def test_sweep_result_round_trip():
     assert back == res
 
 
+@pytest.mark.parametrize("counts", [
+    {"tested": 4, "simple_count": 5, "failures": -1},
+    {"tested": -1, "simple_count": 0, "failures": -1},
+    {"tested": -3, "simple_count": -3, "failures": 0},
+])
+def test_sweep_result_rejects_negative_counts(counts):
+    # Each of these balances; only a count itself is wrong.
+    with pytest.raises(ValidationError):
+        sweep_result_from_json({**counts, "nonsimple_instances": []})
+
+
 def test_sweep_result_witness_nullable():
     data = {
         "tested": 1, "simple_count": 0, "failures": 0,

@@ -369,9 +369,10 @@ def _assert_legs_match_oracle(zs, alphas, values, derivs):
 
 
 def test_finite_legs_never_revisit_a_settled_leg(monkeypatch):
-    """A leg stops once its value and its derivative row have settled, so
-    each pass refines a subset of the legs of the pass before it, and the
-    results keep the accuracy of the oracle test above."""
+    """A leg stops once its value has settled, so each pass refines a
+    subset of the legs of the pass before it; the derivative rows ride
+    along on those panels and keep the accuracy of the oracle test
+    above."""
     zs = (-1.0, 0.0, 0.9229810407284639, 3.9617207567930968)
     alphas = (0.35658918882628143, 0.4230460944098081, 0.16617772905042053,
               1.513640717080413)

@@ -13,7 +13,6 @@ from scpoly import (
     ExponentVector,
     InvalidExponent,
     LabelledPolygon,
-    NoConvergence,
     NotIncreasing,
     NotNormalized,
     Prevertices,
@@ -32,8 +31,9 @@ from scpoly import (
     sample_chart_point,
     turning_angle_sum,
 )
-from scpoly.quadrature import integrate_finite_legs
-from scpoly.scmap import BASE_POINT, _bare_vertices, _tail_waypoint
+from scpoly.quadrature import integrate_axis_legs, integrate_finite_legs
+from scpoly.scmap import (BASE_POINT, _bare_vertices, _tail_waypoint,
+                          _worst_angle_deviation)
 
 from conftest import (
     BETA_THIRD,
@@ -277,13 +277,47 @@ def test_bare_vertices_make_three_integrals(monkeypatch, n):
 
 def test_forward_never_waits_on_derivative_rows():
     # Sample 125 of the n = 8, box 6 stream (seed 5): a derivative row of
-    # its finite legs stalls at 3.4e-11 relative, so settling the sides
-    # together with their rows fails; forward needs the values only.
+    # its finite legs would stall at 3.4e-11 relative if it had to settle
+    # on its own. Legs settle on their values, so the rows ride along, the
+    # values are the ones forward's sides get, and forward goes through.
     cfg = SweepConfig(n=8, samples=150, seed=5, chart_box=6.0)
     pre, exp = moduli_unchart(sample_chart_point(cfg, 125))
-    with pytest.raises(NoConvergence):
-        integrate_finite_legs(pre.finite_points, exp.alphas[:-1], 1e-12)
+    zs = pre.finite_points
+    values, derivs = integrate_finite_legs(zs, exp.alphas[:-1], 1e-12)
+    assert np.all(np.isfinite(derivs))
+    sides = integrate_axis_legs(SCMap(pre, exp), zs, 1e-12)
+    assert np.all(np.abs(values - sides) <= 1e-14 * np.abs(sides))
     assert forward(pre, exp).n == 8
+
+
+@pytest.mark.parametrize("n, seed, index", [(6, 1, 130), (8, 3, 14)])
+def test_gate_passes_are_never_retightened_into_failures(n, seed, index):
+    # Box 6 samples whose first pass already meets the angle gate (at
+    # 8.0 and 6.2 times tol): retightening them stalled in the quadrature
+    # (NoConvergence) or moved an angle past the gate (AngleMismatch).
+    cfg = SweepConfig(n=n, samples=150, seed=seed, chart_box=6.0)
+    pre, exp = moduli_unchart(sample_chart_point(cfg, index))
+    poly = forward(pre, exp)
+    assert _worst_angle_deviation(poly, exp)[0] <= 10.0 * 1e-10
+
+
+def test_gate_pass_integrates_once(monkeypatch):
+    # Sample 159 of the n = 16, box 3 stream (seed 2): its first pass is
+    # off by between 5 and 10 times tol, which the gate accepts as it is.
+    calls = []
+    bare = scmap._bare_vertices
+
+    def counted(*args):
+        calls.append(args)
+        return bare(*args)
+
+    monkeypatch.setattr(scmap, "_bare_vertices", counted)
+    cfg = SweepConfig(n=16, samples=300, seed=2)
+    pre, exp = moduli_unchart(sample_chart_point(cfg, 159))
+    poly = forward(pre, exp)
+    assert len(calls) == 1
+    worst = _worst_angle_deviation(poly, exp)[0]
+    assert 5.0 * 1e-10 < worst <= 10.0 * 1e-10
 
 
 def test_forward_moves_continuously():

@@ -59,6 +59,18 @@ def test_result_counts_must_balance():
     assert ok.tested == 2
 
 
+@pytest.mark.parametrize("counts", [
+    {"tested": -2, "simple_count": -2, "failures": 0},
+    {"tested": 0, "simple_count": 1, "failures": -1},
+    {"tested": 2, "simple_count": 2.0, "failures": 0},
+    {"tested": True, "simple_count": 1, "failures": 0},
+])
+def test_result_counts_are_integers_at_least_zero(counts):
+    # Each of these balances; only the count itself is wrong.
+    with pytest.raises(ValidationError):
+        SweepResult(nonsimple_instances=(), **counts)
+
+
 def test_sample_stream_is_indexed_not_sequential():
     cfg = SweepConfig(n=5, samples=100, seed=7)
     a = sample_chart_point(cfg, 42)
@@ -69,6 +81,14 @@ def test_sample_stream_is_indexed_not_sequential():
     direct = np.random.default_rng([7, 42]).uniform(-3.0, 3.0, size=6)
     assert a.z_coords == pytest.approx(direct[:2])
     assert a.a_coords == pytest.approx(direct[2:])
+
+
+@pytest.mark.parametrize("index", [-1, True, 2.0, np.float64(3.0), "4"])
+def test_sample_index_must_be_an_integer_at_least_zero(index):
+    cfg = SweepConfig(n=5, samples=10, seed=7)
+    with pytest.raises(ValidationError):
+        sample_chart_point(cfg, index)
+    assert sample_chart_point(cfg, np.int64(1)) == sample_chart_point(cfg, 1)
 
 
 def test_sample_respects_box():
