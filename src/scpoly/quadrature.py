@@ -18,12 +18,14 @@ for their values (forward's sides and tail waypoint leg, or the one leg
 of integrate_sc); the pieces of a leg cut at prevertices share its label,
 so the leg converges as a whole. integrate_finite_legs passes every
 finite leg of a map at once and adds per leg the derivatives of its
-integral in every finite prevertex (integrals over the same panels with
-the same endpoint powers). A leg stops on its value alone: its
-derivative row rides along on the panels its value needed. Each level
-is one pass per block of panels (per panel its integral, or a row of it
-and its derivative moments) and one per-leg sum of the block (np.sum's
-pairwise order for values, panel by panel for rows).
+integral in every finite prevertex: the off-leg ones are integrals over
+the same panels with the same endpoint powers, the two on-leg ones follow
+from translation invariance and homogeneity. A leg stops on its value
+alone: its derivative row rides along on the panels its value needed.
+Each level is one pass per block of panels (per panel its integral, or a
+row of it and its derivative moments) and one scatter-add of the block
+into its legs (np.add.at, panel by panel in order), so a leg's sums do
+not depend on block boundaries or on the other legs of its passes.
 
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
@@ -253,18 +255,11 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
       only singular point within reach of a tail panel.
 
     With ``rows`` (axis panels of leg j from z_j = xs[j] to z_{j+1}) the
-    columns go on with int f/(zeta - z_k) for every k and int f t s, where
-    t = (zeta - z_j)/(z_{j+1} - z_j) and s = sum_{k off the leg}
-    e_k/(zeta - z_k). With c_j = 1 + e_j + e_{j+1}, differentiating under
-    the integral sign gives
-
-        dI_j/dz_k     = -e_k int f/(zeta - z_k)          (k off the leg),
-        dI_j/dz_j     = -c_j I_j/(z_{j+1} - z_j) + int f (1 - t) s,
-        dI_j/dz_{j+1} = +c_j I_j/(z_{j+1} - z_j) + int f t s.
-
-    Each integrand keeps the endpoint powers of f, so the panels and rules
-    of f serve as they are; _leg_sums assembles the rows from the per-leg
-    sums.
+    columns go on with int f/(zeta - z_k) for every k off the leg (0 for
+    z_j and z_{j+1}): differentiating under the integral sign gives
+    dI_j/dz_k = -e_k int f/(zeta - z_k) there. The integrands keep the
+    endpoint powers of f, so the panels and rules of f serve as they are;
+    _leg_sums finds the two on-leg derivatives from the per-leg sums.
     """
     order = DEFAULT_ORDER
     own_left = a[:, None] == xs
@@ -299,7 +294,10 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
             f /= np.where(xs == 0.0, 1.0, np.abs(xs))
         if kind == "axis":
             # An absorbed right end lies right of the nodes: its phase counts.
-            logs = logs + 1j * math.pi * ((xs >= b[:, None]) @ es)
+            # einsum adds each panel's phases in one order; `@` rounded them
+            # by the number of panels in the pass.
+            logs = logs + 1j * math.pi * np.einsum("pk,k->p",
+                                                   xs >= b[:, None], es)
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
     if ks.size:
@@ -312,39 +310,33 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
         k = np.arange(xs.size)
         own = (k == leg[:, None]) | (k == leg[:, None] + 1)
         inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
-        fw = f * w
-        t = (nodes - xs[leg, None]) / (xs[leg + 1] - xs[leg])[:, None]
-        moments = np.stack([fw, fw * t], axis=1) @ inv
-        cols = np.column_stack([cols, scale[:, None] * moments[:, 0],
-                                scale * (moments[:, 1] @ es)])
+        moments = np.einsum("pn,pnk->pk", f * w, inv)
+        cols = np.column_stack([cols, scale[:, None] * moments])
     return cols
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-              xs: np.ndarray, es: np.ndarray, live: np.ndarray,
-              rows: bool) -> np.ndarray:
-    """Per leg, summed over its panels one block of at most _PASS_BLOCK at a
-    time: the integral and, with ``rows`` (axis leg j from xs[j] to
-    xs[j + 1]), its derivatives in every xs. Only the ``live`` legs, which
-    hold all the panels, are summed; the others read zero."""
-    legs = live.size
-    turn = [j for j, on in enumerate(live.tolist()) if on]
-    sums = np.zeros((legs, xs.size + 2) if rows else legs, dtype=complex)
+              xs: np.ndarray, es: np.ndarray, legs: int, rows: bool
+              ) -> np.ndarray:
+    """Per leg 0, ..., legs - 1, the sum of its panels' columns, added
+    panel by panel in order by one scatter-add per block of at most
+    _PASS_BLOCK panels: the integral I_j and, with ``rows`` (axis leg j
+    from z_j = xs[j] to z_{j+1}), its derivatives D[j, k] in every z_k. A
+    leg without panels reads zero. D[j, j] and D[j, j + 1] follow from the
+    off-leg entries by translation invariance (sum_k D[j, k] = 0) and
+    homogeneity (sum_k (z_k - z_j) D[j, k] = (1 + sum(es)) I_j)."""
+    sums = np.zeros((legs, xs.size + 1) if rows else legs, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
-        cols = _columns(kind, a[block], b[block], leg[block], xs, es, rows)
-        for j in turn:
-            # A lone live leg holds every panel.
-            mine = cols if len(turn) == 1 else cols[leg[block] == j]
-            sums[j] += np.add.reduce(mine, axis=0)
+        np.add.at(sums, leg[block],
+                  _columns(kind, a[block], b[block], leg[block], xs, es, rows))
     if not rows:
         return sums[:, None]
-    I, T = sums[:, 0], sums[:, -1]
-    D = -es * sums[:, 1:-1]
-    jump = (1.0 + es[:-1] + es[1:]) * I / np.diff(xs)
+    I, D = sums[:, 0], -es * sums[:, 1:]
     j = np.arange(legs)
-    D[j, j] = -D.sum(axis=1) - T - jump
-    D[j, j + 1] = T + jump
+    D[j, j + 1] = ((1.0 + es.sum()) * I
+                   - (D * (xs - xs[:-1, None])).sum(axis=1)) / np.diff(xs)
+    D[j, j] = -D.sum(axis=1)
     return np.column_stack([I, D])
 
 
@@ -355,29 +347,27 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     ascending order (one leg without ``leg``), each leg halved until its
     value differs between two levels by at most ``tol`` times the larger.
     A derivative row (with ``rows``) rides along on the same panels and
-    does not vote."""
+    does not vote. No leg's sums depend on another's, so a settled leg's
+    panels leave the passes for good, its sums kept from the pass it
+    settled in."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
-    # The legs still halved, and how many. No leg's panels or sums depend
-    # on another's, so a settled leg leaves for good, its sums kept in out.
+    # The legs still halved.
     live = np.ones(int(leg[-1]) + 1, dtype=bool)
-    left = live.size
     a, b, leg = _split(p, q, leg, xs)
-    cur = _leg_sums(kind, a, b, leg, xs, es, live, rows)
+    cur = _leg_sums(kind, a, b, leg, xs, es, live.size, rows)
     out = np.empty_like(cur)
     for _ in range(MAX_LEVELS):
         a, b, leg = _halve(a, b, leg)
-        new = _leg_sums(kind, a, b, leg, xs, es, live, rows)
+        new = _leg_sums(kind, a, b, leg, xs, es, live.size, rows)
         change = np.abs(new[:, 0] - cur[:, 0])
         size = np.maximum(np.abs(new[:, 0]), np.abs(cur[:, 0]))
         done = live & (change <= tol * size)
         cur = new
-        gone = np.count_nonzero(done)
-        if gone:
+        if done.any():
             np.copyto(out, new, where=done[:, None])
-            left -= gone
-            if not left:
-                return out
             live ^= done
+            if not live.any():
+                return out
             keep = live[leg]
             a, b, leg = a[keep], b[keep], leg[keep]
     # The worst value of a leg that never settled.
@@ -456,7 +446,9 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     integrate_sc gives them, and D of shape (m - 1, m) with D[j, k] =
     dI_j/dz_k. Each leg stops halving once its value agrees to ``tol``
     between two levels; its row comes from the same panels and does not
-    vote, so it is as accurate as those panels make it.
+    vote, so it is as accurate as those panels make it. The two on-leg
+    entries of a row follow from its others by translation invariance and
+    homogeneity of I_j.
     """
     xs = np.asarray(points, dtype=float)
     es = np.asarray(alphas, dtype=float) - 1.0
@@ -483,9 +475,9 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     """
     xs, es = _sc_singularities(map)
     z_from = float(z_from)
-    if not z_from > xs[-1]:
-        raise ValidationError(
-            f"tail start {z_from} must exceed the last finite prevertex {xs[-1]}")
+    if not xs[-1] < z_from < math.inf:
+        raise ValidationError(f"tail start {z_from} must be finite and exceed "
+                              f"the last finite prevertex {xs[-1]}")
     check_tol(tol)
     nonzero = xs != 0.0
     us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
