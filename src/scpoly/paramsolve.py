@@ -27,7 +27,7 @@ from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
 from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
-from .scmap import ExponentVector, SCMap, _bare_vertices
+from .scmap import ExponentVector, SCMap, _bare_vertices, _one
 
 # Levenberg-Marquardt: the starting damping, the largest move of a log gap
 # per step (a factor e^2 on the gap), the least cut in the norm that lets
@@ -200,7 +200,7 @@ def solve_parameter_problem(
             x, opts.max_iterations, opts.residual_tol)
 
     pre = z_unchart(tuple(x))
-    bare = _bare_vertices(pre, exps, opts.quadrature_tol)
+    bare = _one(_bare_vertices([(pre, exps)], opts.quadrature_tol))
     A, B = fit_affine_constants(bare, poly)
     deviation = max(abs(A * u + B - w)
                     for u, w in zip(bare, poly.vertices))

@@ -27,10 +27,23 @@ row of it and its derivative moments) and one scatter-add of the block
 into its legs (np.add.at, panel by panel in order), so a leg's sums do
 not depend on block boundaries or on the other legs of its passes.
 
+One loop can carry the legs of many maps (forward's batches): the
+singularities come as one row per map, and each leg names its map and
+its tolerance. Every step of a pass is elementwise or works row by row,
+except the product of the node factors' logs with the exponents. A BLAS
+product over a block of rows rounds each row as the product over the
+whole matrix does when the block's row count is a multiple of 8, as
+DEFAULT_ORDER makes a panel's; an einsum or a matrix product with an
+exponent vector per row does not. So a pass of one map keeps one
+product, and a pass of many takes one product per panel: each map's
+legs then come out bit for bit as when the map is integrated alone. A
+map whose leg cannot be cut, stalls, or needs a Jacobi rule that fails
+its check drops out of the loop with its error; the other maps go on.
+
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
-pass misses are built together: one stacked Golub-Welsch eigenproblem and
-one vectorised weight-sum check.
+pass misses, over all its maps, are built together: one stacked
+Golub-Welsch eigenproblem and one vectorised weight-sum check.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -43,6 +56,7 @@ two conventions agree).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -90,9 +104,22 @@ def total_moment(a: float, b: float) -> float:
 
 # Rules kept at most; once a pass would overflow, the oldest go first.
 # Oldest by insertion, not by use: a hit does not reorder the cache, so a
-# pass whose rules are all cached is a plain lookup.
-_RULE_CACHE_SIZE = 512
+# pass whose rules are all cached is a plain lookup. A map needs about 2n
+# rules, all of them again in each pass; a sweep chunk of 64 maps (see
+# sweep.SWEEP_CHUNK) keeps its rules cached up to n = 16.
+_RULE_CACHE_SIZE = 2048
 _rules: dict[tuple[int, float, float], QuadratureRule] = {}
+
+
+class _RuleFailed(NumericalError):
+    """Rules that failed their weight-sum check: ``pairs`` are their
+    exponent pairs and ``legs`` (set by the pass that asked for them) the
+    legs whose panels needed them."""
+
+    def __init__(self, message: str, pairs: list[tuple[float, float]]):
+        super().__init__(message)
+        self.pairs = pairs
+        self.legs = np.zeros(0, dtype=np.intp)
 
 
 def _golub_welsch(order: int, pairs: list[tuple[float, float]]
@@ -130,8 +157,8 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
     bad = np.abs(sums - m0) > 1e-13 * m0
     if bad.any():
         r = int(np.argmax(bad))
-        raise NumericalError(
-            f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
+        raise _RuleFailed(f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}",
+                          [pairs[i] for i in np.flatnonzero(bad)])
     # Each rule owns copies of its rows: a view would keep the whole
     # batch alive for as long as any of its rules stays cached.
     rules = []
@@ -168,8 +195,11 @@ def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
-    """Raise ValidationError unless ``tol`` is a positive finite number."""
-    if not 0.0 < tol < math.inf:
+    """Raise ValidationError unless ``tol`` is a positive finite real
+    number, Python's or NumPy's (a bool or a string is not)."""
+    # float first: it is a Real, and the ABC check costs a microsecond.
+    if (isinstance(tol, bool) or not isinstance(tol, (float, numbers.Real))
+            or not 0.0 < tol < math.inf):
         raise ValidationError(f"{name} must be positive and finite, got {tol}")
 
 
@@ -189,21 +219,37 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     return _jacobi_rules(order, [(float(a), float(b))])[0]
 
 
-def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-distance panels [a_k, b_k], labelled leg[i], on legs [p_i, q_i].
+def _panel_products(v: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """v @ e for the rows of v, which come in equal blocks, one per panel,
+    e the panel's row of ``E``: each block a product of its own. A row of
+    a product of whole panels rounds the same whichever panels share it,
+    so each map's rows round as in the one product of its map alone."""
+    return (v.reshape(len(E), -1, v.shape[1]) @ E[:, :, None]).reshape(-1)
 
-    Panels are cut at their midpoints, breadth-first, until every point of
-    ``avoid`` other than a panel's own endpoints lies at least half a panel
-    length from it. A panel whose midpoint rounds onto an endpoint spans
-    only a few float ulps and cannot be cut further; its value is below
-    representable resolution anyway. Real legs give real panels.
+
+def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
+           of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    dict[int, NumericalError]]:
+    """Half-distance panels [a_k, b_k], labelled leg[i], on legs [p_i, q_i],
+    and the errors of the maps that could not be cut.
+
+    Panels are cut at their midpoints, breadth-first, until every
+    singularity of the leg's map (row of[leg] of ``xs``) other than the
+    panel's own endpoints lies at least half a panel length from it. A
+    panel whose midpoint rounds onto an endpoint spans only a few float
+    ulps and cannot be cut further; its value is below representable
+    resolution anyway. Real legs give real panels. A map with panels left
+    to cut after _MAX_SPLIT_DEPTH levels fails; its panels stay in the
+    output for the caller to drop.
     """
     done = []
+    failed = {}
     a, b = p, q
     for depth in range(_MAX_SPLIT_DEPTH + 1):
         # Avoided points (axis 1) in the frame where the panel (axis 0) is
-        # [0, 1], so distances come in units of the panel length.
+        # [0, 1], so distances come in units of the panel length. One
+        # map's row broadcasts; a batch takes each panel's map's row.
+        avoid = xs if len(xs) == 1 else xs[of[leg]]
         sa = avoid - a[:, None]
         u = sa / (b - a)[:, None]
         dist = np.abs(u - np.minimum(np.maximum(u.real, 0.0), 1.0))
@@ -213,16 +259,22 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, avoid: np.ndarray
         if np.count_nonzero(fine) == fine.size:
             done.append((a, b, leg))
             break
-        if depth == _MAX_SPLIT_DEPTH:
-            if np.any(((dist == 0.0) & ~own)[~fine]):
-                raise PathThroughSingularity("path runs through a singularity")
-            raise NoConvergence("panel subdivision failed to terminate")
         done.append((a[fine], b[fine], leg[fine]))
+        if depth == _MAX_SPLIT_DEPTH:
+            through = ((dist == 0.0) & ~own).any(axis=1)
+            for g in np.unique(of[leg[~fine]]).tolist():
+                stuck = ~fine & (of[leg] == g)
+                failed[g] = (
+                    PathThroughSingularity("path runs through a singularity")
+                    if through[stuck].any() else
+                    NoConvergence("panel subdivision failed to terminate"))
+            break
         cut = ~fine
         a, m, b, leg = a[cut], m[cut], b[cut], leg[cut]
         a, b, leg = (np.concatenate([a, m]), np.concatenate([m, b]),
                      np.concatenate([leg, leg]))
-    return tuple(np.concatenate(part) for part in zip(*done))
+    a, b, leg = (np.concatenate(part) for part in zip(*done))
+    return a, b, leg, failed
 
 
 def _halve(a: np.ndarray, b: np.ndarray, leg: np.ndarray
@@ -238,13 +290,15 @@ def _halve(a: np.ndarray, b: np.ndarray, leg: np.ndarray
 
 
 def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-             xs: np.ndarray, es: np.ndarray, rows: bool) -> np.ndarray:
+             xs: np.ndarray, es: np.ndarray, of: np.ndarray, rows: bool
+             ) -> np.ndarray:
     """One Gauss-Jacobi pass of order DEFAULT_ORDER over the panels [a, b]:
     per panel, int f or, with ``rows``, a row of int f and the moments of
     its derivatives.
 
     ``xs`` are the singular points in the integration variable t and ``es``
-    their exponents. A singular point sitting exactly at a panel endpoint
+    their exponents, one row per map; a panel takes the row of[leg] of its
+    leg's map. A singular point sitting exactly at a panel endpoint
     puts its factor into that panel's Jacobi weight; every other factor is
     evaluated at the nodes, as set by ``kind``:
 
@@ -254,111 +308,159 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     - ``tail``: t = 1/zeta real; (1 - t/x)^e, which is t^e at x = 0, the
       only singular point within reach of a tail panel.
 
-    With ``rows`` (axis panels of leg j from z_j = xs[j] to z_{j+1}) the
-    columns go on with int f/(zeta - z_k) for every k off the leg (0 for
-    z_j and z_{j+1}): differentiating under the integral sign gives
-    dI_j/dz_k = -e_k int f/(zeta - z_k) there. The integrands keep the
-    endpoint powers of f, so the panels and rules of f serve as they are;
-    _leg_sums finds the two on-leg derivatives from the per-leg sums.
+    With ``rows`` (axis panels of one map, leg j from z_j = xs[0, j] to
+    z_{j+1}) the columns go on with int f/(zeta - z_k) for every k off the
+    leg (0 for z_j and z_{j+1}): differentiating under the integral sign
+    gives dI_j/dz_k = -e_k int f/(zeta - z_k) there. The integrands keep
+    the endpoint powers of f, so the panels and rules of f serve as they
+    are; integrate_finite_legs finds the two on-leg derivatives from the
+    settled per-leg sums.
     """
     order = DEFAULT_ORDER
-    own_left = a[:, None] == xs
-    own_right = b[:, None] == xs
+    # Per panel, the row of its leg's map. One map's row broadcasts, and
+    # its products with the exponents are one product each.
+    one = len(xs) == 1
+    X, E = (xs, es) if one else (xs[of[leg]], es[of[leg]])
+    own_left = a[:, None] == X
+    own_right = b[:, None] == X
     ks, js = np.nonzero(own_left | own_right)
     # One Jacobi rule per absorbed exponent pair; ((b - a)/2)^e goes to logs.
     rule_of = np.zeros(a.size, dtype=np.intp)
     pairs = {(0.0, 0.0): 0}
     logs = 0.0
     if ks.size:
-        e_left = own_left @ es
-        e_right = own_right @ es
-        for k in ks.tolist():
-            pair = (float(e_right[k]), float(e_left[k]))
-            rule_of[k] = pairs.setdefault(pair, len(pairs))
+        e_left, e_right = ((own_left @ es[0], own_right @ es[0]) if one else
+                           (_panel_products(own_left, E),
+                            _panel_products(own_right, E)))
+        rule_of[ks] = [pairs.setdefault(pair, len(pairs)) for pair in
+                       zip(e_right[ks].tolist(), e_left[ks].tolist())]
         if kind == "upper":
             # Into the upper half-plane from each end: the principal branch.
             logs = (e_left * (np.log(b - a) - _LN2)
                     + e_right * (np.log(a - b) - _LN2))
         else:
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
-    rules = _jacobi_rules(order, list(pairs))
-    t, w = np.array([[r.nodes for r in rules],
-                     [r.weights for r in rules]])[:, rule_of]
+    try:
+        rules = _jacobi_rules(order, list(pairs))
+    except _RuleFailed as exc:
+        failed = set(exc.pairs)
+        exc.legs = leg[np.array([pair in failed for pair in pairs])[rule_of]]
+        raise
+    if len(rules) == 1:
+        # One rule for every panel: its row broadcasts.
+        t, w = rules[0].nodes[None], rules[0].weights[None]
+    else:
+        t, w = np.array([[r.nodes for r in rules],
+                         [r.weights for r in rules]])[:, rule_of]
     half = (b - a) / 2.0
     nodes = a[:, None] + (t + 1.0) * half[:, None]
     if kind == "upper":
-        f = nodes.reshape(-1, 1) - xs
+        f = nodes[:, :, None] - X[:, None, :]
     else:
-        f = np.abs(nodes.reshape(-1, 1) - xs)
+        f = np.abs(nodes[:, :, None] - X[:, None, :])
         if kind == "tail":
-            f /= np.where(xs == 0.0, 1.0, np.abs(xs))
+            f /= np.where(X == 0.0, 1.0, np.abs(X))[:, None, :]
         if kind == "axis":
             # An absorbed right end lies right of the nodes: its phase counts.
             # einsum adds each panel's phases in one order; `@` rounded them
             # by the number of panels in the pass.
-            logs = logs + 1j * math.pi * np.einsum("pk,k->p",
-                                                   xs >= b[:, None], es)
+            logs = logs + 1j * math.pi * np.einsum("pk,pk->p",
+                                                   X >= b[:, None], E)
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
     if ks.size:
-        f.reshape(a.size, order, xs.size)[ks, :, js] = 1.0
-    f = np.exp(np.log(f, out=f) @ es).reshape(t.shape)
-    scale = half * np.exp(logs)
+        f[ks, :, js] = 1.0
+    f = np.log(f, out=f).reshape(-1, X.shape[1])
+    f = np.exp(f @ es[0] if one else _panel_products(f, E)
+               ).reshape(a.size, order)
+    # Without absorbed ends or phases (upper legs off the axis) logs is 0,
+    # and half times exp(0) = 1 is half, bit for bit.
+    scale = half * np.exp(logs) if ks.size or kind == "axis" else half
     cols = scale * np.einsum("kj,kj->k", f, w)
     if rows:
         # 1/(zeta - z_k) at the nodes, 0 for the leg's own ends (at -inf).
-        k = np.arange(xs.size)
+        k = np.arange(X.shape[1])
         own = (k == leg[:, None]) | (k == leg[:, None] + 1)
-        inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, xs)[:, None, :])
+        inv = 1.0 / (nodes[..., None] - np.where(own, -np.inf, X)[:, None, :])
         moments = np.einsum("pn,pnk->pk", f * w, inv)
         cols = np.column_stack([cols, scale[:, None] * moments])
     return cols
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-              xs: np.ndarray, es: np.ndarray, legs: int, rows: bool
-              ) -> np.ndarray:
+              xs: np.ndarray, es: np.ndarray, of: np.ndarray, legs: int,
+              rows: bool) -> np.ndarray:
     """Per leg 0, ..., legs - 1, the sum of its panels' columns, added
     panel by panel in order by one scatter-add per block of at most
-    _PASS_BLOCK panels: the integral I_j and, with ``rows`` (axis leg j
-    from z_j = xs[j] to z_{j+1}), its derivatives D[j, k] in every z_k. A
-    leg without panels reads zero. D[j, j] and D[j, j + 1] follow from the
-    off-leg entries by translation invariance (sum_k D[j, k] = 0) and
-    homogeneity (sum_k (z_k - z_j) D[j, k] = (1 + sum(es)) I_j)."""
-    sums = np.zeros((legs, xs.size + 1) if rows else legs, dtype=complex)
+    _PASS_BLOCK panels: the integral and, with ``rows``, the moments of its
+    derivatives (see _columns). A leg without panels reads zero."""
+    sums = np.zeros((legs, xs.shape[1] + 1) if rows else legs, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
-        np.add.at(sums, leg[block],
-                  _columns(kind, a[block], b[block], leg[block], xs, es, rows))
-    if not rows:
-        return sums[:, None]
-    I, D = sums[:, 0], -es * sums[:, 1:]
-    j = np.arange(legs)
-    D[j, j + 1] = ((1.0 + es.sum()) * I
-                   - (D * (xs - xs[:-1, None])).sum(axis=1)) / np.diff(xs)
-    D[j, j] = -D.sum(axis=1)
-    return np.column_stack([I, D])
+        np.add.at(sums, leg[block], _columns(kind, a[block], b[block],
+                                             leg[block], xs, es, of, rows))
+    return sums if rows else sums[:, None]
 
 
 def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
-            es: np.ndarray, tol: float, leg: np.ndarray | None = None,
-            rows: bool = False) -> np.ndarray:
+            es: np.ndarray, tol: float | np.ndarray,
+            leg: np.ndarray | None = None,
+            of: np.ndarray | None = None, rows: bool = False
+            ) -> tuple[np.ndarray, dict[int, NumericalError]]:
     """_leg_sums over the legs [p_i, q_i], labelled leg[i] = 0, 1, ... in
-    ascending order (one leg without ``leg``), each leg halved until its
-    value differs between two levels by at most ``tol`` times the larger.
-    A derivative row (with ``rows``) rides along on the same panels and
-    does not vote. No leg's sums depend on another's, so a settled leg's
-    panels leave the passes for good, its sums kept from the pass it
-    settled in."""
+    ascending order (one leg without ``leg``), leg j of the map of[j] (map
+    0 without ``of``), whose singularities are row of[j] of ``xs`` and
+    ``es``. Each leg is halved until its value differs between two levels
+    by at most its ``tol`` (one for all legs, or one per leg) times the
+    larger. A derivative row (with ``rows``) rides along on the same panels
+    and does not vote. No leg's sums depend on another's, so a settled
+    leg's panels leave the passes for good, its sums kept from the pass it
+    settled in.
+
+    Returns the sums and, per map that failed, its error: a leg that could
+    not be cut (_split), a Jacobi rule that failed its check, or a leg
+    still unsettled after MAX_LEVELS halvings (NoConvergence). A failed
+    map's legs leave the passes at once, its rows of the sums undefined;
+    the other maps go on as if alone."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
     # The legs still halved.
     live = np.ones(int(leg[-1]) + 1, dtype=bool)
-    a, b, leg = _split(p, q, leg, xs)
-    cur = _leg_sums(kind, a, b, leg, xs, es, live.size, rows)
+    of = np.zeros(live.size, dtype=np.intp) if of is None else of
+    failed: dict[int, NumericalError] = {}
+
+    def drop(errors: dict[int, NumericalError]) -> None:
+        # Each failed map keeps its first error; its legs stop.
+        failed.update((g, e) for g, e in errors.items() if g not in failed)
+        gone = np.zeros(len(xs), dtype=bool)
+        gone[list(errors)] = True
+        live[gone[of]] = False
+
+    def sums(a, b, leg):
+        # One pass. A rule that fails its check fails the maps whose
+        # panels need it, and the pass runs again without them.
+        while True:
+            try:
+                return a, b, leg, _leg_sums(kind, a, b, leg, xs, es, of,
+                                            live.size, rows)
+            except _RuleFailed as exc:
+                maps = np.unique(of[exc.legs]).tolist()
+                if not maps:
+                    raise
+                error = NumericalError(str(exc))
+                drop({g: error for g in maps})
+                keep = live[leg]
+                a, b, leg = a[keep], b[keep], leg[keep]
+
+    a, b, leg, cut_failed = _split(p, q, leg, xs, of)
+    if cut_failed:
+        drop(cut_failed)
+        keep = live[leg]
+        a, b, leg = a[keep], b[keep], leg[keep]
+    a, b, leg, cur = sums(a, b, leg)
     out = np.empty_like(cur)
     for _ in range(MAX_LEVELS):
         a, b, leg = _halve(a, b, leg)
-        new = _leg_sums(kind, a, b, leg, xs, es, live.size, rows)
+        a, b, leg, new = sums(a, b, leg)
         change = np.abs(new[:, 0] - cur[:, 0])
         size = np.maximum(np.abs(new[:, 0]), np.abs(cur[:, 0]))
         done = live & (change <= tol * size)
@@ -367,20 +469,50 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
             np.copyto(out, new, where=done[:, None])
             live ^= done
             if not live.any():
-                return out
+                return out, failed
             keep = live[leg]
             a, b, leg = a[keep], b[keep], leg[keep]
-    # The worst value of a leg that never settled.
-    worst = np.argmax(np.where(live, change - tol * size, -np.inf))
-    raise NoConvergence(
-        f"panel refinement stalled at {change[worst]:.3e} relative to "
-        f"{size[worst]:.3e} (tol {tol:.1e})")
+    # Each map with a leg that never settled fails at its worst leg.
+    tol = np.broadcast_to(tol, live.shape)
+    excess = change - tol * size
+    stalled = {}
+    for g in np.unique(of[live]).tolist():
+        worst = np.argmax(np.where(live & (of == g), excess, -np.inf))
+        stalled[g] = NoConvergence(
+            f"panel refinement stalled at {change[worst]:.3e} relative to "
+            f"{size[worst]:.3e} (tol {tol[worst]:.1e})")
+    drop(stalled)
+    return out, failed
+
+
+def _refine_map(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
+                es: np.ndarray, tol: float, leg: np.ndarray | None = None,
+                rows: bool = False) -> np.ndarray:
+    """_refine for the legs of one map, whose error it raises."""
+    out, failed = _refine(kind, p, q, xs, es, tol, leg, rows=rows)
+    if failed:
+        raise failed[0]
+    return out
 
 
 def _sc_singularities(map) -> tuple[np.ndarray, np.ndarray]:
+    # The finite prevertices and their exponents, as one row each.
     xs = np.asarray(map.prevertices.finite_points, dtype=float)
     es = np.asarray(map.exponents.alphas[:-1], dtype=float) - 1.0
-    return xs, es
+    return xs[None], es[None]
+
+
+def _tail_singularities(xs: np.ndarray, es: np.ndarray, e_inf: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The tail integrand's singular points in u = 1/zeta and their
+    exponents, one row per map (prevertex rows ``xs``, exponent rows
+    ``es``, exponents at infinity ``e_inf``): u = 0 with the exponent at
+    infinity, then 1/z_j for every finite prevertex but z_2 = 0."""
+    shape = (len(xs), -1)
+    keep = xs != 0.0
+    us = np.column_stack([np.zeros(len(xs)), 1.0 / xs[keep].reshape(shape)])
+    ues = np.column_stack([e_inf, es[keep].reshape(shape)])
+    return us, ues
 
 
 def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
@@ -406,8 +538,8 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
         total = integrate_axis_legs(map, [lo, hi], tol)[0]
         return complex(total if z_from.real < z_to.real else -total)
     xs, es = _sc_singularities(map)
-    return complex(_refine("upper", np.array([z_from]), np.array([z_to]), xs,
-                           es, tol)[0, 0])
+    return complex(_refine_map("upper", np.array([z_from]), np.array([z_to]),
+                               xs, es, tol)[0, 0])
 
 
 def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
@@ -433,7 +565,7 @@ def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
     cuts = np.sort(np.concatenate([ts, xs[(ts[0] < xs) & (xs < ts[-1])]]))
     cuts = cuts[np.diff(cuts, prepend=-math.inf) > 0.0]
     leg = np.searchsorted(ts, cuts[:-1], side="right") - 1
-    return _refine("axis", cuts[:-1], cuts[1:], xs, es, tol, leg=leg)[:, 0]
+    return _refine_map("axis", cuts[:-1], cuts[1:], xs, es, tol, leg)[:, 0]
 
 
 def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
@@ -459,9 +591,17 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     if not np.all(es > -1.0):
         raise InvalidExponent("exponents must be positive")
     check_tol(tol)
-    sums = _refine("axis", xs[:-1], xs[1:], xs, es, tol,
-                   leg=np.arange(xs.size - 1), rows=True)
-    return sums[:, 0], sums[:, 1:]
+    j = np.arange(xs.size - 1)
+    sums = _refine_map("axis", xs[:-1], xs[1:], xs[None], es[None], tol, j,
+                       rows=True)
+    # From the settled sums: D[j, j] and D[j, j + 1] follow from the
+    # off-leg entries by translation invariance (sum_k D[j, k] = 0) and
+    # homogeneity (sum_k (z_k - z_j) D[j, k] = (1 + sum(es)) I_j).
+    I, D = sums[:, 0], -es * sums[:, 1:]
+    D[j, j + 1] = ((1.0 + es.sum()) * I
+                   - (D * (xs - xs[:-1, None])).sum(axis=1)) / np.diff(xs)
+    D[j, j] = -D.sum(axis=1)
+    return I, D
 
 
 def integrate_to_infinity(map: "SCMap", z_from: float,
@@ -475,12 +615,10 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     """
     xs, es = _sc_singularities(map)
     z_from = float(z_from)
-    if not xs[-1] < z_from < math.inf:
+    if not xs[0, -1] < z_from < math.inf:
         raise ValidationError(f"tail start {z_from} must be finite and exceed "
-                              f"the last finite prevertex {xs[-1]}")
+                              f"the last finite prevertex {xs[0, -1]}")
     check_tol(tol)
-    nonzero = xs != 0.0
-    us = np.concatenate(([0.0], 1.0 / xs[nonzero]))
-    ues = np.concatenate(([map.exponents.alphas[-1] - 1.0], es[nonzero]))
-    return complex(_refine("tail", np.array([0.0]), np.array([1.0 / z_from]),
-                           us, ues, tol)[0, 0])
+    us, ues = _tail_singularities(xs, es, map.exponents.alphas[-1] - 1.0)
+    return complex(_refine_map("tail", np.array([0.0]),
+                               np.array([1.0 / z_from]), us, ues, tol)[0, 0])

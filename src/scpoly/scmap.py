@@ -26,8 +26,8 @@ from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
                        interior_angles)
-from .quadrature import (DEFAULT_TOL, check_tol, integrate_axis_legs,
-                         integrate_sc, integrate_to_infinity)
+from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
+                         check_tol, integrate_sc, integrate_to_infinity)
 
 BASE_POINT = 1j
 INFINITY = complex(math.inf, 0.0)
@@ -148,20 +148,61 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
     return map.A * integrate_sc(map, BASE_POINT, z, tol) + map.B
 
 
-def _bare_vertices(pre: Prevertices, exp: ExponentVector,
-                   quad_tol: float) -> list[complex]:
-    """Vertices of the A=1, B=0 polygon: the upper leg to z_1, then the
-    sides and the leg to the tail waypoint in one batch, then the tail,
-    added up in that order."""
-    m = SCMap(pre, exp)
-    zs = pre.finite_points
-    R = _tail_waypoint(zs)
-    w = [integrate_sc(m, BASE_POINT, complex(zs[0]), quad_tol)]
-    *sides, last = integrate_axis_legs(m, zs + (R,), quad_tol).tolist()
-    for side in sides:
-        w.append(w[-1] + side)
-    w.append(w[-1] + (last + integrate_to_infinity(m, R, quad_tol)))
-    return w
+def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
+                   quad_tol) -> list[list[complex] | NumericalError]:
+    """Vertices of the A=1, B=0 polygons of the (prevertices, exponents)
+    pairs ``points``, all of one n, at quadrature tolerance ``quad_tol``
+    (one for all, or one per point): per point its vertex list, or the
+    error of its first integral to fail. Three refinement loops for all
+    the points: the upper legs to z_1, then the sides with the legs to the
+    tail waypoints, then the tails; each polygon adds up its legs in that
+    order. A map's vertices do not depend on the other maps'."""
+    out: list = [None] * len(points)
+    if not points:
+        return out
+    for pre, exp in points:
+        SCMap(pre, exp)  # checks that the counts match
+    zs = np.array([pre.finite_points for pre, _ in points])
+    alphas = np.array([exp.alphas for _, exp in points])
+    es = alphas[:, :-1] - 1.0
+    tol = np.broadcast_to(np.asarray(quad_tol, dtype=float), len(points))
+    R = np.array([_tail_waypoint(pre.finite_points) for pre, _ in points])
+    ends = np.column_stack([zs, R])
+    us, ues = _tail_singularities(zs, es, alphas[:, -1] - 1.0)
+    # Per integral: the legs [p, q] of each map (a row each) and the
+    # singularities they avoid.
+    integrals = {
+        "upper": (np.full((len(points), 1), BASE_POINT),
+                  zs[:, :1].astype(complex), zs, es),
+        "axis": (ends[:, :-1], ends[:, 1:], zs, es),
+        "tail": (np.zeros((len(points), 1)), 1.0 / R[:, None], us, ues),
+    }
+    legs = {}
+    alive = np.arange(len(points))
+    for kind, (p, q, xs, ys) in integrals.items():
+        if not alive.size:
+            return out
+        if kind == "axis" and not np.all(np.isfinite(R[alive])):
+            raise ValidationError(
+                "leg ends must be finite and strictly increasing")
+        of = alive.repeat(p.shape[1])
+        sums, failed = _refine(kind, p[alive].ravel(), q[alive].ravel(), xs,
+                               ys, tol[of], np.arange(of.size), of)
+        legs[kind] = np.zeros(p.shape, dtype=complex)
+        legs[kind][alive] = sums[:, 0].reshape(alive.size, -1)
+        # A map that fails takes its error and leaves the later loops.
+        for g, error in failed.items():
+            out[g] = error
+        alive = alive[np.array([g not in failed for g in alive.tolist()],
+                               dtype=bool)]
+    for g in alive.tolist():
+        w = [complex(legs["upper"][g, 0])]
+        *sides, last = legs["axis"][g].tolist()
+        for side in sides:
+            w.append(w[-1] + side)
+        w.append(w[-1] + (last + complex(legs["tail"][g, 0])))
+        out[g] = w
+    return out
 
 
 def _circular_gap(x: float, y: float) -> float:
@@ -188,28 +229,76 @@ def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector
     return worst, worst_j
 
 
-def _checked_polygon(pre: Prevertices, exp: ExponentVector, tol: float
-                     ) -> LabelledPolygon:
+def _measured_polygons(points, quad_tol) -> list:
+    # Per point, (polygon, worst angle deviation, its vertex) or the error.
+    out = []
+    for (_, exp), w in zip(points, _bare_vertices(points, quad_tol)):
+        if isinstance(w, NumericalError):
+            out.append(w)
+            continue
+        poly = LabelledPolygon(tuple(w))
+        try:
+            out.append((poly, *_worst_angle_deviation(poly, exp)))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
+
+
+def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
+                      tol: float) -> list[LabelledPolygon | NumericalError]:
     check_tol(tol)
     # Integrate two orders tighter than the angle gate; vertex positions
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
     gate = 10.0 * tol
-    poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
-    worst, worst_j = _worst_angle_deviation(poly, exp)
-    if worst > gate and quad_tol > _QUAD_TOL_FLOOR:
-        # Only a polygon that fails the gate is retightened: crowded
-        # prevertices make sides tiny relative to the diameter and amplify
-        # leg errors by that ratio, so tighten by the measured excess (with
-        # headroom) instead of guessing the geometry.
-        quad_tol = max(0.5 * quad_tol * tol / worst, _QUAD_TOL_FLOOR)
-        poly = LabelledPolygon(tuple(_bare_vertices(pre, exp, quad_tol)))
-        worst, worst_j = _worst_angle_deviation(poly, exp)
-    if worst > gate:
-        raise AngleMismatch(
-            f"vertex {worst_j + 1} angle off by {worst:.3e} "
-            f"(allowed {gate:.1e}); quadrature is misbehaving")
-    return poly
+    out = _measured_polygons(points, quad_tol)
+    # Only a polygon that fails the gate is retightened: crowded
+    # prevertices make sides tiny relative to the diameter and amplify leg
+    # errors by that ratio, so tighten by the measured excess (with
+    # headroom) instead of guessing the geometry.
+    again = [i for i, got in enumerate(out) if isinstance(got, tuple)
+             and got[1] > gate and quad_tol > _QUAD_TOL_FLOOR]
+    if again:
+        tighter = [max(0.5 * quad_tol * tol / out[i][1], _QUAD_TOL_FLOOR)
+                   for i in again]
+        for i, got in zip(again, _measured_polygons(
+                [points[i] for i in again], tighter)):
+            out[i] = got
+    for i, got in enumerate(out):
+        if isinstance(got, tuple):
+            poly, worst, worst_j = got
+            out[i] = poly if worst <= gate else AngleMismatch(
+                f"vertex {worst_j + 1} angle off by {worst:.3e} "
+                f"(allowed {gate:.1e}); quadrature is misbehaving")
+    return out
+
+
+def _one(results: list):
+    # The one result of a one-point batch; an error is raised.
+    if isinstance(results[0], NumericalError):
+        raise results[0]
+    return results[0]
+
+
+def _forward_many(points: list[tuple[Prevertices, ExponentVector]],
+                  tol: float = DEFAULT_TOL
+                  ) -> list[LabelledPolygon | NumericalError]:
+    """forward of each (prevertices, exponents) pair of ``points``, all of
+    one n, in one batch: per point its polygon or the NumericalError its
+    forward raises. The integrals of all the points share their refinement
+    loops, and each polygon is bitwise the one its forward alone gives."""
+    for _, exp in points:
+        if exp.extended:
+            raise ValidationError(
+                "extended exponents go through forward_extended")
+    out = _checked_polygons(points, tol)
+    for i, poly in enumerate(out):
+        if isinstance(poly, LabelledPolygon):
+            report = check_immersion_necessary(poly)
+            if not report.ok:
+                out[i] = NumericalError(
+                    f"forward output failed the immersion screen: {report}")
+    return out
 
 
 def forward(pre: Prevertices, exp: ExponentVector,
@@ -217,14 +306,7 @@ def forward(pre: Prevertices, exp: ExponentVector,
     """Polygon traced by the normalized map: vertex j is the image of z_j,
     the last vertex the image of infinity. Angles are verified against
     alpha*pi and the immersion screen runs as a postcondition."""
-    if exp.extended:
-        raise ValidationError("extended exponents go through forward_extended")
-    poly = _checked_polygon(pre, exp, tol)
-    report = check_immersion_necessary(poly)
-    if not report.ok:
-        raise NumericalError(
-            f"forward output failed the immersion screen: {report}")
-    return poly
+    return _one(_forward_many([(pre, exp)], tol))
 
 
 def forward_extended(pre: Prevertices, exp: ExponentVector,
@@ -234,7 +316,7 @@ def forward_extended(pre: Prevertices, exp: ExponentVector,
     No immersion claim: vertices with alpha >= 2 carry their geometric
     angle mod 2*pi and are exempt from the angle gate.
     """
-    return _checked_polygon(pre, exp, tol)
+    return _one(_checked_polygons([(pre, exp)], tol))
 
 
 def apply_similarity(poly: LabelledPolygon, a: complex,

@@ -5,7 +5,9 @@ and classifies each polygon as simple, non-simple (with a multiwound
 witness when one of the arrangement probes of ``find_multiwound_witness``
 certifies one), or failed. Per-sample substreams are derived from (seed, index), so
 results are independent of evaluation order and a parallel driver would
-reproduce the serial result exactly.
+reproduce the serial result exactly. The forward construction runs on
+chunks of samples at once, and each polygon comes out bitwise as its
+own ``forward`` gives it, so results do not depend on the chunks either.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from .charts import ChartPoint, moduli_unchart
 from .errors import NumericalError, ValidationError, check_int
 from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
                        winding_number)
-from .quadrature import DEFAULT_TOL
-from .scmap import forward
+from .quadrature import DEFAULT_TOL, check_tol
+# forward is not called here: bench/spans.py hooks it at this module.
+from .scmap import _forward_many, forward  # noqa: F401
+
+# Samples forwarded in one batch by run_sweep.
+SWEEP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -82,24 +88,35 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
 
     Failures count chart points whose map floats cannot hold and forward
     constructions that died numerically; chart points themselves are
-    always valid (the chart covers all of the cube).
+    always valid (the chart covers all of the cube). The samples go
+    forward in chunks of SWEEP_CHUNK, each chunk one batch of
+    ``scmap._forward_many``; each polygon is bitwise the one its own
+    ``forward`` gives, so the result does not depend on the chunks.
     """
+    check_tol(tol)
     simple = 0
     failures = 0
     nonsimple: list[NonSimpleInstance] = []
-    for index in range(cfg.samples):
-        pt = sample_chart_point(cfg, index)
-        try:
-            poly = forward(*moduli_unchart(pt), tol)
-        except NumericalError:
-            failures += 1
-            continue
-        if is_simple(poly):
-            simple += 1
-            continue
-        witness = find_multiwound_witness(poly)
-        winding = 0 if witness is None else winding_number(poly, witness)
-        nonsimple.append(NonSimpleInstance(pt, witness, winding))
+    for start in range(0, cfg.samples, SWEEP_CHUNK):
+        charted, maps = [], []
+        for index in range(start, min(start + SWEEP_CHUNK, cfg.samples)):
+            pt = sample_chart_point(cfg, index)
+            try:
+                maps.append(moduli_unchart(pt))
+            except NumericalError:
+                failures += 1
+                continue
+            charted.append(pt)
+        for pt, poly in zip(charted, _forward_many(maps, tol)):
+            if isinstance(poly, NumericalError):
+                failures += 1
+                continue
+            if is_simple(poly):
+                simple += 1
+                continue
+            witness = find_multiwound_witness(poly)
+            winding = 0 if witness is None else winding_number(poly, witness)
+            nonsimple.append(NonSimpleInstance(pt, witness, winding))
     return SweepResult(tested=cfg.samples, simple_count=simple,
                        nonsimple_instances=tuple(nonsimple),
                        failures=failures)

@@ -184,6 +184,12 @@ def test_options_validation():
     # Every residual would pass an infinite tolerance: all solves converged.
     with pytest.raises(ValidationError):
         SolveOptions(residual_tol=math.inf)
+    # Tolerances are real numbers: True is not 1.0, nor "1e-10" 1e-10.
+    for bad in (True, "1e-10", 1e-10j):
+        with pytest.raises(ValidationError):
+            SolveOptions(residual_tol=bad)
+        with pytest.raises(ValidationError):
+            SolveOptions(quadrature_tol=bad)
 
 
 # ------------------------------------------------- solve_parameter_problem

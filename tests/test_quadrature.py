@@ -7,7 +7,9 @@ import pytest
 from scpoly import (
     ExponentVector,
     InvalidExponent,
+    NoConvergence,
     NumericalError,
+    PathThroughSingularity,
     Prevertices,
     INFINITY,
     SCMap,
@@ -413,6 +415,25 @@ def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
     blocked_values, blocked_derivs = integrate_finite_legs(zs, alphas)
     assert np.array_equal(blocked_values, values)
     assert np.array_equal(blocked_derivs, derivs)
+
+
+def test_each_map_of_a_batch_fails_alone():
+    # Three maps in one loop: map 1's leg crosses its own singularity at
+    # 0 and cannot be cut, map 2's leg asks for a tolerance below
+    # rounding and stalls. Map 0's legs settle as they do alone.
+    xs = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0], [-1.0, 0.0, 3.0]])
+    es = np.array([[-0.5, 0.3, -0.2], [-0.4, -0.3, 0.1], [0.2, -0.6, 0.5]])
+    p, q = np.array([-1.0, 0.0, -0.3, -1.0]), np.array([0.0, 1.0, 1.5, 0.0])
+    tol = np.array([1e-12, 1e-12, 1e-12, 1e-30])
+    sums, failed = quadrature._refine("axis", p, q, xs, es, tol, np.arange(4),
+                                      np.array([0, 0, 1, 2]))
+    assert sorted(failed) == [1, 2]
+    assert type(failed[1]) is PathThroughSingularity
+    assert type(failed[2]) is NoConvergence
+    alone, none = quadrature._refine("axis", p[:2], q[:2], xs[:1], es[:1],
+                                     1e-12, np.arange(2))
+    assert not none
+    assert np.array_equal(sums[:2], alone)
 
 
 def test_values_sum_the_same_in_blocks(monkeypatch, crowded_map):

@@ -15,6 +15,7 @@ from scpoly import (
     LabelledPolygon,
     NotIncreasing,
     NotNormalized,
+    NumericalError,
     Prevertices,
     SCMap,
     SweepConfig,
@@ -238,7 +239,7 @@ def test_bare_sides_match_single_leg_integrals():
     cfg = SweepConfig(n=12, samples=200, seed=1, chart_box=6.0)
     pre, exp = moduli_unchart(sample_chart_point(cfg, 4))
     m, zs, tol = SCMap(pre, exp), pre.finite_points, 1e-12
-    w = _bare_vertices(pre, exp, tol)
+    w, = _bare_vertices([(pre, exp)], tol)
     R = _tail_waypoint(zs)
     legs = ([integrate_sc(m, BASE_POINT, zs[0], tol)]
             + [integrate_sc(m, a, b, tol) for a, b in zip(zs, zs[1:])]
@@ -252,27 +253,52 @@ def test_bare_sides_match_single_leg_integrals():
 
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_bare_vertices_make_three_integrals(monkeypatch, n):
-    # The upper leg, one axis batch of the n - 2 sides and the waypoint
-    # leg, and the tail: three refinement loops whatever n is.
-    refined, tails = [], []
-    refine, tail = quadrature._refine, scmap.integrate_to_infinity
+    # The upper legs, one axis batch of the n - 2 sides and the waypoint
+    # leg of every map, and the tails: three refinement loops whatever n
+    # is and however many maps share them.
+    refined = []
+    refine = scmap._refine
 
     def counted_refine(kind, p, *args, **kwargs):
         out = refine(kind, p, *args, **kwargs)
-        refined.append((kind, out.shape[0]))
+        refined.append((kind, out[0].shape[0]))
         return out
 
-    def counted_tail(*args):
-        tails.append(args)
-        return tail(*args)
-
-    monkeypatch.setattr(quadrature, "_refine", counted_refine)
-    monkeypatch.setattr(scmap, "integrate_to_infinity", counted_tail)
+    monkeypatch.setattr(scmap, "_refine", counted_refine)
     cfg = SweepConfig(n=n, samples=4, seed=3)
-    pre, exp = moduli_unchart(sample_chart_point(cfg, 1))
-    _bare_vertices(pre, exp, 1e-12)
-    assert refined == [("upper", 1), ("axis", n - 1), ("tail", 1)]
-    assert len(tails) == 1
+    points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
+    for count in (1, 4):
+        refined.clear()
+        _bare_vertices(points[:count], 1e-12)
+        assert refined == [("upper", count), ("axis", count * (n - 1)),
+                           ("tail", count)]
+
+
+def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
+    # The rule absorbing u^(alpha_n - 1) at the start of map 2's tail
+    # fails its weight-sum check: map 2 fails as its lone forward does,
+    # and the maps sharing its passes keep their bits.
+    cfg = SweepConfig(n=6, samples=4, seed=3)
+    points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
+    lone = [forward(*point) for point in points]
+    bad = (0.0, points[2][1].alphas[-1] - 1.0)
+    build = quadrature._golub_welsch
+
+    def failing(order, pairs):
+        if bad in pairs:
+            raise quadrature._RuleFailed("Jacobi rule weight sum off", [bad])
+        return build(order, pairs)
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", failing)
+    monkeypatch.setattr(quadrature, "_rules", {})
+    batch = scmap._forward_many(points)
+    assert type(batch[2]) is NumericalError
+    assert "weight sum off" in str(batch[2])
+    for i in (0, 1, 3):
+        assert batch[i].vertices == lone[i].vertices
+    with pytest.raises(NumericalError, match="weight sum off") as info:
+        forward(*points[2])
+    assert type(info.value) is NumericalError
 
 
 def test_forward_never_waits_on_derivative_rows():

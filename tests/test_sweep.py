@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import scpoly.scmap as scmap
 import scpoly.sweep as sweep_mod
 from scpoly import (
+    AngleMismatch,
     ChartPoint,
     DegenerateSide,
+    NoConvergence,
     NumericalError,
     NonSimpleInstance,
     SweepConfig,
@@ -134,22 +137,65 @@ def test_frozen_lens_chart_classifies_nonsimple():
 
 
 def test_forward_failures_are_counted(monkeypatch):
-    real_forward = sweep_mod.forward
-    def flaky(pre, exp, tol):
-        if abs(pre.finite_points[-1] - 1.0) < 0.5:
-            raise NumericalError("synthetic failure")
-        return real_forward(pre, exp, tol)
-    monkeypatch.setattr(sweep_mod, "forward", flaky)
+    real_forward_many = sweep_mod._forward_many
+    def flaky(points, tol):
+        out = real_forward_many(points, tol)
+        return [NumericalError("synthetic failure")
+                if abs(pre.finite_points[-1] - 1.0) < 0.5 else poly
+                for (pre, _), poly in zip(points, out)]
+    monkeypatch.setattr(sweep_mod, "_forward_many", flaky)
     res = run_sweep(SweepConfig(n=4, samples=40, seed=2))
     assert res.failures > 0
     assert res.tested == 40
     assert res.simple_count + len(res.nonsimple_instances) + res.failures == 40
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, True, "1e-10"])
 def test_bad_tol_is_rejected_not_counted(tol):
     with pytest.raises(ValidationError):
         run_sweep(SweepConfig(n=5, samples=3, seed=0), tol)
+
+
+def test_sweep_chunks_do_not_change_a_bit(monkeypatch):
+    # Sample 13 of this stream is retightened after its first pass; the
+    # others pass the gate at once, and some are not simple. A batch in
+    # any order gives each polygon the bits of its lone forward, so
+    # sweeps in chunks of any size agree.
+    cfg = SweepConfig(n=16, samples=24, seed=1)
+    points = [moduli_unchart(sample_chart_point(cfg, i))
+              for i in range(cfg.samples)]
+    lone = [forward(*point) for point in points]
+    order = np.random.default_rng(5).permutation(cfg.samples)
+    batch = scmap._forward_many([points[i] for i in order])
+    for i, poly in zip(order.tolist(), batch):
+        assert poly.vertices == lone[i].vertices
+    results = []
+    for chunk in (1, 3, sweep_mod.SWEEP_CHUNK):
+        monkeypatch.setattr(sweep_mod, "SWEEP_CHUNK", chunk)
+        results.append(run_sweep(cfg))
+    assert results[0].nonsimple_instances
+    assert results[0] == results[1] == results[2]
+
+
+def test_failed_samples_leave_their_batch_mates_alone():
+    # Samples 0-7 and 23 of this stream in one batch: 1 stalls in the
+    # quadrature, 2 fails the angle gate and 23 integrates to coincident
+    # vertices. Each keeps the outcome of its lone forward, class for
+    # class and bit for bit.
+    cfg = SweepConfig(n=12, samples=60, seed=1, chart_box=6.0)
+    points = [moduli_unchart(sample_chart_point(cfg, i))
+              for i in (*range(8), 23)]
+    batch = scmap._forward_many(points)
+    for point, got in zip(points, batch):
+        try:
+            want = forward(*point)
+        except NumericalError as exc:
+            assert type(got) is type(exc)
+        else:
+            assert got.vertices == want.vertices
+    failed = [type(got) for got in batch if isinstance(got, Exception)]
+    assert failed == [NoConvergence, AngleMismatch, NumericalError]
+    assert isinstance(batch[-1].__cause__, DegenerateSide)
 
 
 def test_degenerate_forward_output_counts_as_failure():
