@@ -28,17 +28,19 @@ into its legs (np.add.at, panel by panel in order), so a leg's sums do
 not depend on block boundaries or on the other legs of its passes.
 
 One loop can carry the legs of many maps (forward's batches): the
-singularities come as one row per map, and each leg names its map and
-its tolerance. Every step of a pass is elementwise or works row by row,
-except the product of the node factors' logs with the exponents. A BLAS
-product over a block of rows rounds each row as the product over the
-whole matrix does when the block's row count is a multiple of 8, as
-DEFAULT_ORDER makes a panel's; an einsum or a matrix product with an
-exponent vector per row does not. So a pass of one map keeps one
-product, and a pass of many takes one product per panel: each map's
-legs then come out bit for bit as when the map is integrated alone. A
-map whose leg cannot be cut, stalls, or needs a Jacobi rule that fails
-its check drops out of the loop with its error; the other maps go on.
+singularities come as one row per map, each leg names its map, and one
+tolerance serves every leg. Every step of a pass is elementwise or works
+row by row, except the product of the node factors' logs with the
+exponents. A BLAS product over a block of rows rounds each row as the
+product over the whole matrix does when the block's row count is a
+multiple of 8, as DEFAULT_ORDER makes a panel's; an einsum or a matrix
+product with an exponent vector per row does not. So a pass of one map
+keeps one product, and a pass of many takes one product per panel: each
+map's legs then come out bit for bit as when the map is integrated
+alone. A map whose leg cannot be cut or stalls drops out of the loop
+with its error; the other maps go on. A Jacobi rule that fails its
+check (never seen outside a broken eigensolver) raises out of the loop
+for all its maps, and forward's batches then integrate each map alone.
 
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
@@ -111,17 +113,6 @@ _RULE_CACHE_SIZE = 2048
 _rules: dict[tuple[int, float, float], QuadratureRule] = {}
 
 
-class _RuleFailed(NumericalError):
-    """Rules that failed their weight-sum check: ``pairs`` are their
-    exponent pairs and ``legs`` (set by the pass that asked for them) the
-    legs whose panels needed them."""
-
-    def __init__(self, message: str, pairs: list[tuple[float, float]]):
-        super().__init__(message)
-        self.pairs = pairs
-        self.legs = np.zeros(0, dtype=np.intp)
-
-
 def _golub_welsch(order: int, pairs: list[tuple[float, float]]
                   ) -> list[QuadratureRule]:
     for a, b in pairs:
@@ -157,8 +148,8 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
     bad = np.abs(sums - m0) > 1e-13 * m0
     if bad.any():
         r = int(np.argmax(bad))
-        raise _RuleFailed(f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}",
-                          [pairs[i] for i in np.flatnonzero(bad)])
+        raise NumericalError(
+            f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
     # Each rule owns copies of its rows: a view would keep the whole
     # batch alive for as long as any of its rules stays cached.
     rules = []
@@ -340,12 +331,7 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
                     + e_right * (np.log(a - b) - _LN2))
         else:
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
-    try:
-        rules = _jacobi_rules(order, list(pairs))
-    except _RuleFailed as exc:
-        failed = set(exc.pairs)
-        exc.legs = leg[np.array([pair in failed for pair in pairs])[rule_of]]
-        raise
+    rules = _jacobi_rules(order, list(pairs))
     if len(rules) == 1:
         # One rule for every panel: its row broadcasts.
         t, w = rules[0].nodes[None], rules[0].weights[None]
@@ -403,64 +389,37 @@ def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
 
 
 def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
-            es: np.ndarray, tol: float | np.ndarray,
-            leg: np.ndarray | None = None,
+            es: np.ndarray, tol: float, leg: np.ndarray | None = None,
             of: np.ndarray | None = None, rows: bool = False
             ) -> tuple[np.ndarray, dict[int, NumericalError]]:
     """_leg_sums over the legs [p_i, q_i], labelled leg[i] = 0, 1, ... in
     ascending order (one leg without ``leg``), leg j of the map of[j] (map
     0 without ``of``), whose singularities are row of[j] of ``xs`` and
     ``es``. Each leg is halved until its value differs between two levels
-    by at most its ``tol`` (one for all legs, or one per leg) times the
-    larger. A derivative row (with ``rows``) rides along on the same panels
-    and does not vote. No leg's sums depend on another's, so a settled
-    leg's panels leave the passes for good, its sums kept from the pass it
-    settled in.
+    by at most ``tol`` times the larger. A derivative row (with ``rows``)
+    rides along on the same panels and does not vote. No leg's sums depend
+    on another's, so a settled leg's panels leave the passes for good, its
+    sums kept from the pass it settled in.
 
     Returns the sums and, per map that failed, its error: a leg that could
-    not be cut (_split), a Jacobi rule that failed its check, or a leg
-    still unsettled after MAX_LEVELS halvings (NoConvergence). A failed
-    map's legs leave the passes at once, its rows of the sums undefined;
-    the other maps go on as if alone."""
+    not be cut (_split) or a leg still unsettled after MAX_LEVELS halvings
+    (NoConvergence). A map that cannot be cut leaves the passes at once,
+    its rows of the sums undefined; the other maps go on as if alone. Any
+    other error (a Jacobi rule that fails its check) is raised."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
     # The legs still halved.
     live = np.ones(int(leg[-1]) + 1, dtype=bool)
     of = np.zeros(live.size, dtype=np.intp) if of is None else of
-    failed: dict[int, NumericalError] = {}
-
-    def drop(errors: dict[int, NumericalError]) -> None:
-        # Each failed map keeps its first error; its legs stop.
-        failed.update((g, e) for g, e in errors.items() if g not in failed)
-        gone = np.zeros(len(xs), dtype=bool)
-        gone[list(errors)] = True
-        live[gone[of]] = False
-
-    def sums(a, b, leg):
-        # One pass. A rule that fails its check fails the maps whose
-        # panels need it, and the pass runs again without them.
-        while True:
-            try:
-                return a, b, leg, _leg_sums(kind, a, b, leg, xs, es, of,
-                                            live.size, rows)
-            except _RuleFailed as exc:
-                maps = np.unique(of[exc.legs]).tolist()
-                if not maps:
-                    raise
-                error = NumericalError(str(exc))
-                drop({g: error for g in maps})
-                keep = live[leg]
-                a, b, leg = a[keep], b[keep], leg[keep]
-
-    a, b, leg, cut_failed = _split(p, q, leg, xs, of)
-    if cut_failed:
-        drop(cut_failed)
+    a, b, leg, failed = _split(p, q, leg, xs, of)
+    if failed:
+        live[np.isin(of, list(failed))] = False
         keep = live[leg]
         a, b, leg = a[keep], b[keep], leg[keep]
-    a, b, leg, cur = sums(a, b, leg)
+    cur = _leg_sums(kind, a, b, leg, xs, es, of, live.size, rows)
     out = np.empty_like(cur)
     for _ in range(MAX_LEVELS):
         a, b, leg = _halve(a, b, leg)
-        a, b, leg, new = sums(a, b, leg)
+        new = _leg_sums(kind, a, b, leg, xs, es, of, live.size, rows)
         change = np.abs(new[:, 0] - cur[:, 0])
         size = np.maximum(np.abs(new[:, 0]), np.abs(cur[:, 0]))
         done = live & (change <= tol * size)
@@ -473,15 +432,12 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
             keep = live[leg]
             a, b, leg = a[keep], b[keep], leg[keep]
     # Each map with a leg that never settled fails at its worst leg.
-    tol = np.broadcast_to(tol, live.shape)
     excess = change - tol * size
-    stalled = {}
     for g in np.unique(of[live]).tolist():
         worst = np.argmax(np.where(live & (of == g), excess, -np.inf))
-        stalled[g] = NoConvergence(
+        failed[g] = NoConvergence(
             f"panel refinement stalled at {change[worst]:.3e} relative to "
-            f"{size[worst]:.3e} (tol {tol[worst]:.1e})")
-    drop(stalled)
+            f"{size[worst]:.3e} (tol {tol:.1e})")
     return out, failed
 
 

@@ -127,7 +127,11 @@ class SCMap:
 def _tail_waypoint(zs: tuple[float, ...]) -> float:
     # One unit past the last prevertex, plus the whole prevertex span:
     # keeps the finite tail leg clear of the singularities.
-    return zs[-1] + 1.0 + (zs[-1] - zs[0])
+    R = zs[-1] + 1.0 + (zs[-1] - zs[0])
+    if R == math.inf:
+        raise NumericalError(f"tail waypoint past prevertex {zs[-1]} "
+                             "overflows")
+    return R
 
 
 def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
@@ -149,24 +153,30 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
 
 
 def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
-                   quad_tol) -> list[list[complex] | NumericalError]:
+                   quad_tol: float) -> list[list[complex] | NumericalError]:
     """Vertices of the A=1, B=0 polygons of the (prevertices, exponents)
-    pairs ``points``, all of one n, at quadrature tolerance ``quad_tol``
-    (one for all, or one per point): per point its vertex list, or the
-    error of its first integral to fail. Three refinement loops for all
-    the points: the upper legs to z_1, then the sides with the legs to the
-    tail waypoints, then the tails; each polygon adds up its legs in that
-    order. A map's vertices do not depend on the other maps'."""
+    pairs ``points``, all of one n, at quadrature tolerance ``quad_tol``:
+    per point its vertex list, or the error of its first step to fail.
+    Three refinement loops for all the points: the upper legs to z_1, then
+    the sides with the legs to the tail waypoints, then the tails; each
+    polygon adds up its legs in that order. A map's vertices do not depend
+    on the other maps'. An error that a loop raises for all its maps (a
+    Jacobi rule that fails its check) sends each point through alone, so
+    every point gets the outcome of its own call."""
     out: list = [None] * len(points)
     if not points:
         return out
-    for pre, exp in points:
+    # A map whose waypoint overflows keeps R = 1 and enters no loop.
+    R = np.ones(len(points))
+    for g, (pre, exp) in enumerate(points):
         SCMap(pre, exp)  # checks that the counts match
+        try:
+            R[g] = _tail_waypoint(pre.finite_points)
+        except NumericalError as exc:
+            out[g] = exc
     zs = np.array([pre.finite_points for pre, _ in points])
     alphas = np.array([exp.alphas for _, exp in points])
     es = alphas[:, :-1] - 1.0
-    tol = np.broadcast_to(np.asarray(quad_tol, dtype=float), len(points))
-    R = np.array([_tail_waypoint(pre.finite_points) for pre, _ in points])
     ends = np.column_stack([zs, R])
     us, ues = _tail_singularities(zs, es, alphas[:, -1] - 1.0)
     # Per integral: the legs [p, q] of each map (a row each) and the
@@ -178,16 +188,19 @@ def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
         "tail": (np.zeros((len(points), 1)), 1.0 / R[:, None], us, ues),
     }
     legs = {}
-    alive = np.arange(len(points))
+    alive = np.flatnonzero([w is None for w in out])
     for kind, (p, q, xs, ys) in integrals.items():
         if not alive.size:
             return out
-        if kind == "axis" and not np.all(np.isfinite(R[alive])):
-            raise ValidationError(
-                "leg ends must be finite and strictly increasing")
         of = alive.repeat(p.shape[1])
-        sums, failed = _refine(kind, p[alive].ravel(), q[alive].ravel(), xs,
-                               ys, tol[of], np.arange(of.size), of)
+        try:
+            sums, failed = _refine(kind, p[alive].ravel(), q[alive].ravel(),
+                                   xs, ys, quad_tol, np.arange(of.size), of)
+        except NumericalError as exc:
+            if len(points) == 1:
+                return [exc]
+            return [w for point in points
+                    for w in _bare_vertices([point], quad_tol)]
         legs[kind] = np.zeros(p.shape, dtype=complex)
         legs[kind][alive] = sums[:, 0].reshape(alive.size, -1)
         # A map that fails takes its error and leaves the later loops.
@@ -229,19 +242,16 @@ def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector
     return worst, worst_j
 
 
-def _measured_polygons(points, quad_tol) -> list:
-    # Per point, (polygon, worst angle deviation, its vertex) or the error.
-    out = []
-    for (_, exp), w in zip(points, _bare_vertices(points, quad_tol)):
-        if isinstance(w, NumericalError):
-            out.append(w)
-            continue
-        poly = LabelledPolygon(tuple(w))
-        try:
-            out.append((poly, *_worst_angle_deviation(poly, exp)))
-        except NumericalError as exc:
-            out.append(exc)
-    return out
+def _measured(exp: ExponentVector, w: list[complex] | NumericalError):
+    # The polygon of the vertices w, its worst angle deviation and that
+    # vertex; or the error.
+    if isinstance(w, NumericalError):
+        return w
+    poly = LabelledPolygon(tuple(w))
+    try:
+        return (poly, *_worst_angle_deviation(poly, exp))
+    except NumericalError as exc:
+        return exc
 
 
 def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
@@ -251,25 +261,23 @@ def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
     gate = 10.0 * tol
-    out = _measured_polygons(points, quad_tol)
-    # Only a polygon that fails the gate is retightened: crowded
-    # prevertices make sides tiny relative to the diameter and amplify leg
-    # errors by that ratio, so tighten by the measured excess (with
-    # headroom) instead of guessing the geometry.
-    again = [i for i, got in enumerate(out) if isinstance(got, tuple)
-             and got[1] > gate and quad_tol > _QUAD_TOL_FLOOR]
-    if again:
-        tighter = [max(0.5 * quad_tol * tol / out[i][1], _QUAD_TOL_FLOOR)
-                   for i in again]
-        for i, got in zip(again, _measured_polygons(
-                [points[i] for i in again], tighter)):
-            out[i] = got
-    for i, got in enumerate(out):
+    out = _bare_vertices(points, quad_tol)
+    for i, (point, w) in enumerate(zip(points, out)):
+        got = _measured(point[1], w)
+        # Only a polygon that fails the gate is retightened, on its own:
+        # crowded prevertices make sides tiny relative to the diameter and
+        # amplify leg errors by that ratio, so tighten by the measured
+        # excess (with headroom) instead of guessing the geometry.
+        if (isinstance(got, tuple) and got[1] > gate
+                and quad_tol > _QUAD_TOL_FLOOR):
+            tighter = max(0.5 * quad_tol * tol / got[1], _QUAD_TOL_FLOOR)
+            got = _measured(point[1], _bare_vertices([point], tighter)[0])
         if isinstance(got, tuple):
             poly, worst, worst_j = got
-            out[i] = poly if worst <= gate else AngleMismatch(
+            got = poly if worst <= gate else AngleMismatch(
                 f"vertex {worst_j + 1} angle off by {worst:.3e} "
                 f"(allowed {gate:.1e}); quadrature is misbehaving")
+        out[i] = got
     return out
 
 

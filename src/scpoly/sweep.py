@@ -41,11 +41,11 @@ class SweepConfig:
         check_int(self.n, "n", 3)
         check_int(self.samples, "samples", 1)
         check_int(self.seed, "seed", 0)
+        check_tol(self.chart_box, "chart_box")
         # Samples are drawn from an interval of width 2 * chart_box.
-        if not 0.0 < 2.0 * self.chart_box < math.inf:
+        if not 2.0 * self.chart_box < math.inf:
             raise ValidationError(
-                f"chart_box must be positive with 2 * chart_box finite, "
-                f"got {self.chart_box}")
+                f"2 * chart_box must be finite, got {self.chart_box}")
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,13 @@ def test_forward_numerical_failure(capsys):
 
 
 def test_chart_points_beyond_floats_exit_3(capsys):
-    # An overflowing gap, and one that vanishes against its position.
+    # An overflowing gap, one whose tail waypoint overflows, and one that
+    # vanishes against its position.
     code, out = run_cli(capsys, "unchart",
                         '{"n": 4, "z": [710.0], "a": [0.0, 0.0, 0.0]}')
+    assert (code, json.loads(out)["error"]) == (3, "NumericalError")
+    code, out = run_cli(capsys, "forward",
+                        '{"n": 4, "z": [709.5], "a": [0.0, 0.0, 0.0]}')
     assert (code, json.loads(out)["error"]) == (3, "NumericalError")
     code, out = run_cli(capsys, "forward",
                         '{"n": 5, "z": [1.0, -800.0], "a": [0.0, 0.0, 0.0, 0.0]}')

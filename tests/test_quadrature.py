@@ -418,15 +418,17 @@ def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
 
 
 def test_each_map_of_a_batch_fails_alone():
-    # Three maps in one loop: map 1's leg crosses its own singularity at
-    # 0 and cannot be cut, map 2's leg asks for a tolerance below
-    # rounding and stalls. Map 0's legs settle as they do alone.
-    xs = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0], [-1.0, 0.0, 3.0]])
+    # Three maps in one loop at one tolerance: map 1's leg crosses its own
+    # singularity at 0 and cannot be cut, map 2's leg, 1e-4 long at 1e6,
+    # has nodes that round by about 1e-10 and stalls (at 2.35e-8
+    # relative). Map 0's legs settle as they do alone.
+    xs = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0],
+                   [-1.0, 1e6, 1e6 + 1e-4]])
     es = np.array([[-0.5, 0.3, -0.2], [-0.4, -0.3, 0.1], [0.2, -0.6, 0.5]])
-    p, q = np.array([-1.0, 0.0, -0.3, -1.0]), np.array([0.0, 1.0, 1.5, 0.0])
-    tol = np.array([1e-12, 1e-12, 1e-12, 1e-30])
-    sums, failed = quadrature._refine("axis", p, q, xs, es, tol, np.arange(4),
-                                      np.array([0, 0, 1, 2]))
+    p = np.array([-1.0, 0.0, -0.3, 1e6])
+    q = np.array([0.0, 1.0, 1.5, 1e6 + 1e-4])
+    sums, failed = quadrature._refine("axis", p, q, xs, es, 1e-12,
+                                      np.arange(4), np.array([0, 0, 1, 2]))
     assert sorted(failed) == [1, 2]
     assert type(failed[1]) is PathThroughSingularity
     assert type(failed[2]) is NoConvergence

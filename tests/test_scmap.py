@@ -276,8 +276,9 @@ def test_bare_vertices_make_three_integrals(monkeypatch, n):
 
 def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
     # The rule absorbing u^(alpha_n - 1) at the start of map 2's tail
-    # fails its weight-sum check: map 2 fails as its lone forward does,
-    # and the maps sharing its passes keep their bits.
+    # fails its weight-sum check, which fails the whole tail loop: each
+    # map is then integrated alone, so map 2 fails as its lone forward
+    # does, and the maps that shared its passes keep their bits.
     cfg = SweepConfig(n=6, samples=4, seed=3)
     points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
     lone = [forward(*point) for point in points]
@@ -286,7 +287,7 @@ def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
 
     def failing(order, pairs):
         if bad in pairs:
-            raise quadrature._RuleFailed("Jacobi rule weight sum off", [bad])
+            raise NumericalError("Jacobi rule weight sum off")
         return build(order, pairs)
 
     monkeypatch.setattr(quadrature, "_golub_welsch", failing)
@@ -299,6 +300,25 @@ def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
     with pytest.raises(NumericalError, match="weight sum off") as info:
         forward(*points[2])
     assert type(info.value) is NumericalError
+
+
+def test_overflowing_tail_waypoint_fails_numerically():
+    # A last prevertex above about 9e307 puts the tail waypoint past the
+    # floats: a failure of the computation, not of the input. In a batch
+    # only that map fails; the others keep the bits of their lone forward.
+    far = moduli_unchart(ChartPoint(4, (709.5,), (0.0,) * 3))
+    with pytest.raises(NumericalError, match="waypoint"):
+        forward(*far)
+    square = SCMap(Prevertices((-1.0, 0.0, 1.5e308)),
+                   ExponentVector((0.5,) * 4))
+    with pytest.raises(NumericalError, match="waypoint"):
+        evaluate(square, INFINITY)
+    cfg = SweepConfig(n=4, samples=3, seed=3)
+    points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(3)]
+    batch = scmap._forward_many([points[0], far, *points[1:]])
+    assert type(batch[1]) is NumericalError
+    for point, got in zip(points, batch[:1] + batch[2:]):
+        assert got.vertices == forward(*point).vertices
 
 
 def test_forward_never_waits_on_derivative_rows():

@@ -42,7 +42,8 @@ def test_config_validation():
     cfg = SweepConfig(n=np.int64(5), samples=np.int32(2), seed=np.int64(1))
     assert run_sweep(cfg).tested == 2
     # The samples come from [-box, box], whose width 2 * box must be finite.
-    for box in (0.0, math.inf, math.nan, 1e308):
+    # A bool or a value that is not real is no width at all.
+    for box in (0.0, math.inf, math.nan, 1e308, True, "3", 3 + 0j, None):
         with pytest.raises(ValidationError):
             SweepConfig(n=5, samples=10, chart_box=box)
 
@@ -53,6 +54,14 @@ def test_chart_points_beyond_floats_count_as_failures(n, box):
     # onto the boundary, at 1e300 their norm overflows.
     res = run_sweep(SweepConfig(n=n, samples=4, seed=5, chart_box=box))
     assert (res.tested, res.failures) == (4, 4)
+
+
+def test_overflowing_tail_waypoints_count_as_failures():
+    # At box 720, sample 28 of this stream puts its last prevertex so far
+    # out that its tail waypoint overflows.
+    res = run_sweep(SweepConfig(n=4, samples=29, seed=0, chart_box=720.0))
+    assert res.tested == 29
+    assert res.failures >= 1
 
 
 def test_result_counts_must_balance():
@@ -158,17 +167,33 @@ def test_bad_tol_is_rejected_not_counted(tol):
 
 def test_sweep_chunks_do_not_change_a_bit(monkeypatch):
     # Sample 13 of this stream is retightened after its first pass; the
-    # others pass the gate at once, and some are not simple. A batch in
-    # any order gives each polygon the bits of its lone forward, so
-    # sweeps in chunks of any size agree.
+    # others pass the gate at once, and some are not simple. In the box 6
+    # chunk, samples 4 and 81 are retightened, each at its own tolerance
+    # (3.8e-14 and 2.8e-14). A batch in any order gives each polygon the
+    # bits of its lone forward, so sweeps in chunks of any size agree.
     cfg = SweepConfig(n=16, samples=24, seed=1)
     points = [moduli_unchart(sample_chart_point(cfg, i))
               for i in range(cfg.samples)]
-    lone = [forward(*point) for point in points]
-    order = np.random.default_rng(5).permutation(cfg.samples)
-    batch = scmap._forward_many([points[i] for i in order])
-    for i, poly in zip(order.tolist(), batch):
-        assert poly.vertices == lone[i].vertices
+    wide = SweepConfig(n=8, samples=150, seed=3, chart_box=6.0)
+    box6 = [moduli_unchart(sample_chart_point(wide, i))
+            for i in (0, 1, 4, 5, 81)]
+    tols = []
+    bare = scmap._bare_vertices
+
+    def recorded(batch, quad_tol):
+        tols.append(quad_tol)
+        return bare(batch, quad_tol)
+
+    monkeypatch.setattr(scmap, "_bare_vertices", recorded)
+    rng = np.random.default_rng(5)
+    for stream in (points, box6):
+        lone = [forward(*point) for point in stream]
+        order = rng.permutation(len(stream))
+        tols.clear()
+        batch = scmap._forward_many([stream[i] for i in order])
+        for i, poly in zip(order.tolist(), batch):
+            assert poly.vertices == lone[i].vertices
+    assert len(set(tols[1:])) == 2
     results = []
     for chunk in (1, 3, sweep_mod.SWEEP_CHUNK):
         monkeypatch.setattr(sweep_mod, "SWEEP_CHUNK", chunk)
