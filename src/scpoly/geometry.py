@@ -11,6 +11,7 @@ vertex on a side, coincident vertices, overlapping collinear sides) are
 read off one orientation matrix per polygon, whose entries are
 float-filtered with the error bound of :mod:`scpoly.predicates` and
 escalated one by one to its exact predicate; ``is_simple`` decides from it.
+Like the contacts, a polygon's vertex angles are measured once and cached.
 Winding numbers are computed by one array kernel over a whole batch of
 query points. The immersion screen and the witness search share one
 probe set, wound once per polygon: a point inside each sector at every
@@ -87,6 +88,21 @@ class LabelledPolygon:
         return d, length, d.real / length, d.imag / length
 
     @cached_property
+    def _angles(self) -> AngleVector:
+        # Clockwise vertex angles (see interior_angles), measured once for
+        # the angle gate and the immersion screen.
+        _check_sides(self)
+        w, n = self.vertices, self.n
+        out = []
+        for j in range(n):
+            d_prev = w[(j - 1) % n] - w[j]
+            d_next = w[(j + 1) % n] - w[j]
+            ang = (math.atan2(d_prev.imag, d_prev.real)
+                   - math.atan2(d_next.imag, d_next.real)) % TWO_PI
+            out.append(ang if ang > 0.0 else TWO_PI)
+        return AngleVector(tuple(out))
+
+    @cached_property
     def _contacts(self) -> tuple[np.ndarray, ...]:
         # One exact contact pass per polygon serves is_simple, the
         # immersion screen and the witness search; read-only by contract.
@@ -157,18 +173,9 @@ def interior_angles(poly: LabelledPolygon) -> AngleVector:
 
     The angle at vertex j is the clockwise sweep taking the ray toward
     vertex j-1 onto the ray toward vertex j+1. Exactly-zero sweeps (the two
-    rays coincide) report as 2*pi.
+    rays coincide) report as 2*pi. Measured once per polygon object.
     """
-    _check_sides(poly)
-    w, n = poly.vertices, poly.n
-    out = []
-    for j in range(n):
-        d_prev = w[(j - 1) % n] - w[j]
-        d_next = w[(j + 1) % n] - w[j]
-        ang = (math.atan2(d_prev.imag, d_prev.real)
-               - math.atan2(d_next.imag, d_next.real)) % TWO_PI
-        out.append(ang if ang > 0.0 else TWO_PI)
-    return AngleVector(tuple(out))
+    return poly._angles
 
 
 def turning_angle_sum(poly: LabelledPolygon) -> float:
@@ -350,11 +357,7 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
 
     All three together are necessary, not sufficient.
     """
-    angles = interior_angles(poly)
-    t = _turning(angles)[1]
-    angles_in_range = not angles.straight_indices and t <= 1
-    angle_sum_ok = abs(angles.sum_defect()) <= ANGLE_TOL and t == 1
-
+    angles_in_range, angle_sum_ok, t = _angle_conditions(interior_angles(poly))
     _, k, defined = poly._probes
     negative = np.flatnonzero(defined & (k < 0))
     if negative.size:
@@ -362,6 +365,26 @@ def check_immersion_necessary(poly: LabelledPolygon) -> ImmersionReport:
         defined = defined[:negative[0] + 1]
     return ImmersionReport(angles_in_range, angle_sum_ok, not negative.size,
                            t, int(defined.sum()))
+
+
+def _angle_conditions(angles: AngleVector) -> tuple[bool, bool, int]:
+    # Conditions (a) and (b) of the immersion screen, and the turning number.
+    t = _turning(angles)[1]
+    return (not angles.straight_indices and t <= 1,
+            abs(angles.sum_defect()) <= ANGLE_TOL and t == 1, t)
+
+
+def _jordan_immersed(poly: LabelledPolygon) -> bool:
+    """True if the curve has no exact self-contact (no proper crossing, no
+    touching) and passes conditions (a) and (b) of the immersion screen.
+    Such a curve is a Jordan curve of turning number 1, which winds 0 or 1
+    around every point, so it meets condition (c) too: it passes the
+    whole screen, and no probe need be wound to know it."""
+    i, _, s, _ = poly._contacts
+    if i.size or s.size:
+        return False
+    angles_in_range, angle_sum_ok, _ = _angle_conditions(poly._angles)
+    return angles_in_range and angle_sum_ok
 
 
 def _sector_probes(poly: LabelledPolygon) -> np.ndarray:

@@ -45,7 +45,10 @@ for all its maps, and forward's batches then integrate each map alone.
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
 pass misses, over all its maps, are built together: one stacked
-Golub-Welsch eigenproblem and one vectorised weight-sum check.
+Golub-Welsch eigenproblem and one vectorised weight-sum check, whose
+read-only node and weight arrays the cache keeps as one row per rule.
+A pass stacks the rows it needs; gauss_jacobi wraps a row in a
+QuadratureRule for its public callers.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -108,13 +111,18 @@ def total_moment(a: float, b: float) -> float:
 # Oldest by insertion, not by use: a hit does not reorder the cache, so a
 # pass whose rules are all cached is a plain lookup. A map needs about 2n
 # rules, all of them again in each pass; a sweep chunk of 64 maps (see
-# sweep.SWEEP_CHUNK) keeps its rules cached up to n = 16.
+# sweep.SWEEP_CHUNK) keeps its rules cached up to n = 16. Each entry is
+# the (nodes, weights) row pair of a rule, views into the arrays of the
+# build that made it; a build's rows go in together, so its arrays are
+# freed once its last row is evicted.
 _RULE_CACHE_SIZE = 2048
-_rules: dict[tuple[int, float, float], QuadratureRule] = {}
+_rules: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _golub_welsch(order: int, pairs: list[tuple[float, float]]
-                  ) -> list[QuadratureRule]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the rules of ``order`` for the exponent
+    pairs (a, b), one read-only row each."""
     for a, b in pairs:
         if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
             raise InvalidExponent("Jacobi exponents must be finite and "
@@ -150,38 +158,31 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
         r = int(np.argmax(bad))
         raise NumericalError(
             f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
-    # Each rule owns copies of its rows: a view would keep the whole
-    # batch alive for as long as any of its rules stays cached.
-    rules = []
-    for r, (ea, eb) in enumerate(pairs):
-        nodes, weights = x[r].copy(), w[r].copy()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        rules.append(QuadratureRule(nodes=nodes, weights=weights,
-                                    exponent_left=eb, exponent_right=ea,
-                                    order=order))
-    return rules
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
-                  ) -> list[QuadratureRule]:
-    """The rules of a checked ``order`` for the exponent pairs (a, b); the
-    ones not cached are built together."""
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (nodes, weights) rows of the rules of a checked ``order`` for
+    the exponent pairs (a, b); the ones not cached are built together."""
     try:
         return [_rules[order, a, b] for a, b in pairs]
     except KeyError:
         pass
     new = [(a, b) for a, b in dict.fromkeys(pairs)
            if (order, a, b) not in _rules]
-    built = dict(zip(new, _golub_welsch(order, new)))
+    x, w = _golub_welsch(order, new)
+    built = {pair: (x[r], w[r]) for r, pair in enumerate(new)}
     out = [built[a, b] if (a, b) in built else _rules[order, a, b]
            for a, b in pairs]
     # Every rule of the pass is in hand before any is evicted.
     excess = len(_rules) + len(built) - _RULE_CACHE_SIZE
     for key in list(islice(_rules, max(excess, 0))):
         del _rules[key]
-    for (a, b), rule in list(built.items())[-_RULE_CACHE_SIZE:]:
-        _rules[order, a, b] = rule
+    for (a, b), rows in list(built.items())[-_RULE_CACHE_SIZE:]:
+        _rules[order, a, b] = rows
     return out
 
 
@@ -207,7 +208,10 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """
     # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
     check_int(order, "order", 1)
-    return _jacobi_rules(order, [(float(a), float(b))])[0]
+    a, b = float(a), float(b)
+    nodes, weights = _jacobi_rules(order, [(a, b)])[0]
+    return QuadratureRule(nodes=nodes, weights=weights, exponent_left=b,
+                          exponent_right=a, order=int(order))
 
 
 def _panel_products(v: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -333,11 +337,10 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
     rules = _jacobi_rules(order, list(pairs))
     if len(rules) == 1:
-        # One rule for every panel: its row broadcasts.
-        t, w = rules[0].nodes[None], rules[0].weights[None]
+        # One rule for every panel: its rows broadcast.
+        t, w = (row[None] for row in rules[0])
     else:
-        t, w = np.array([[r.nodes for r in rules],
-                         [r.weights for r in rules]])[:, rule_of]
+        t, w = np.array(rules).swapaxes(0, 1)[:, rule_of]
     half = (b - a) / 2.0
     nodes = a[:, None] + (t + 1.0) * half[:, None]
     if kind == "upper":
@@ -404,8 +407,9 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     Returns the sums and, per map that failed, its error: a leg that could
     not be cut (_split) or a leg still unsettled after MAX_LEVELS halvings
     (NoConvergence). A map that cannot be cut leaves the passes at once,
-    its rows of the sums undefined; the other maps go on as if alone. Any
-    other error (a Jacobi rule that fails its check) is raised."""
+    its rows of the sums undefined; the other maps go on as if alone, and
+    a loop with no map left makes no pass. Any other error (a Jacobi rule
+    that fails its check) is raised."""
     leg = np.zeros(p.size, dtype=np.intp) if leg is None else leg
     # The legs still halved.
     live = np.ones(int(leg[-1]) + 1, dtype=bool)
@@ -413,6 +417,9 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     a, b, leg, failed = _split(p, q, leg, xs, of)
     if failed:
         live[np.isin(of, list(failed))] = False
+        if not live.any():
+            return np.empty((live.size, xs.shape[1] + 1 if rows else 1),
+                            dtype=complex), failed
         keep = live[leg]
         a, b, leg = a[keep], b[keep], leg[keep]
     cur = _leg_sums(kind, a, b, leg, xs, es, of, live.size, rows)

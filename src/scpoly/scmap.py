@@ -6,7 +6,10 @@ Its evaluation at z integrates prod_j (zeta - z_j)^(alpha_j - 1) from the
 base point i to z, scales by A and shifts by B. Restricted to the real line
 plus infinity it traces a closed polygon whose vertex angles are alpha_j*pi;
 ``forward`` computes that polygon for the normalized constants A=1, B=0 and
-verifies the angles as a built-in postcondition.
+verifies the angles as a built-in postcondition, then screens the polygon
+for immersion: a polygon with no self-contact whose angles pass is a
+Jordan curve of turning number 1 and needs no winding probes, every other
+one goes through ``check_immersion_necessary``.
 
 Standard maps keep every alpha_j inside (0, 2) and always produce immersed
 polygons. Exponents >= 2 are legal only behind the explicit extended flag
@@ -24,8 +27,8 @@ import numpy as np
 from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      NotIncreasing, NotNormalized, NumericalError,
                      ValidationError, ZeroScale)
-from .geometry import (TWO_PI, LabelledPolygon, check_immersion_necessary,
-                       interior_angles)
+from .geometry import (TWO_PI, LabelledPolygon, _jordan_immersed,
+                       check_immersion_necessary, interior_angles)
 from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
                          check_tol, integrate_sc, integrate_to_infinity)
 
@@ -294,14 +297,17 @@ def _forward_many(points: list[tuple[Prevertices, ExponentVector]],
     """forward of each (prevertices, exponents) pair of ``points``, all of
     one n, in one batch: per point its polygon or the NumericalError its
     forward raises. The integrals of all the points share their refinement
-    loops, and each polygon is bitwise the one its forward alone gives."""
+    loops, and each polygon is bitwise the one its forward alone gives.
+    A polygon without self-contacts that passes the screen's angle
+    conditions is a Jordan curve and passes its winding condition too, so
+    only the other polygons are screened in full."""
     for _, exp in points:
         if exp.extended:
             raise ValidationError(
                 "extended exponents go through forward_extended")
     out = _checked_polygons(points, tol)
     for i, poly in enumerate(out):
-        if isinstance(poly, LabelledPolygon):
+        if isinstance(poly, LabelledPolygon) and not _jordan_immersed(poly):
             report = check_immersion_necessary(poly)
             if not report.ok:
                 out[i] = NumericalError(

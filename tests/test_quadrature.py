@@ -108,7 +108,9 @@ def test_order_must_be_positive():
     for order in (8.0, True):
         with pytest.raises(ValidationError):
             gauss_jacobi(order, 0.5, 0.0)
-    assert gauss_jacobi(np.int64(8), 0.5, 0.0) is gauss_jacobi(8, 0.5, 0.0)
+    # Both orders read the same cache entry.
+    assert (gauss_jacobi(np.int64(8), 0.5, 0.0).nodes
+            is gauss_jacobi(8, 0.5, 0.0).nodes)
 
 
 def _random_pairs(rng, count):
@@ -122,14 +124,17 @@ def test_stacked_rules_match_one_at_a_time():
     rng = np.random.default_rng(2024)
     for order in range(1, 41):
         pairs = _random_pairs(rng, 12)
-        for (a, b), rule in zip(pairs, quadrature._golub_welsch(order, pairs)):
+        built = quadrature._golub_welsch(order, pairs)
+        assert all(rows.shape == (len(pairs), order) for rows in built)
+        for (a, b), got_nodes, got_weights in zip(pairs, *built):
             nodes, weights = golub_welsch(order, a, b)
             mass = total_moment(a, b)
+            assert np.max(np.abs(got_nodes - nodes)) <= 8 * np.spacing(1.0)
+            assert np.max(np.abs(got_weights - weights)) <= (
+                8 * np.spacing(mass)), (order, a, b)
+            rule = gauss_jacobi(order, a, b)
             assert (rule.order, rule.exponent_right, rule.exponent_left) == (
                 order, a, b)
-            assert np.max(np.abs(rule.nodes - nodes)) <= 8 * np.spacing(1.0)
-            assert np.max(np.abs(rule.weights - weights)) <= (
-                8 * np.spacing(mass)), (order, a, b)
 
 
 def test_stacked_build_names_the_bad_pair():
@@ -170,11 +175,13 @@ def test_rule_cache_stays_bounded_and_exact(monkeypatch):
     for pairs in batches:
         rules = quadrature._jacobi_rules(8, pairs)
         assert len(quadrature._rules) <= cap
-        for (a, b), rule, fresh in zip(pairs, rules,
-                                       quadrature._golub_welsch(8, pairs)):
-            assert (rule.exponent_right, rule.exponent_left) == (a, b)
-            assert np.array_equal(rule.nodes, fresh.nodes)
-            assert np.array_equal(rule.weights, fresh.weights)
+        fresh_nodes, fresh_weights = quadrature._golub_welsch(8, pairs)
+        assert len(rules) == len(pairs)
+        for (nodes, weights), fresh_x, fresh_w in zip(rules, fresh_nodes,
+                                                      fresh_weights):
+            assert np.array_equal(nodes, fresh_x)
+            assert np.array_equal(weights, fresh_w)
+            assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +443,24 @@ def test_each_map_of_a_batch_fails_alone():
                                      1e-12, np.arange(2))
     assert not none
     assert np.array_equal(sums[:2], alone)
+
+
+def test_a_loop_whose_maps_all_failed_makes_no_pass(monkeypatch):
+    # The lone leg of map 1 above, which cannot be cut: the loop returns
+    # with its error and integrates nothing.
+    passes = []
+    leg_sums = quadrature._leg_sums
+
+    def counted(*args):
+        passes.append(args)
+        return leg_sums(*args)
+
+    monkeypatch.setattr(quadrature, "_leg_sums", counted)
+    with pytest.raises(PathThroughSingularity):
+        quadrature._refine_map("axis", np.array([-0.3]), np.array([1.5]),
+                               np.array([[-1.0, 0.0, 2.0]]),
+                               np.array([[-0.4, -0.3, 0.1]]), 1e-12)
+    assert passes == []
 
 
 def test_values_sum_the_same_in_blocks(monkeypatch, crowded_map):

@@ -32,6 +32,8 @@ from scpoly import (
     sample_chart_point,
     turning_angle_sum,
 )
+from scpoly import check_immersion_necessary, geometry
+from scpoly.geometry import ImmersionReport
 from scpoly.quadrature import integrate_axis_legs, integrate_finite_legs
 from scpoly.scmap import (BASE_POINT, _bare_vertices, _tail_waypoint,
                           _worst_angle_deviation)
@@ -364,6 +366,95 @@ def test_gate_pass_integrates_once(monkeypatch):
     assert len(calls) == 1
     worst = _worst_angle_deviation(poly, exp)[0]
     assert 5.0 * 1e-10 < worst <= 10.0 * 1e-10
+
+
+def _stream_points(cfg, indices):
+    return [moduli_unchart(sample_chart_point(cfg, i)) for i in indices]
+
+
+def _benchmark_sweep_points():
+    # The benchmark's sweep inputs at run seed 0: call k sweeps 8 samples
+    # of n = 6, 8, 12 in turn at box 3, its seed drawn from (0, k).
+    points = {6: [], 8: [], 12: []}
+    for k in range(350):
+        n = (6, 8, 12)[k % 3]
+        seed = int(np.random.SeedSequence([0, k]).generate_state(1)[0])
+        points[n] += _stream_points(SweepConfig(n, 8, seed), range(8))
+    return list(points.values())
+
+
+def test_jordan_shortcut_agrees_with_the_full_screen():
+    # Every polygon that passes the angle gate, on the box-3 benchmark
+    # inputs and the box-6 streams: the shortcut's verdict is the full
+    # screen's, and it spares most polygons their probes.
+    streams = _benchmark_sweep_points() + [
+        _stream_points(SweepConfig(n, 150, seed, chart_box=6.0), range(150))
+        for n in (6, 8, 12) for seed in (1, 3)]
+    polygons = [poly for points in streams
+                for start in range(0, len(points), 64)
+                for poly in scmap._checked_polygons(
+                    points[start:start + 64], 1e-10)
+                if isinstance(poly, LabelledPolygon)]
+    shortcut = 0
+    for poly in polygons:
+        jordan = geometry._jordan_immersed(poly)
+        full = check_immersion_necessary(LabelledPolygon(poly.vertices)).ok
+        assert (jordan or full) == full
+        shortcut += jordan
+    assert len(polygons) > 3500
+    assert shortcut > 0.9 * len(polygons)
+
+
+def test_forward_winds_probes_only_off_jordan_curves():
+    # Samples 30 (simple) and 31 (not simple) of the n = 8, box 3 stream
+    # of seed 1, in one batch.
+    cfg = SweepConfig(n=8, samples=32, seed=1)
+    simple, crossed = scmap._forward_many(_stream_points(cfg, (30, 31)))
+    assert geometry.is_simple(simple) and not geometry.is_simple(crossed)
+    assert "_probes" not in simple.__dict__
+    assert "_probes" in crossed.__dict__
+
+
+def test_clockwise_and_touching_polygons_take_the_full_screen(monkeypatch):
+    square = LabelledPolygon(SQUARE_VERTICES)
+    clockwise = LabelledPolygon(SQUARE_VERTICES[::-1])
+    # A square notched from the top down to its bottom side, which vertex
+    # 4 touches: not simple, but immersed.
+    notched = LabelledPolygon((0j, 4 + 0j, 4 + 4j, 3 + 4j, 2 + 0j, 1 + 4j,
+                               4j))
+    assert not geometry.is_simple(notched)
+    assert check_immersion_necessary(notched).ok
+    polygons = [square, clockwise, notched]
+    monkeypatch.setattr(scmap, "_checked_polygons",
+                        lambda points, tol: list(polygons))
+    screened = []
+    full = scmap.check_immersion_necessary
+    monkeypatch.setattr(scmap, "check_immersion_necessary",
+                        lambda poly: screened.append(poly) or full(poly))
+    point = (Prevertices((-1.0, 0.0, 1.0)), ExponentVector((0.5,) * 4))
+    out = scmap._forward_many([point] * 3)
+    assert screened == [clockwise, notched]
+    assert out[0] is square and out[2] is notched
+    assert type(out[1]) is NumericalError
+    assert "failed the immersion screen" in str(out[1])
+
+
+def test_forward_reports_a_failed_screen(monkeypatch):
+    # Samples 28 to 31 of the n = 8, box 3 stream of seed 1; 31 is not
+    # simple. A screen that fails every polygon it sees fails only that
+    # one: the Jordan curves never reach it and keep their lone bits.
+    cfg = SweepConfig(n=8, samples=32, seed=1)
+    points = _stream_points(cfg, range(28, 32))
+    lone = [forward(*point) for point in points]
+    assert [geometry.is_simple(p) for p in lone] == [True] * 3 + [False]
+    failing = ImmersionReport(True, True, False, 1, 1)
+    monkeypatch.setattr(scmap, "check_immersion_necessary",
+                        lambda poly: failing)
+    batch = scmap._forward_many(points)
+    assert type(batch[3]) is NumericalError
+    assert "failed the immersion screen" in str(batch[3])
+    for got, alone in zip(batch[:3], lone):
+        assert got.vertices == alone.vertices
 
 
 def test_forward_moves_continuously():
