@@ -12,11 +12,11 @@ at the Gauss nodes, in one array pass over all panels.
 
 Every integral goes through one per-leg halving loop: each panel carries
 the label of its leg, and only legs whose last two levels still differ
-by more than the tolerance relative to the larger are halved again. Real
-legs go through integrate_axis_legs, which passes a chain of them at once
-for their values (forward's sides and tail waypoint leg, or the one leg
-of integrate_sc); the pieces of a leg cut at prevertices share its label,
-so the leg converges as a whole. integrate_finite_legs passes every
+by more than the tolerance relative to the larger are halved again.
+integrate_sc cuts a real leg at the prevertices inside it; the pieces
+share its label, so the leg converges as a whole. forward's sides and
+tail waypoint leg (scmap) have no prevertex inside them and go into the
+loop as they are. integrate_finite_legs passes every
 finite leg of a map at once and adds per leg the derivatives of its
 integral in every finite prevertex: the off-leg ones are integrals over
 the same panels with the same endpoint powers, the two on-leg ones follow
@@ -107,7 +107,7 @@ def total_moment(a: float, b: float) -> float:
                     - math.lgamma(a + b + 2.0))
 
 
-# Rules kept at most; once a pass would overflow, the oldest go first.
+# Rules kept at most; a pass that overflows the cache evicts the oldest.
 # Oldest by insertion, not by use: a hit does not reorder the cache, so a
 # pass whose rules are all cached is a plain lookup. A map needs about 2n
 # rules, all of them again in each pass; a sweep chunk of 64 maps (see
@@ -167,23 +167,17 @@ def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (nodes, weights) rows of the rules of a checked ``order`` for
     the exponent pairs (a, b); the ones not cached are built together."""
-    try:
-        return [_rules[order, a, b] for a, b in pairs]
-    except KeyError:
-        pass
-    new = [(a, b) for a, b in dict.fromkeys(pairs)
-           if (order, a, b) not in _rules]
-    x, w = _golub_welsch(order, new)
-    built = {pair: (x[r], w[r]) for r, pair in enumerate(new)}
-    out = [built[a, b] if (a, b) in built else _rules[order, a, b]
-           for a, b in pairs]
-    # Every rule of the pass is in hand before any is evicted.
-    excess = len(_rules) + len(built) - _RULE_CACHE_SIZE
-    for key in list(islice(_rules, max(excess, 0))):
-        del _rules[key]
-    for (a, b), rows in list(built.items())[-_RULE_CACHE_SIZE:]:
-        _rules[order, a, b] = rows
-    return out
+    rules = [_rules.get((order, a, b)) for a, b in pairs]
+    if None in rules:
+        new = [r for r, rule in enumerate(rules) if rule is None]
+        x, w = _golub_welsch(order, [pairs[r] for r in new])
+        for i, r in enumerate(new):
+            rules[r] = _rules[(order, *pairs[r])] = x[i], w[i]
+        # Every rule of the pass is in hand, so the oldest entries can go.
+        excess = max(len(_rules) - _RULE_CACHE_SIZE, 0)
+        for key in list(islice(_rules, excess)):
+            del _rules[key]
+    return rules
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -483,8 +477,9 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     """Path integral of prod_j (zeta - z_j)^(alpha_j - 1) from z_from to z_to.
 
     The constants A, B of the enclosing map play no role here. A path on
-    the real axis is one leg of integrate_axis_legs, split at the
-    prevertices it crosses.
+    the real axis is one leg cut at the prevertices strictly inside it,
+    so its integral is the convergent improper one; its pieces share the
+    leg's label and converge as a whole.
     """
     z_from, z_to = complex(z_from), complex(z_to)
     for z, name in ((z_from, "z_from"), (z_to, "z_to")):
@@ -496,39 +491,14 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     check_tol(tol)
     if z_from == z_to:
         return 0j
+    xs, es = _sc_singularities(map)
     if z_from.imag == 0.0 and z_to.imag == 0.0:
         lo, hi = sorted((z_from.real, z_to.real))
-        total = integrate_axis_legs(map, [lo, hi], tol)[0]
+        cuts = np.concatenate([[lo], xs[0, (lo < xs[0]) & (xs[0] < hi)], [hi]])
+        total = _refine_map("axis", cuts[:-1], cuts[1:], xs, es, tol)[0, 0]
         return complex(total if z_from.real < z_to.real else -total)
-    xs, es = _sc_singularities(map)
     return complex(_refine_map("upper", np.array([z_from]), np.array([z_to]),
                                xs, es, tol)[0, 0])
-
-
-def integrate_axis_legs(map: "SCMap", ts, tol: float = DEFAULT_TOL
-                        ) -> np.ndarray:
-    """Integrals over the real legs (t_0, t_1), ..., (t_{m-1}, t_m).
-
-    ``ts`` is a strictly increasing sequence of finite points. All the
-    legs are halved in one refinement loop, each until it settles on its
-    own. A leg crossing a prevertex is split there, so its integral is the
-    convergent improper one; this keeps additivity across prevertices.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size < 2:
-        raise ValidationError("need at least 2 leg ends")
-    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
-        raise ValidationError(
-            "leg ends must be finite and strictly increasing")
-    check_tol(tol)
-    xs, es = _sc_singularities(map)
-    # Legs are cut at the prevertices inside them; the pieces of a leg
-    # share its label, so the leg converges as a whole. (Not np.union1d:
-    # it imports numpy.ma, a megabyte.)
-    cuts = np.sort(np.concatenate([ts, xs[(ts[0] < xs) & (xs < ts[-1])]]))
-    cuts = cuts[np.diff(cuts, prepend=-math.inf) > 0.0]
-    leg = np.searchsorted(ts, cuts[:-1], side="right") - 1
-    return _refine_map("axis", cuts[:-1], cuts[1:], xs, es, tol, leg)[:, 0]
 
 
 def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL

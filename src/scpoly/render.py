@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .geometry import LabelledPolygon, PlanePoint
 from .quadrature import DEFAULT_TOL
 from .scmap import SCMap, apply_similarity, evaluate, forward_extended
@@ -109,8 +109,10 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL
     The window covers the finite prevertices with half a span of slack on
     both sides and reaches comparably high; verticals stop just short of
     the boundary, which keeps every sample strictly inside the domain.
+    ``lines`` that is not an integer >= 0 raises ValidationError.
     """
-    if lines < 1:
+    check_int(lines, "grid", 0)
+    if not lines:
         return []
     zs = m.prevertices.finite_points
     span = max(zs[-1] - zs[0], 1.0)
@@ -129,9 +131,8 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL
 def scmap_svg(m: SCMap, grid: int = 0, tol: float = DEFAULT_TOL,
               witnesses: Sequence[PlanePoint] = ()) -> str:
     """Render the map's polygon (A, B applied); ``grid`` > 0 adds that
-    many grid-image curves per direction."""
-    bare = forward_extended(m.prevertices, m.exponents, tol)
-    poly = apply_similarity(bare, m.A, m.B) if (m.A, m.B) != (1 + 0j, 0j) \
-        else bare
+    many grid-image curves per direction (see grid_curves)."""
+    poly = apply_similarity(forward_extended(m.prevertices, m.exponents, tol),
+                            m.A, m.B)
     return polygon_svg(poly, witnesses=witnesses,
                        grid_curves=grid_curves(m, grid, tol))

@@ -271,6 +271,15 @@ def test_render_nonfinite_witness_exits_2(capsys):
         assert "<svg" not in out
 
 
+def test_render_negative_grid_exits_2(capsys):
+    m = ('{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
+         ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": [1, 0], "B": [0, 0],'
+         ' "mode": "standard"}')
+    code, out = run_cli(capsys, "render", m, "--grid", "-1")
+    assert code == 2
+    assert "<svg" not in out
+
+
 def test_render_grid_on_polygon_rejected(capsys):
     square = dumps(polygon_to_json(LabelledPolygon((0j, 1 + 0j, 1 + 1j, 1j))))
     code, out = run_cli(capsys, "render", square, "--grid", "2")

@@ -21,7 +21,7 @@ from scpoly import (
     total_moment,
 )
 import scpoly.quadrature as quadrature
-from scpoly.quadrature import integrate_axis_legs, integrate_finite_legs
+from scpoly.quadrature import integrate_finite_legs
 
 from conftest import BETA_THIRD, PENTAGON_ALPHAS
 from oracles import (beta_lgamma, golub_welsch, jacobi_moments, leg_integral,
@@ -184,6 +184,53 @@ def test_rule_cache_stays_bounded_and_exact(monkeypatch):
             assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
+def test_rule_pass_builds_only_the_rules_it_misses(monkeypatch):
+    cap = 16
+    monkeypatch.setattr(quadrature, "_RULE_CACHE_SIZE", cap)
+    monkeypatch.setattr(quadrature, "_rules", {})
+    build = quadrature._golub_welsch
+    built = []
+
+    def counted(order, pairs):
+        built.append(list(pairs))
+        return build(order, pairs)
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", counted)
+    rng = np.random.default_rng(19)
+    old = _random_pairs(rng, 2)
+    new = [tuple(ab) for ab in rng.uniform(-0.99, 3.0, size=(3, 2))]
+    quadrature._jacobi_rules(8, old)
+    # Cached and new pairs mixed: only the new ones are built, in one
+    # stack, and the rows come back in request order.
+    mixed = [new[0], old[1], new[1], old[0], new[2]]
+    built.clear()
+    rules = quadrature._jacobi_rules(8, mixed)
+    assert built == [[new[0], new[1], new[2]]]
+    fresh_nodes, fresh_weights = build(8, mixed)
+    for (nodes, weights), fresh_x, fresh_w in zip(rules, fresh_nodes,
+                                                  fresh_weights):
+        assert np.array_equal(nodes, fresh_x)
+        assert np.array_equal(weights, fresh_w)
+    # All cached: nothing is built, and the cached rows come back.
+    built.clear()
+    again = quadrature._jacobi_rules(8, mixed[::-1])
+    assert built == []
+    assert all(x is y and w is v
+               for (x, w), (y, v) in zip(again, rules[::-1]))
+    # More new pairs than the cache holds: all come back, the newest stay.
+    many = [tuple(ab) for ab in rng.uniform(-0.99, 3.0, size=(cap + 5, 2))]
+    built.clear()
+    rules = quadrature._jacobi_rules(8, many)
+    assert built == [many]
+    fresh_nodes, fresh_weights = build(8, many)
+    assert len(rules) == len(many)
+    for (nodes, weights), fresh_x, fresh_w in zip(rules, fresh_nodes,
+                                                  fresh_weights):
+        assert np.array_equal(nodes, fresh_x)
+        assert np.array_equal(weights, fresh_w)
+    assert list(quadrature._rules) == [(8, a, b) for a, b in many[-cap:]]
+
+
 @pytest.fixture(scope="module")
 def tri_map():
     return SCMap(Prevertices((-1.0, 0.0)), ExponentVector((1 / 3,) * 3))
@@ -228,6 +275,9 @@ def test_real_axis_leg_splits_at_prevertex(tri_map):
 def test_reversing_endpoints_flips_sign(tri_map):
     forward_leg = integrate_sc(tri_map, -1.0, 0.0)
     assert integrate_sc(tri_map, 0.0, -1.0) == pytest.approx(-forward_leg)
+    # Across both prevertices: the same cut leg, so exactly the negation.
+    across = integrate_sc(tri_map, -2.0, 1.0)
+    assert integrate_sc(tri_map, 1.0, -2.0) == -across
 
 
 def test_tail_consistency(tri_map):
@@ -328,26 +378,34 @@ WIDE_ALPHAS = (0.84, 1.83, 0.43, 0.76, 0.82, 0.44, 0.37, 0.85, 1.11, 1.47,
                0.48, 0.6)
 
 
+def _axis_chain(m, ts):
+    # The real legs (t_0, t_1), ..., (t_{m-1}, t_m) in one refinement
+    # loop, each cut at the prevertices inside it; a leg's pieces share
+    # its label, as forward's sides and integrate_sc's real leg do.
+    ts = np.asarray(ts, dtype=float)
+    xs, es = quadrature._sc_singularities(m)
+    inside = xs[0, (ts[0] < xs[0]) & (xs[0] < ts[-1])]
+    cuts = np.unique(np.concatenate([ts, inside]))
+    leg = np.searchsorted(ts, cuts[:-1], side="right") - 1
+    return quadrature._refine_map("axis", cuts[:-1], cuts[1:], xs, es,
+                                  quadrature.DEFAULT_TOL, leg)[:, 0]
+
+
 def test_axis_legs_in_one_loop_match_each_leg_alone(crowded_map):
     # Legs from a prevertex, between prevertices, across two of them and
     # past the last one: each is bitwise the integral integrate_sc gives
     # it alone, whatever legs share its passes.
     ts = [-1.0, -0.4, 0.05, 2.0, 3.0, 4.5]
-    got = integrate_axis_legs(crowded_map, ts)
+    got = _axis_chain(crowded_map, ts)
     assert got.shape == (len(ts) - 1,)
     wide = SCMap(Prevertices(WIDE_ZS), ExponentVector(WIDE_ALPHAS))
     for m, path in ((crowded_map, ts), (wide, WIDE_ZS + (81.24,))):
-        for value, a, b in zip(integrate_axis_legs(m, path), path, path[1:]):
+        for value, a, b in zip(_axis_chain(m, path), path, path[1:]):
             assert value == integrate_sc(m, a, b), (a, b)
     cuts = [-0.4, 0.0, 0.05, 2.0]
     want = sum(complex(leg_integral(ORACLE_ZS, ORACLE_ALPHAS, a, b))
                for a, b in zip(cuts, cuts[1:]))
     assert abs(got[1] + got[2] - want) <= 1e-11 * abs(want)
-    for bad in ([0.0], [0.0, 0.0, 1.0], [0.0, math.inf], [[0.0, 1.0]]):
-        with pytest.raises(ValidationError):
-            integrate_axis_legs(crowded_map, bad)
-    with pytest.raises(ValidationError):
-        integrate_axis_legs(crowded_map, ts, tol=0.0)
 
 
 def test_tail_against_oracle(crowded_map):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from scpoly import (
@@ -74,6 +75,17 @@ def test_scmap_svg_with_grid(square_map):
     assert gridded == scmap_svg(square_map, grid=4)
     assert bare.count("<path") == 1
     assert gridded.count("<path") == 1 + 8
+
+
+def test_grid_must_be_an_integer_at_least_zero(square_map):
+    # 2.5 once drew 3 curves per direction, True 1, -1 none.
+    for grid in (2.5, True, -1, "2"):
+        with pytest.raises(ValidationError):
+            grid_curves(square_map, grid)
+        with pytest.raises(ValidationError):
+            scmap_svg(square_map, grid=grid)
+    assert grid_curves(square_map, 0) == []
+    assert grid_curves(square_map, np.int64(2)) == grid_curves(square_map, 2)
 
 
 def test_scmap_svg_applies_constants(square_map):
