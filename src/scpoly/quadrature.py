@@ -494,7 +494,8 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     xs, es = _sc_singularities(map)
     if z_from.imag == 0.0 and z_to.imag == 0.0:
         lo, hi = sorted((z_from.real, z_to.real))
-        cuts = np.concatenate([[lo], xs[0, (lo < xs[0]) & (xs[0] < hi)], [hi]])
+        inside = xs[0][(lo < xs[0]) & (xs[0] < hi)]
+        cuts = np.concatenate([[lo], inside, [hi]])
         total = _refine_map("axis", cuts[:-1], cuts[1:], xs, es, tol)[0, 0]
         return complex(total if z_from.real < z_to.real else -total)
     return complex(_refine_map("upper", np.array([z_from]), np.array([z_to]),

@@ -132,7 +132,7 @@ def scmap_svg(m: SCMap, grid: int = 0, tol: float = DEFAULT_TOL,
               witnesses: Sequence[PlanePoint] = ()) -> str:
     """Render the map's polygon (A, B applied); ``grid`` > 0 adds that
     many grid-image curves per direction (see grid_curves)."""
+    curves = grid_curves(m, grid, tol)
     poly = apply_similarity(forward_extended(m.prevertices, m.exponents, tol),
                             m.A, m.B)
-    return polygon_svg(poly, witnesses=witnesses,
-                       grid_curves=grid_curves(m, grid, tol))
+    return polygon_svg(poly, witnesses=witnesses, grid_curves=curves)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from scpoly import (LabelledPolygon, SolveOptions, SweepConfig,
-                    interior_angles, is_simple)
+from scpoly import (LabelledPolygon, NumericalError, SolveOptions,
+                    SweepConfig, interior_angles, is_simple, render)
 from scpoly.cli import build_parser, main
 from scpoly.jsonio import dumps, polygon_to_json
 
@@ -271,13 +271,21 @@ def test_render_nonfinite_witness_exits_2(capsys):
         assert "<svg" not in out
 
 
-def test_render_negative_grid_exits_2(capsys):
+def test_render_negative_grid_exits_2(capsys, monkeypatch):
     m = ('{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
          ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": [1, 0], "B": [0, 0],'
          ' "mode": "standard"}')
     code, out = run_cli(capsys, "render", m, "--grid", "-1")
     assert code == 2
     assert "<svg" not in out
+
+    # Also when the map's forward would fail: the grid is checked first.
+    def fail(*args):
+        raise NumericalError("forward failed")
+
+    monkeypatch.setattr(render, "forward_extended", fail)
+    assert run_cli(capsys, "render", m, "--grid", "-1")[0] == 2
+    assert run_cli(capsys, "render", m, "--grid", "1")[0] == 3
 
 
 def test_render_grid_on_polygon_rejected(capsys):

@@ -6,11 +6,13 @@ import pytest
 from scpoly import (
     ExponentVector,
     LabelledPolygon,
+    NumericalError,
     Prevertices,
     SCMap,
     ValidationError,
     grid_curves,
     polygon_svg,
+    render,
     scmap_svg,
     winding_number,
 )
@@ -77,7 +79,7 @@ def test_scmap_svg_with_grid(square_map):
     assert gridded.count("<path") == 1 + 8
 
 
-def test_grid_must_be_an_integer_at_least_zero(square_map):
+def test_grid_must_be_an_integer_at_least_zero(square_map, monkeypatch):
     # 2.5 once drew 3 curves per direction, True 1, -1 none.
     for grid in (2.5, True, -1, "2"):
         with pytest.raises(ValidationError):
@@ -86,6 +88,16 @@ def test_grid_must_be_an_integer_at_least_zero(square_map):
             scmap_svg(square_map, grid=grid)
     assert grid_curves(square_map, 0) == []
     assert grid_curves(square_map, np.int64(2)) == grid_curves(square_map, 2)
+
+    # A map whose forward fails still reports a bad grid as such.
+    def fail(*args):
+        raise NumericalError("forward failed")
+
+    monkeypatch.setattr(render, "forward_extended", fail)
+    with pytest.raises(ValidationError):
+        scmap_svg(square_map, grid=-1)
+    with pytest.raises(NumericalError):
+        scmap_svg(square_map, grid=1)
 
 
 def test_scmap_svg_applies_constants(square_map):

@@ -6,14 +6,16 @@ Extracts REF with ``git archive`` into a temporary directory and loads
 its ``src/scpoly`` and ``bench/workloads.py`` next to this tree's, in one
 process; each tree makes its own inputs with its own classes. Streams:
 
-- ``sweep``: the benchmark's sweep inputs (``workloads._sweep_make``) of
-  each seed: every sample through lone ``forward`` and through
-  ``scmap._forward_many`` in chunks of 64 maps of one n, and each call's
-  ``run_sweep`` result;
+- ``sweep``: the benchmark's first 350 sweep inputs
+  (``workloads._sweep_make``) of each seed: every sample through lone
+  ``forward`` and through ``scmap._forward_many`` in chunks of 64 maps
+  of one n, and each call's ``run_sweep`` result;
 - ``config``: each ``--stream N,SAMPLES,SEED,BOX`` as a ``SweepConfig``,
   sample by sample as above;
-- ``solve``: the ``repr`` of each ``solve_parameter_problem`` result;
-- ``render``: the bytes of each ``scmap_svg`` figure;
+- ``solve``: the ``repr`` of each ``solve_parameter_problem`` result of
+  the first 45 solve inputs;
+- ``render``: the bytes of each ``scmap_svg`` figure of the first 24
+  render inputs;
 - ``axis``: real-axis ``integrate_sc`` on the render maps, on paths that
   start at, end at and cross prevertices, in both directions.
 
@@ -21,8 +23,8 @@ Per stream it prints the item count, the bitwise-equal count, the
 count of items that raised in this tree, every change of exception
 class and the largest vertex move relative to the diameter. It ends
 with call-by-call interleaved time ratios (this tree over REF) per
-benchmark workload. It reads ``bench/`` and changes
-nothing there.
+benchmark workload, on the seed-5 inputs (30 sweep calls, 45 solves, 24
+render figures). It reads ``bench/`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 64
-# Inputs timed per workload, from --time-seed.
+# Inputs compared per workload and seed: calls k = 0, 1, ... of each.
+PARITY_CALLS = {"sweep": 350, "solve": 45, "render": 24}
+# Inputs timed per workload, all of seed TIME_SEED.
 TIME_CALLS = {"sweep": 30, "solve": 45, "render": 24}
+TIME_SEED = 5
 
 
 def _owned(name: str) -> bool:
@@ -145,13 +150,14 @@ def _compare(label: str, old: list, new: list) -> None:
         print(line)
 
 
-def _streams(tree: Tree, seeds, calls, streams) -> dict[str, list]:
+def _streams(tree: Tree, seeds, streams) -> dict[str, list]:
     """Every stream's outcomes in one tree."""
     wl = tree.activate().workloads
     sp = tree.scpoly
     out: dict[str, list] = {}
     for seed in seeds:
-        sweeps = [wl._sweep_make(seed, k) for k in range(calls["sweep"])]
+        sweeps = [wl._sweep_make(seed, k)
+                  for k in range(PARITY_CALLS["sweep"])]
         out[f"sweep seed {seed} lone"], out[f"sweep seed {seed} batch"] = (
             _samples(tree, sweeps))
         out[f"sweep seed {seed} run_sweep"] = [
@@ -160,8 +166,9 @@ def _streams(tree: Tree, seeds, calls, streams) -> dict[str, list]:
         out[f"solve seed {seed}"] = [
             _outcome(lambda inp: repr(wl._solve_call(inp)),
                      wl._solve_make(seed, k))
-            for k in range(calls["solve"])]
-        maps = [wl._render_make(seed, k) for k in range(calls["render"])]
+            for k in range(PARITY_CALLS["solve"])]
+        maps = [wl._render_make(seed, k)
+                for k in range(PARITY_CALLS["render"])]
         out[f"render seed {seed}"] = [_outcome(wl._render_call, m)
                                       for m in maps]
         out[f"axis seed {seed}"] = [
@@ -184,17 +191,18 @@ def _axis_paths(m) -> list[tuple[float, float]]:
             if j < len(ts) for path in ((ts[i], ts[j]), (ts[j], ts[i]))]
 
 
-def _timing(trees: list[Tree], seed: int, repeats: int) -> None:
+def _timing(trees: list[Tree], repeats: int) -> None:
     """Per workload, each call timed ``repeats`` times per tree, the two
     trees alternating call by call; the ratios are of per-call minima."""
-    print(f"time ratio, this tree / ref (seed {seed}, {repeats} repeats):")
+    print(f"time ratio, this tree / ref (seed {TIME_SEED}, "
+          f"{repeats} repeats):")
     for name, count in TIME_CALLS.items():
         ratios, totals = [], [0.0, 0.0]
         for k in range(count):
             best = []
             for tree in trees:
                 wl = tree.activate().workloads.WORKLOADS[name]
-                best.append([wl, wl.make(seed, k), []])
+                best.append([wl, wl.make(TIME_SEED, k), []])
             for r in range(repeats):
                 for t in ((0, 1) if (k + r) % 2 == 0 else (1, 0)):
                     wl, inp, times = best[t]
@@ -221,30 +229,24 @@ def main(argv=None) -> int:
     p.add_argument("ref", help="git ref to compare against")
     p.add_argument("--seeds", type=int, nargs="*", default=[0],
                    help="benchmark seeds whose inputs are compared")
-    p.add_argument("--sweep-calls", type=int, default=350)
-    p.add_argument("--solve-calls", type=int, default=45)
-    p.add_argument("--render-calls", type=int, default=24)
     p.add_argument("--stream", type=_stream_arg, action="append", default=[],
                    metavar="N,SAMPLES,SEED,BOX",
                    help="a SweepConfig compared sample by sample")
-    p.add_argument("--time-seed", type=int, default=5)
     p.add_argument("--repeats", type=int, default=4,
                    help="timed calls per input and tree (0: no timing)")
     args = p.parse_args(argv)
-    calls = {"sweep": args.sweep_calls, "solve": args.solve_calls,
-             "render": args.render_calls}
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = [Tree(tmp), Tree(ROOT)]
-        old, new = (_streams(tree, args.seeds, calls, args.stream)
+        old, new = (_streams(tree, args.seeds, args.stream)
                     for tree in trees)
         print(f"parity, {args.ref} -> this tree:")
         for label in old:
             _compare(label, old[label], new[label])
         if args.repeats:
-            _timing(trees, args.time_seed, args.repeats)
+            _timing(trees, args.repeats)
     return 0
 
 
