@@ -62,6 +62,10 @@ class LabelledPolygon:
         for v in verts:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValidationError("vertices must be finite")
+        # Every vertex difference, and so the diameter, is then finite.
+        xs, ys = [v.real for v in verts], [v.imag for v in verts]
+        if math.hypot(max(xs) - min(xs), max(ys) - min(ys)) == math.inf:
+            raise ValidationError("polygon extent overflows floats")
         object.__setattr__(self, "vertices", verts)
 
     @property

@@ -30,14 +30,11 @@ not depend on block boundaries or on the other legs of its passes.
 One loop can carry the legs of many maps (forward's batches): the
 singularities come as one row per map, each leg names its map, and one
 tolerance serves every leg. Every step of a pass is elementwise or works
-row by row, except the product of the node factors' logs with the
-exponents. A BLAS product over a block of rows rounds each row as the
-product over the whole matrix does when the block's row count is a
-multiple of 8, as DEFAULT_ORDER makes a panel's; an einsum or a matrix
-product with an exponent vector per row does not. So a pass of one map
-keeps one product, and a pass of many takes one product per panel: each
-map's legs then come out bit for bit as when the map is integrated
-alone. A map whose leg cannot be cut or stalls drops out of the loop
+row by row; the contractions with the exponents are einsums, which sum
+each row in one order whatever else shares the pass and whether the
+exponent row is one map's, broadcast, or gathered per panel. So each
+map's legs come out bit for bit as when the map is integrated alone, at
+any order. A map whose leg cannot be cut or stalls drops out of the loop
 with its error; the other maps go on. A Jacobi rule that fails its
 check (never seen outside a broken eigensolver) raises out of the loop
 for all its maps, and forward's batches then integrate each map alone.
@@ -101,10 +98,16 @@ class QuadratureRule:
 
 
 def total_moment(a: float, b: float) -> float:
-    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma."""
-    return math.exp((a + b + 1.0) * _LN2
-                    + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
-                    - math.lgamma(a + b + 2.0))
+    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma. A moment
+    that floats cannot hold raises NumericalError."""
+    try:
+        m0 = math.exp((a + b + 1.0) * _LN2 + math.lgamma(a + 1.0)
+                      + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    except OverflowError:
+        m0 = math.inf
+    if m0 == math.inf:
+        raise NumericalError(f"Jacobi total moment for a={a}, b={b} overflows")
+    return m0
 
 
 # Rules kept at most; a pass that overflows the cache evicts the oldest.
@@ -127,6 +130,8 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
         if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
             raise InvalidExponent("Jacobi exponents must be finite and "
                                   f"exceed -1, got a={a}, b={b}")
+    # First, so that a rule floats cannot hold raises before its matrix.
+    m0 = np.array([total_moment(*pair) for pair in pairs])
     # Golub-Welsch on the symmetric tridiagonal recurrence matrices, one
     # per pair (dense, lower triangle, a few dozen rows at most), all
     # solved by one stacked eigh. Not scipy.special.roots_jacobi: its
@@ -150,7 +155,6 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
     mats[:, 2 * order + 1::order + 1] = np.sqrt(
         4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t * t - 1.0)))
     x, v = np.linalg.eigh(mats.reshape(-1, order, order))
-    m0 = np.array([total_moment(*pair) for pair in pairs])
     w = m0[:, None] * v[:, 0] ** 2
     sums = np.sum(w, axis=1)
     bad = np.abs(sums - m0) > 1e-13 * m0
@@ -206,14 +210,6 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     nodes, weights = _jacobi_rules(order, [(a, b)])[0]
     return QuadratureRule(nodes=nodes, weights=weights, exponent_left=b,
                           exponent_right=a, order=int(order))
-
-
-def _panel_products(v: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """v @ e for the rows of v, which come in equal blocks, one per panel,
-    e the panel's row of ``E``: each block a product of its own. A row of
-    a product of whole panels rounds the same whichever panels share it,
-    so each map's rows round as in the one product of its map alone."""
-    return (v.reshape(len(E), -1, v.shape[1]) @ E[:, :, None]).reshape(-1)
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
@@ -305,11 +301,11 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     are; integrate_finite_legs finds the two on-leg derivatives from the
     settled per-leg sums.
     """
-    order = DEFAULT_ORDER
-    # Per panel, the row of its leg's map. One map's row broadcasts, and
-    # its products with the exponents are one product each.
-    one = len(xs) == 1
-    X, E = (xs, es) if one else (xs[of[leg]], es[of[leg]])
+    # Per panel, the row of its leg's map; one map's row broadcasts. Every
+    # contraction with the exponents is an einsum, which sums each row in
+    # one order however many rows share its pass and whether its exponent
+    # row is broadcast or gathered.
+    X, E = (xs, es) if len(xs) == 1 else (xs[of[leg]], es[of[leg]])
     own_left = a[:, None] == X
     own_right = b[:, None] == X
     ks, js = np.nonzero(own_left | own_right)
@@ -318,9 +314,8 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     pairs = {(0.0, 0.0): 0}
     logs = 0.0
     if ks.size:
-        e_left, e_right = ((own_left @ es[0], own_right @ es[0]) if one else
-                           (_panel_products(own_left, E),
-                            _panel_products(own_right, E)))
+        e_left = np.einsum("pk,pk->p", own_left, E)
+        e_right = np.einsum("pk,pk->p", own_right, E)
         rule_of[ks] = [pairs.setdefault(pair, len(pairs)) for pair in
                        zip(e_right[ks].tolist(), e_left[ks].tolist())]
         if kind == "upper":
@@ -329,7 +324,7 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
                     + e_right * (np.log(a - b) - _LN2))
         else:
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
-    rules = _jacobi_rules(order, list(pairs))
+    rules = _jacobi_rules(DEFAULT_ORDER, list(pairs))
     if len(rules) == 1:
         # One rule for every panel: its rows broadcast.
         t, w = (row[None] for row in rules[0])
@@ -345,17 +340,13 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
             f /= np.where(X == 0.0, 1.0, np.abs(X))[:, None, :]
         if kind == "axis":
             # An absorbed right end lies right of the nodes: its phase counts.
-            # einsum adds each panel's phases in one order; `@` rounded them
-            # by the number of panels in the pass.
             logs = logs + 1j * math.pi * np.einsum("pk,pk->p",
                                                    X >= b[:, None], E)
     # Absorbed factors drop out of the nodes as log(1) = 0 and come back
     # as ((b - a)/2)^e times (1 -+ x)^e.
     if ks.size:
         f[ks, :, js] = 1.0
-    f = np.log(f, out=f).reshape(-1, X.shape[1])
-    f = np.exp(f @ es[0] if one else _panel_products(f, E)
-               ).reshape(a.size, order)
+    f = np.exp(np.einsum("pnk,pk->pn", np.log(f, out=f), E))
     # Without absorbed ends or phases (upper legs off the axis) logs is 0,
     # and half times exp(0) = 1 is half, bit for bit.
     scale = half * np.exp(logs) if ks.size or kind == "axis" else half

@@ -42,6 +42,8 @@ class _Frame:
         ys = [-p.imag for p in points]
         self.x0, self.y0 = min(xs), min(ys)
         span = max(max(xs) - self.x0, max(ys) - self.y0, 1e-9)
+        if not np.isfinite(span):
+            raise ValidationError("drawing extent overflows floats")
         self.scale = _CANVAS / span
         self.width = (max(xs) - self.x0) * self.scale
         self.height = (max(ys) - self.y0) * self.scale

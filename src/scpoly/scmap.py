@@ -250,11 +250,14 @@ def _measured(exp: ExponentVector, w: list[complex] | NumericalError):
     # vertex; or the error.
     if isinstance(w, NumericalError):
         return w
-    poly = LabelledPolygon(tuple(w))
     try:
+        poly = LabelledPolygon(tuple(w))
         return (poly, *_worst_angle_deviation(poly, exp))
     except NumericalError as exc:
         return exc
+    except ValidationError as exc:
+        # Vertices that floats cannot hold fail the computation too.
+        return NumericalError(f"computed polygon is out of range: {exc}")
 
 
 def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],

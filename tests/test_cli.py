@@ -214,6 +214,18 @@ def test_eval_rejects_exponent_without_jacobi_rule(capsys):
     assert "alpha_1" in body["message"]
 
 
+def test_eval_rule_beyond_floats_exits_3(capsys):
+    # Into z_1 the leg absorbs alpha_1 - 1 = 1195.8, whose Jacobi total
+    # moment overflows the floats.
+    n = 1200
+    m = json.dumps({"n": n, "prevertices": [-1.0, *range(n - 2)],
+                    "alphas": [1198 - 1199e-3] + [1e-3] * (n - 1),
+                    "A": [1, 0], "B": [0, 0], "mode": "extended"})
+    code, out = run_cli(capsys, "eval", m, "[[-1, 0]]")
+    assert code == 3
+    assert json.loads(out)["error"] == "NumericalError"
+
+
 def test_eval_batch_performance(capsys):
     import time
     pts = [[(k % 37) / 10.0 - 1.5, 0.3 + (k % 11) / 10.0] for k in range(1000)]
@@ -292,6 +304,14 @@ def test_render_grid_on_polygon_rejected(capsys):
     square = dumps(polygon_to_json(LabelledPolygon((0j, 1 + 0j, 1 + 1j, 1j))))
     code, out = run_cli(capsys, "render", square, "--grid", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["render", "invert"])
+def test_polygon_extent_beyond_floats_exits_2(capsys, command):
+    wide = '{"n": 3, "vertices": [[-1e308, 0], [1e308, 0], [0, 1e308]]}'
+    code, out = run_cli(capsys, command, wide)
+    assert code == 2
+    assert "extent" in json.loads(out)["message"]
 
 
 def test_extended_forward_flag(capsys):

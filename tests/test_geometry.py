@@ -42,6 +42,12 @@ def test_polygon_needs_three_finite_vertices():
         LabelledPolygon((0j, 1 + 0j))
     with pytest.raises(ValidationError):
         LabelledPolygon((0j, 1 + 0j, complex(math.nan, 0.0)))
+    # Finite vertices whose differences overflow leave no diameter to
+    # measure sides against: not a polygon with coincident vertices.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="extent overflows"):
+            LabelledPolygon((-1e308 + 0j, 1e308 + 0j, 1e308j))
 
 
 def test_polygon_accessors(unit_square):

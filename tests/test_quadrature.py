@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -143,6 +145,19 @@ def test_stacked_build_names_the_bad_pair():
         quadrature._golub_welsch(8, pairs)
     with pytest.raises(InvalidExponent, match=r"a=nan, b=0\.0"):
         quadrature._jacobi_rules(8, [(0.1, 0.2), (math.nan, 0.0)])
+
+
+def test_rules_beyond_floats_fail_numerically():
+    # Their total moments overflow: not a bare OverflowError from exp,
+    # nor a LinAlgError after RuntimeWarnings from the matrix entries.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"a=1100\.0, b=0\.0"):
+            total_moment(1100.0, 0.0)
+        for a in (1100.0, 1e200):
+            with pytest.raises(NumericalError,
+                               match=re.escape(f"a={a}, b=0.0")):
+                gauss_jacobi(8, a, 0.0)
 
 
 def test_stacked_build_checks_every_weight_sum(monkeypatch):

@@ -54,6 +54,12 @@ def test_nonfinite_witness_rejected(unit_square):
             polygon_svg(unit_square, witnesses=(w,))
 
 
+def test_drawing_extent_must_fit_floats(unit_square):
+    far = (complex(-1e308, 0.0), complex(1e308, 0.0))
+    with pytest.raises(ValidationError, match="extent"):
+        polygon_svg(unit_square, witnesses=far)
+
+
 def test_wide_rectangle_margin_uses_long_side():
     rect = LabelledPolygon((0j, 4 + 0j, 4 + 1j, 1j))
     vb = polygon_svg(rect).split('viewBox="')[1].split('"')[0].split()

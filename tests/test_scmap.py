@@ -323,6 +323,15 @@ def test_overflowing_tail_waypoint_fails_numerically():
         assert got.vertices == forward(*point).vertices
 
 
+def test_computed_polygon_beyond_floats_fails_numerically():
+    # Vertices whose extent overflows are a failure of the computation,
+    # counted as such, as coincident ones are.
+    exp = ExponentVector((1.0 / 3.0,) * 3)
+    got = scmap._measured(exp, [-1e308 + 0j, 1e308 + 0j, 1e308j])
+    assert type(got) is NumericalError
+    assert "extent" in str(got)
+
+
 def test_forward_never_waits_on_derivative_rows():
     # Sample 125 of the n = 8, box 6 stream (seed 5): a derivative row of
     # its finite legs would stall at 3.4e-11 relative if it had to settle

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scpoly.quadrature as quadrature
 import scpoly.scmap as scmap
 import scpoly.sweep as sweep_mod
 from scpoly import (
@@ -200,6 +201,24 @@ def test_sweep_chunks_do_not_change_a_bit(monkeypatch):
         results.append(run_sweep(cfg))
     assert results[0].nonsimple_instances
     assert results[0] == results[1] == results[2]
+
+
+def test_a_batch_equals_lone_forward_at_any_order(monkeypatch):
+    # Each row of a pass sums its exponent products in one order, whatever
+    # the pass's size and whichever maps share it, so a batch keeps the
+    # bits of each lone forward at an order that is not a multiple of 8.
+    monkeypatch.setattr(quadrature, "DEFAULT_ORDER", 10)
+    cfg = SweepConfig(n=12, samples=16, seed=1)
+    points = [moduli_unchart(sample_chart_point(cfg, i))
+              for i in range(cfg.samples)]
+    batch = scmap._forward_many(points)
+    for point, got in zip(points, batch):
+        try:
+            want = forward(*point)
+        except NumericalError as exc:
+            assert type(got) is type(exc)
+        else:
+            assert got.vertices == want.vertices
 
 
 def test_failed_samples_leave_their_batch_mates_alone():

@@ -9,22 +9,31 @@ process; each tree makes its own inputs with its own classes. Streams:
 - ``sweep``: the benchmark's first 350 sweep inputs
   (``workloads._sweep_make``) of each seed: every sample through lone
   ``forward`` and through ``scmap._forward_many`` in chunks of 64 maps
-  of one n, and each call's ``run_sweep`` result;
+  of one n, and each call's ``run_sweep`` result, whose class is its
+  counts and the windings of its non-simple instances;
 - ``config``: each ``--stream N,SAMPLES,SEED,BOX`` as a ``SweepConfig``,
   sample by sample as above;
 - ``solve``: the ``repr`` of each ``solve_parameter_problem`` result of
-  the first 45 solve inputs;
+  the first 45 solve inputs, and its fitted chart coordinates;
 - ``render``: the bytes of each ``scmap_svg`` figure of the first 24
-  render inputs;
+  render inputs, and the numbers in them;
 - ``axis``: real-axis ``integrate_sc`` on the render maps, on paths that
   start at, end at and cross prevertices, in both directions.
 
-Per stream it prints the item count, the bitwise-equal count, the
-count of items that raised in this tree, every change of exception
-class and the largest vertex move relative to the diameter. It ends
-with call-by-call interleaved time ratios (this tree over REF) per
-benchmark workload, on the seed-5 inputs (30 sweep calls, 45 solves, 24
-render figures). It reads ``bench/`` and changes nothing there.
+A solve or render output that fails the benchmark's own check counts as
+a failure of that check's class. Per stream it prints the item count,
+the bitwise-equal count, the count of items that failed in this tree,
+every change of class and the largest move: of a vertex relative to the
+diameter, of an integral relative to its size, of a chart coordinate,
+or of an SVG number (canvas units, span 1000). Per sweep stream it also
+prints, per tree, the largest gate ratio of a returned polygon: its
+worst angle deviation (``scmap._worst_angle_deviation``) over the angle
+gate 10 tol. It lists every item whose ratio exceeds 0.95 in either
+tree with both ratios; an item that failed the gate takes the ratio its
+AngleMismatch message states. It ends with call-by-call interleaved
+time ratios (this tree over REF) per benchmark workload, on the seed-5
+inputs (30 sweep calls, 45 solves, 24 render figures). It reads
+``bench/`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -37,12 +46,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import importlib
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 64
@@ -51,6 +61,8 @@ PARITY_CALLS = {"sweep": 350, "solve": 45, "render": 24}
 # Inputs timed per workload, all of seed TIME_SEED.
 TIME_CALLS = {"sweep": 30, "solve": 45, "render": 24}
 TIME_SEED = 5
+# Gate ratios above this are listed item by item.
+NEAR_GATE = 0.95
 
 
 def _owned(name: str) -> bool:
@@ -85,23 +97,74 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class Raised:
-    """The class of an exception an item raised or returned."""
+class Outcome:
+    """An item's result. ``kind`` is "ok", the class of what it raised or
+    of its failed check, or a run_sweep result's counts and windings;
+    ``value`` (None for a failure) is compared with ``==``. The largest
+    move is over ``points``, divided by ``scale``; ``ratio`` is a
+    polygon's gate ratio (see the module docstring)."""
 
-    name: str
+    kind: str
+    value: object = None
+    points: tuple = field(default=(), compare=False)
+    scale: float = field(default=1.0, compare=False)
+    ratio: float | None = field(default=None, compare=False)
 
 
-def _outcome(fn, *args):
-    """fn(*args), or what it raised as a Raised."""
+def _failed(exc: Exception) -> Outcome:
+    # An AngleMismatch states the deviation and the gate it failed.
+    gate = re.search(r"off by (\S+) \(allowed (\S+)\)", str(exc))
+    return Outcome(type(exc).__name__,
+                   ratio=float(gate[1]) / float(gate[2]) if gate else None)
+
+
+def _outcome(fn, *args) -> Outcome:
+    """fn(*args), or what it raised as a failure."""
     try:
         return fn(*args)
     except Exception as exc:  # every failure is compared by its class
-        return Raised(type(exc).__name__)
+        return _failed(exc)
+
+
+def _polygon(tree: Tree, exp, poly) -> Outcome:
+    worst, _ = tree.scmap._worst_angle_deviation(poly, exp)
+    return Outcome("ok", poly.vertices, poly.vertices, poly.diameter,
+                   worst / (10.0 * tree.scmap.DEFAULT_TOL))
+
+
+def _integral(value: complex) -> Outcome:
+    return Outcome("ok", value, (value,), abs(value) or 1.0)
+
+
+def _swept(result) -> Outcome:
+    windings = [inst.winding for inst in result.nonsimple_instances]
+    return Outcome(f"{result.simple_count} simple, {len(windings)} "
+                   f"non-simple {windings}, {result.failures} failed",
+                   repr(result))
+
+
+def _checked(wl, inp, out, points) -> Outcome:
+    failed = wl.check(inp, out, None)
+    if failed:
+        return Outcome(next(iter(failed)))
+    return Outcome("ok", repr(out), points)
+
+
+def _solved(tree: Tree, wl, inp) -> Outcome:
+    out = wl.call(inp)
+    chart = tree.scpoly.moduli_chart(out[0])
+    return _checked(wl, inp, out, chart.z_coords + chart.a_coords)
+
+
+def _rendered(wl, m) -> Outcome:
+    svg = wl.call(m)
+    numbers = tuple(float(x) for x in re.findall(r"-?\d+\.\d+", svg))
+    return _checked(wl, m, svg, numbers)
 
 
 def _samples(tree: Tree, configs) -> tuple[list, list]:
     """Per sample of the configs, lone forward's and _forward_many's
-    outcome: a vertex tuple or a Raised."""
+    outcome."""
     tree.activate()
     sp = tree.scpoly
     maps = []
@@ -109,51 +172,58 @@ def _samples(tree: Tree, configs) -> tuple[list, list]:
         for i in range(cfg.samples):
             maps.append(_outcome(sp.moduli_unchart,
                                  sp.sample_chart_point(cfg, i)))
-    lone = [m if isinstance(m, Raised) else
-            _outcome(lambda m: sp.forward(*m).vertices, m) for m in maps]
+    lone = [m if isinstance(m, Outcome) else
+            _outcome(lambda m: _polygon(tree, m[1], sp.forward(*m)), m)
+            for m in maps]
     many = list(maps)
     by_n: dict[int, list[int]] = {}
     for i, m in enumerate(maps):
-        if not isinstance(m, Raised):
+        if not isinstance(m, Outcome):
             by_n.setdefault(m[1].n, []).append(i)
     for rows in by_n.values():
         for s in range(0, len(rows), CHUNK):
             chunk = rows[s:s + CHUNK]
             got = tree.scmap._forward_many([maps[i] for i in chunk])
             for i, poly in zip(chunk, got):
-                many[i] = (Raised(type(poly).__name__)
-                           if isinstance(poly, Exception) else poly.vertices)
+                many[i] = (_failed(poly) if isinstance(poly, Exception)
+                           else _polygon(tree, maps[i][1], poly))
     return lone, many
 
 
 def _compare(label: str, old: list, new: list) -> None:
-    """Print the equal count, class changes and largest move: of a vertex
-    relative to the diameter, or of a value relative to its size."""
+    """Print the equal count, class changes and largest move of a stream,
+    and the gate ratios of polygons (see the module docstring)."""
     equal = sum(a == b for a, b in zip(old, new))
     move = 0.0
     changes = []
     for i, (a, b) in enumerate(zip(old, new)):
-        if isinstance(a, Raised) or isinstance(b, Raised):
-            if a != b:
-                was, now = (x.name if isinstance(x, Raised) else "ok"
-                            for x in (a, b))
-                changes.append(f"    item {i}: {was} -> {now}")
-        elif isinstance(a, tuple):
-            diam = max(abs(u - v) for u in a for v in a)
-            move = max(move, max(abs(u - v) for u, v in zip(a, b)) / diam)
-        elif isinstance(a, complex) and a != b:
-            move = max(move, abs(a - b) / max(abs(a), abs(b)))
-    raised = sum(isinstance(b, Raised) for b in new)
-    print(f"  {label}: {len(old)} items, {equal} equal, {raised} raised, "
+        if a.kind != b.kind:
+            changes.append(f"    item {i}: {a.kind} -> {b.kind}")
+        elif a.value != b.value and len(a.points) == len(b.points) > 0:
+            move = max(move, max(abs(u - v) for u, v in
+                                 zip(a.points, b.points)) / a.scale)
+    failed = sum(b.value is None for b in new)
+    print(f"  {label}: {len(old)} items, {equal} equal, {failed} failed, "
           f"max move {move:.1e}, {len(changes)} class changes")
     for line in changes:
         print(line)
+    if any(x.ratio is not None for x in old + new):
+        worst = [max((x.ratio for x in items if x.value is not None),
+                     default=0.0) for items in (old, new)]
+        print(f"    largest gate ratio of a polygon: {worst[0]:.4f} -> "
+              f"{worst[1]:.4f}")
+        for i, pair in enumerate(zip(old, new)):
+            rs = [x.ratio for x in pair]
+            if any(r is not None and r > NEAR_GATE for r in rs):
+                was, now = ("-" if r is None else f"{r:.4f}" for r in rs)
+                print(f"    near the gate, item {i}: {was} -> {now}")
 
 
 def _streams(tree: Tree, seeds, streams) -> dict[str, list]:
     """Every stream's outcomes in one tree."""
     wl = tree.activate().workloads
     sp = tree.scpoly
+    solve, render = wl.WORKLOADS["solve"], wl.WORKLOADS["render"]
     out: dict[str, list] = {}
     for seed in seeds:
         sweeps = [wl._sweep_make(seed, k)
@@ -161,18 +231,16 @@ def _streams(tree: Tree, seeds, streams) -> dict[str, list]:
         out[f"sweep seed {seed} lone"], out[f"sweep seed {seed} batch"] = (
             _samples(tree, sweeps))
         out[f"sweep seed {seed} run_sweep"] = [
-            _outcome(lambda cfg: repr(wl._sweep_call(cfg)), cfg)
+            _outcome(lambda cfg: _swept(wl._sweep_call(cfg)), cfg)
             for cfg in sweeps]
         out[f"solve seed {seed}"] = [
-            _outcome(lambda inp: repr(wl._solve_call(inp)),
-                     wl._solve_make(seed, k))
+            _outcome(_solved, tree, solve, solve.make(seed, k))
             for k in range(PARITY_CALLS["solve"])]
-        maps = [wl._render_make(seed, k)
-                for k in range(PARITY_CALLS["render"])]
-        out[f"render seed {seed}"] = [_outcome(wl._render_call, m)
+        maps = [render.make(seed, k) for k in range(PARITY_CALLS["render"])]
+        out[f"render seed {seed}"] = [_outcome(_rendered, render, m)
                                       for m in maps]
         out[f"axis seed {seed}"] = [
-            _outcome(sp.integrate_sc, m, a, b)
+            _outcome(lambda *path: _integral(sp.integrate_sc(*path)), m, a, b)
             for m in maps for a, b in _axis_paths(m)]
     for n, samples, seed, box in streams:
         cfg = sp.SweepConfig(n, samples, seed, chart_box=box)
