@@ -93,12 +93,16 @@ def z_unchart(coords: Sequence[float]) -> Prevertices:
     return Prevertices(tuple(pts))
 
 
-@lru_cache(maxsize=64)
 def direction_basis(n: int) -> np.ndarray:
     """Orthonormal basis (columns) of {v in R^n : sum v = 0}, from modified
-    Gram-Schmidt over (e_1 - e_2, e_2 - e_3, ...), in order."""
-    if n < 2:
-        raise ValidationError("basis needs n >= 2")
+    Gram-Schmidt over (e_1 - e_2, e_2 - e_3, ...), in order; read-only."""
+    # Checked outside the cache, where equal keys (3.0, np.int64(3)) meet.
+    check_int(n, "n", 2)
+    return _direction_basis(int(n))
+
+
+@lru_cache(maxsize=64)
+def _direction_basis(n: int) -> np.ndarray:
     cols = []
     for k in range(n - 1):
         v = np.zeros(n)

@@ -23,7 +23,7 @@ import numpy as np
 from .charts import _exact_sum, z_unchart
 from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
                      ValidationError, check_int)
-from .geometry import ANGLE_TOL, LabelledPolygon, interior_angles
+from .geometry import LabelledPolygon, _angle_conditions, interior_angles
 from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
@@ -70,18 +70,16 @@ class SolveReport:
 def extract_exponents(poly: LabelledPolygon) -> ExponentVector:
     """Vertex angles divided by pi, renormalized to sum to n - 2 exactly.
 
-    Demands immersion-consistent angles: no angle within tolerance of 0 or
-    a full turn, and the angle sum correct (turning number one).
+    Demands the immersion screen's conditions (a) and (b): no angle near 0
+    or a full turn, and the angle sum (n-2)*pi (turning number one).
     """
     angles = interior_angles(poly)
-    if angles.straight_indices:
+    angles_in_range, angle_sum_ok, t = _angle_conditions(angles)
+    if not (angles_in_range and angle_sum_ok):
         raise NotImmersedInput(
-            f"vertices {angles.straight_indices} have angle at 0 or full turn")
-    defect = angles.sum_defect()
-    if abs(defect) > ANGLE_TOL:
-        raise NotImmersedInput(
-            f"angle sum misses (n-2)*pi by {defect:.3e}; "
-            "not an immersed polygon's angle data")
+            f"not an immersed polygon's angle data: straight vertices "
+            f"{angles.straight_indices}, turning number {t}, angle sum "
+            f"misses (n-2)*pi by {angles.sum_defect():.3e}")
     raw = np.array(angles.values) / math.pi
     return ExponentVector(tuple(_exact_sum(raw, float(poly.n - 2))))
 

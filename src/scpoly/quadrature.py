@@ -98,8 +98,13 @@ class QuadratureRule:
 
 
 def total_moment(a: float, b: float) -> float:
-    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma. A moment
-    that floats cannot hold raises NumericalError."""
+    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma. An
+    exponent that is not a real number in (-1, inf) raises InvalidExponent
+    naming the pair, a moment that floats cannot hold NumericalError."""
+    if not all(isinstance(e, (float, numbers.Real)) and -1.0 < e < math.inf
+               for e in (a, b)):
+        raise InvalidExponent("Jacobi exponents must be finite and "
+                              f"exceed -1, got a={a}, b={b}")
     try:
         m0 = math.exp((a + b + 1.0) * _LN2 + math.lgamma(a + 1.0)
                       + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
@@ -126,11 +131,7 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The nodes and weights of the rules of ``order`` for the exponent
     pairs (a, b), one read-only row each."""
-    for a, b in pairs:
-        if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-            raise InvalidExponent("Jacobi exponents must be finite and "
-                                  f"exceed -1, got a={a}, b={b}")
-    # First, so that a rule floats cannot hold raises before its matrix.
+    # First: total_moment rejects bad exponents and moments beyond floats.
     m0 = np.array([total_moment(*pair) for pair in pairs])
     # Golub-Welsch on the symmetric tridiagonal recurrence matrices, one
     # per pair (dense, lower triangle, a few dozen rows at most), all
@@ -201,8 +202,9 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     moment to 1e-13 relative when the rule is built, which guards the unit
     norm of the eigenvectors (not the moment itself), and a violation
     raises. Rules are read-only, so one cached rule serves every call.
-    An order that is not an integer >= 1 raises ValidationError, an
-    exponent that is not a finite number above -1 InvalidExponent.
+    An order that is not an integer >= 1 raises ValidationError; bad
+    exponents (InvalidExponent) and a moment beyond floats (NumericalError)
+    raise from total_moment before the rule's eigenproblem is built.
     """
     # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
     check_int(order, "order", 1)

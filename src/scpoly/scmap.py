@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
-                     NotIncreasing, NotNormalized, NumericalError,
-                     ValidationError, ZeroScale)
+from .errors import (AngleMismatch, InvalidExponent, NotIncreasing,
+                     NotNormalized, NumericalError, ValidationError, ZeroScale)
 from .geometry import (TWO_PI, LabelledPolygon, _jordan_immersed,
                        check_immersion_necessary, interior_angles)
 from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
@@ -211,35 +210,25 @@ def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
             out[g] = error
         alive = alive[np.array([g not in failed for g in alive.tolist()],
                                dtype=bool)]
-    for g in alive.tolist():
-        w = [complex(legs["upper"][g, 0])]
-        *sides, last = legs["axis"][g].tolist()
-        for side in sides:
-            w.append(w[-1] + side)
-        w.append(w[-1] + (last + complex(legs["tail"][g, 0])))
-        out[g] = w
+    # np.cumsum adds in order, as the legs were added one by one.
+    axis = legs["axis"][alive]
+    w = np.cumsum(np.column_stack([legs["upper"][alive], axis[:, :-1],
+                                   axis[:, -1:] + legs["tail"][alive]]), axis=1)
+    for g, row in zip(alive.tolist(), w.tolist()):
+        out[g] = row
     return out
-
-
-def _circular_gap(x: float, y: float) -> float:
-    d = (x - y) % TWO_PI
-    return min(d, TWO_PI - d)
 
 
 def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector
                            ) -> tuple[float, int]:
-    try:
-        measured = interior_angles(poly).values
-    except DegenerateSide as exc:
-        # The input map was valid; output vertices that coincide in
-        # floating point are a failure of the computation.
-        raise NumericalError(f"computed polygon is degenerate: {exc}") from exc
     worst, worst_j = 0.0, -1
-    for j, (theta, alpha) in enumerate(zip(measured, exp.alphas)):
+    for j, (theta, alpha) in enumerate(zip(interior_angles(poly).values,
+                                           exp.alphas)):
         if alpha >= 2.0:
             # Only extended vectors reach 2; those angles carry no gate.
             continue
-        dev = _circular_gap(theta, alpha * math.pi)
+        d = (theta - alpha * math.pi) % TWO_PI
+        dev = min(d, TWO_PI - d)
         if dev > worst:
             worst, worst_j = dev, j
     return worst, worst_j
@@ -253,11 +242,12 @@ def _measured(exp: ExponentVector, w: list[complex] | NumericalError):
     try:
         poly = LabelledPolygon(tuple(w))
         return (poly, *_worst_angle_deviation(poly, exp))
-    except NumericalError as exc:
-        return exc
     except ValidationError as exc:
-        # Vertices that floats cannot hold fail the computation too.
-        return NumericalError(f"computed polygon is out of range: {exc}")
+        # The input map was valid, so vertices that coincide in floats or
+        # that floats cannot hold are a failure of the computation.
+        error = NumericalError(f"computed polygon is invalid: {exc}")
+        error.__cause__ = exc
+        return error
 
 
 def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],

@@ -133,6 +133,17 @@ def test_direction_basis_orthonormal_and_sum_free():
     assert np.array_equal(direction_basis(5), direction_basis(5))
 
 
+def test_direction_basis_checks_n_before_its_cache():
+    # A cache key equal to a cached one skips the cached function, so
+    # 3.0 is tried once 3 and np.int64(3) are cached.
+    direction_basis(3)
+    direction_basis(np.int64(3))
+    for n in (3.0, 2.5, "4", True, 1):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            direction_basis(n)
+    assert np.array_equal(direction_basis(np.int64(4)), direction_basis(4))
+
+
 def test_chart_point_shape_checks():
     with pytest.raises(ValidationError):
         ChartPoint(5, (0.0,), (0.0,) * 4)      # needs n-3 = 2 gap coords

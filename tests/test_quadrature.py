@@ -71,6 +71,18 @@ def test_total_moment_against_lgamma():
         assert total_moment(a, b) == pytest.approx(expected, rel=1e-14)
 
 
+def test_total_moment_names_a_bad_pair():
+    # Divergent, at the pole of lgamma, or not a finite real number: never
+    # a moment, a NaN, a bare ValueError or TypeError, or a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [(-1.5, 0.0), (-1.0, 0.0), (0.0, -3.0), (math.nan, 0.0),
+                     (-math.inf, 0.0), ("0.5", 0.0), (0.5, 1j)]:
+            with pytest.raises(InvalidExponent,
+                               match=re.escape(f"a={a}, b={b}")):
+                total_moment(a, b)
+
+
 def test_monomial_exactness_small_orders():
     # Full order sweep with sampled exponents runs in the acceptance suite;
     # here a few fixed rules against the 50-digit moment recursion.

@@ -23,7 +23,8 @@ process; each tree makes its own inputs with its own classes. Streams:
 A solve or render output that fails the benchmark's own check counts as
 a failure of that check's class. Per stream it prints the item count,
 the bitwise-equal count, the count of items that failed in this tree,
-every change of class and the largest move: of a vertex relative to the
+every change of class, every failure that kept its class but changed
+its message, and the largest move: of a vertex relative to the
 diameter, of an integral relative to its size, of a chart coordinate,
 or of an SVG number (canvas units, span 1000). Per sweep stream it also
 prints, per tree, the largest gate ratio of a returned polygon: its
@@ -102,19 +103,21 @@ class Outcome:
     of its failed check, or a run_sweep result's counts and windings;
     ``value`` (None for a failure) is compared with ``==``. The largest
     move is over ``points``, divided by ``scale``; ``ratio`` is a
-    polygon's gate ratio (see the module docstring)."""
+    polygon's gate ratio (see the module docstring); ``message`` is what
+    a raised failure says, listed when only it changes."""
 
     kind: str
     value: object = None
     points: tuple = field(default=(), compare=False)
     scale: float = field(default=1.0, compare=False)
     ratio: float | None = field(default=None, compare=False)
+    message: str = field(default="", compare=False)
 
 
 def _failed(exc: Exception) -> Outcome:
     # An AngleMismatch states the deviation and the gate it failed.
     gate = re.search(r"off by (\S+) \(allowed (\S+)\)", str(exc))
-    return Outcome(type(exc).__name__,
+    return Outcome(type(exc).__name__, message=str(exc),
                    ratio=float(gate[1]) / float(gate[2]) if gate else None)
 
 
@@ -191,21 +194,26 @@ def _samples(tree: Tree, configs) -> tuple[list, list]:
 
 
 def _compare(label: str, old: list, new: list) -> None:
-    """Print the equal count, class changes and largest move of a stream,
-    and the gate ratios of polygons (see the module docstring)."""
+    """Print the equal count, class and message changes and largest move
+    of a stream, and the gate ratios of polygons (see the module
+    docstring)."""
     equal = sum(a == b for a, b in zip(old, new))
     move = 0.0
-    changes = []
+    changes, reworded = [], []
     for i, (a, b) in enumerate(zip(old, new)):
         if a.kind != b.kind:
             changes.append(f"    item {i}: {a.kind} -> {b.kind}")
+        elif a.message != b.message:
+            reworded.append(f"    item {i}, {a.kind}: {a.message!r} -> "
+                            f"{b.message!r}")
         elif a.value != b.value and len(a.points) == len(b.points) > 0:
             move = max(move, max(abs(u - v) for u, v in
                                  zip(a.points, b.points)) / a.scale)
     failed = sum(b.value is None for b in new)
     print(f"  {label}: {len(old)} items, {equal} equal, {failed} failed, "
-          f"max move {move:.1e}, {len(changes)} class changes")
-    for line in changes:
+          f"max move {move:.1e}, {len(changes)} class changes, "
+          f"{len(reworded)} message changes")
+    for line in changes + reworded:
         print(line)
     if any(x.ratio is not None for x in old + new):
         worst = [max((x.ratio for x in items if x.value is not None),
