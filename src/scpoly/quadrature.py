@@ -26,6 +26,12 @@ Each level is one pass per block of panels (per panel its integral, or a
 row of it and its derivative moments) and one scatter-add of the block
 into its legs (np.add.at, panel by panel in order), so a leg's sums do
 not depend on block boundaries or on the other legs of its passes.
+Levels 0 and 1 always both run, as no leg can settle before they are
+compared, so they share the first pass: level 1's panels follow level
+0's, and each level adds into its own rows of the sums. Panel by panel
+the columns do not depend on what else shares the pass, and each row
+takes its panels in the order of its own level, so both levels' sums
+are bit for bit those of a pass of their own.
 
 One loop can carry the legs of many maps (forward's batches): the
 singularities come as one row per map, each leg names its map, and one
@@ -97,14 +103,20 @@ class QuadratureRule:
     order: int
 
 
-def total_moment(a: float, b: float) -> float:
-    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma. An
-    exponent that is not a real number in (-1, inf) raises InvalidExponent
-    naming the pair, a moment that floats cannot hold NumericalError."""
+def _check_exponents(a: float, b: float) -> None:
+    """Raise InvalidExponent naming the pair unless a and b are both real
+    numbers in (-1, inf)."""
     if not all(isinstance(e, (float, numbers.Real)) and -1.0 < e < math.inf
                for e in (a, b)):
         raise InvalidExponent("Jacobi exponents must be finite and "
                               f"exceed -1, got a={a}, b={b}")
+
+
+def total_moment(a: float, b: float) -> float:
+    """Integral of (1-x)^a (1+x)^b over [-1, 1], via log-gamma. An
+    exponent that is not a real number in (-1, inf) raises InvalidExponent
+    naming the pair, a moment that floats cannot hold NumericalError."""
+    _check_exponents(a, b)
     try:
         m0 = math.exp((a + b + 1.0) * _LN2 + math.lgamma(a + 1.0)
                       + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
@@ -202,12 +214,15 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     moment to 1e-13 relative when the rule is built, which guards the unit
     norm of the eigenvectors (not the moment itself), and a violation
     raises. Rules are read-only, so one cached rule serves every call.
-    An order that is not an integer >= 1 raises ValidationError; bad
-    exponents (InvalidExponent) and a moment beyond floats (NumericalError)
-    raise from total_moment before the rule's eigenproblem is built.
+    An order that is not an integer >= 1 raises ValidationError; an
+    exponent that is not a real number in (-1, inf), a string included,
+    raises InvalidExponent, and a moment beyond floats NumericalError from
+    total_moment before the rule's eigenproblem is built.
     """
     # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
     check_int(order, "order", 1)
+    # Checked before float(), which would read "0.5" as a number.
+    _check_exponents(a, b)
     a, b = float(a), float(b)
     nodes, weights = _jacobi_rules(order, [(a, b)])[0]
     return QuadratureRule(nodes=nodes, weights=weights, exponent_left=b,
@@ -364,17 +379,19 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
 
 
 def _leg_sums(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
-              xs: np.ndarray, es: np.ndarray, of: np.ndarray, legs: int,
-              rows: bool) -> np.ndarray:
-    """Per leg 0, ..., legs - 1, the sum of its panels' columns, added
-    panel by panel in order by one scatter-add per block of at most
-    _PASS_BLOCK panels: the integral and, with ``rows``, the moments of its
-    derivatives (see _columns). A leg without panels reads zero."""
-    sums = np.zeros((legs, xs.shape[1] + 1) if rows else legs, dtype=complex)
+              xs: np.ndarray, es: np.ndarray, of: np.ndarray, size: int,
+              rows: bool, at: np.ndarray) -> np.ndarray:
+    """Per row 0, ..., size - 1 of the sums, the sum of the columns of the
+    panels at[i] names, added panel by panel in order by one scatter-add
+    per block of at most _PASS_BLOCK panels: the integral and, with
+    ``rows``, the moments of its derivatives (see _columns, which reads
+    ``leg`` as each panel's leg within its map). A row without panels
+    reads zero."""
+    sums = np.zeros((size, xs.shape[1] + 1) if rows else size, dtype=complex)
     for i in range(0, a.size, _PASS_BLOCK):
         block = slice(i, i + _PASS_BLOCK)
-        np.add.at(sums, leg[block], _columns(kind, a[block], b[block],
-                                             leg[block], xs, es, of, rows))
+        np.add.at(sums, at[block], _columns(kind, a[block], b[block],
+                                            leg[block], xs, es, of, rows))
     return sums if rows else sums[:, None]
 
 
@@ -389,7 +406,10 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     by at most ``tol`` times the larger. A derivative row (with ``rows``)
     rides along on the same panels and does not vote. No leg's sums depend
     on another's, so a settled leg's panels leave the passes for good, its
-    sums kept from the pass it settled in.
+    sums kept from the pass it settled in. The first pass carries levels
+    0 and 1, each added into its own rows (``at``; ``leg`` stays the leg
+    within its map, which _columns reads), so a leg that settles at the
+    first comparison takes one pass, with the sums of two separate ones.
 
     Returns the sums and, per map that failed, its error: a leg that could
     not be cut (_split) or a leg still unsettled after MAX_LEVELS halvings
@@ -409,15 +429,24 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
                             dtype=complex), failed
         keep = live[leg]
         a, b, leg = a[keep], b[keep], leg[keep]
-    cur = _leg_sums(kind, a, b, leg, xs, es, of, live.size, rows)
+    # Levels 0 and 1 in one pass: level 1's panels follow level 0's, and
+    # each level adds into its own rows of the sums.
+    legs = live.size
+    a1, b1, leg1 = _halve(a, b, leg)
+    both = _leg_sums(kind, np.concatenate([a, a1]), np.concatenate([b, b1]),
+                     np.concatenate([leg, leg1]), xs, es, of, 2 * legs, rows,
+                     np.concatenate([leg, leg1 + legs]))
+    cur, new = both[:legs], both[legs:]
+    a, b, leg = a1, b1, leg1
     out = np.empty_like(cur)
-    for _ in range(MAX_LEVELS):
-        a, b, leg = _halve(a, b, leg)
-        new = _leg_sums(kind, a, b, leg, xs, es, of, live.size, rows)
+    for level in range(MAX_LEVELS):
+        if level:
+            a, b, leg = _halve(a, b, leg)
+            cur, new = new, _leg_sums(kind, a, b, leg, xs, es, of, legs,
+                                      rows, leg)
         change = np.abs(new[:, 0] - cur[:, 0])
         size = np.maximum(np.abs(new[:, 0]), np.abs(cur[:, 0]))
         done = live & (change <= tol * size)
-        cur = new
         if done.any():
             np.copyto(out, new, where=done[:, None])
             live ^= done

@@ -73,14 +73,18 @@ def test_total_moment_against_lgamma():
 
 def test_total_moment_names_a_bad_pair():
     # Divergent, at the pole of lgamma, or not a finite real number: never
-    # a moment, a NaN, a bare ValueError or TypeError, or a warning.
+    # a moment, a NaN, a bare ValueError or TypeError, or a warning. A
+    # rule checks its pair before float() could read a string as a number.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, b in [(-1.5, 0.0), (-1.0, 0.0), (0.0, -3.0), (math.nan, 0.0),
-                     (-math.inf, 0.0), ("0.5", 0.0), (0.5, 1j)]:
-            with pytest.raises(InvalidExponent,
-                               match=re.escape(f"a={a}, b={b}")):
-                total_moment(a, b)
+                     (-math.inf, 0.0), ("0.5", 0.0), (0.5, 1j), ("abc", 0.0),
+                     (b"0.5", 0.0), (None, 0.0), (0.5 + 0j, 0.0),
+                     (0.0, "0.5")]:
+            for build in (total_moment, lambda a, b: gauss_jacobi(8, a, b)):
+                with pytest.raises(InvalidExponent,
+                                   match=re.escape(f"a={a}, b={b}")):
+                    build(a, b)
 
 
 def test_monomial_exactness_small_orders():
@@ -122,8 +126,11 @@ def test_order_must_be_positive():
     for order in (8.0, True):
         with pytest.raises(ValidationError):
             gauss_jacobi(order, 0.5, 0.0)
-    # Both orders read the same cache entry.
+    # Both orders read the same cache entry, and so do NumPy and integer
+    # exponents.
     assert (gauss_jacobi(np.int64(8), 0.5, 0.0).nodes
+            is gauss_jacobi(8, 0.5, 0.0).nodes)
+    assert (gauss_jacobi(8, np.float64(0.5), 0).nodes
             is gauss_jacobi(8, 0.5, 0.0).nodes)
 
 
@@ -507,6 +514,64 @@ def test_finite_legs_sum_the_same_in_blocks(monkeypatch):
     blocked_values, blocked_derivs = integrate_finite_legs(zs, alphas)
     assert np.array_equal(blocked_values, values)
     assert np.array_equal(blocked_derivs, derivs)
+
+
+def _recorded_passes(monkeypatch):
+    # The arguments and sums of every _leg_sums pass from here on.
+    passes = []
+    leg_sums = quadrature._leg_sums
+
+    def recording(*args):
+        passes.append((args, leg_sums(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(quadrature, "_leg_sums", recording)
+    return passes
+
+
+def test_a_leg_settled_at_its_first_comparison_makes_one_pass(monkeypatch,
+                                                              tri_map):
+    # Levels 0 and 1 share a pass, so legs that settle when those two are
+    # first compared take one pass: an upper-plane leg, and a map's two
+    # finite legs.
+    passes = _recorded_passes(monkeypatch)
+    integrate_sc(tri_map, 1j, 2j)
+    assert len(passes) == 1
+    integrate_finite_legs((-1.0, 0.0, 1.0), (0.5, 0.5, 0.5))
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("block", [quadrature._PASS_BLOCK, 7])
+def test_first_pass_sums_each_level_as_its_own_pass(monkeypatch, crowded_map,
+                                                     block):
+    # The first pass carries the level-0 panels, then their halves (level
+    # 1), each level added into its own rows of the sums. Each level's
+    # sums must be bitwise those of a pass over its panels alone, with
+    # derivative rows and without, whatever the block boundaries.
+    leg_sums = quadrature._leg_sums
+    monkeypatch.setattr(quadrature, "_PASS_BLOCK", block)
+    passes = _recorded_passes(monkeypatch)
+    points = np.array([0.5 + 0.2j, -0.5 + 0.01j, 3.0, INFINITY])
+    for call in (lambda: integrate_finite_legs(ORACLE_ZS, ORACLE_ALPHAS),
+                 lambda: integrate_sc(crowded_map, -1.0, 3.0),
+                 lambda: evaluate(crowded_map, points)):
+        passes.clear()
+        call()
+        (kind, a, b, leg, xs, es, of, size, rows, at), both = passes[0]
+        legs = size // 2
+        first = at < legs
+        count = np.count_nonzero(first)
+        assert 0 < count < a.size and first[:count].all()
+        assert np.array_equal(at, np.where(first, leg, leg + legs))
+        for got, want in zip((a[~first], b[~first], leg[~first]),
+                             quadrature._halve(a[first], b[first],
+                                               leg[first])):
+            assert np.array_equal(got, want)
+        for level, part in ((0, first), (1, ~first)):
+            alone = leg_sums(kind, a[part], b[part], leg[part], xs, es, of,
+                             legs, rows, leg[part])
+            assert np.array_equal(both[level * legs:(level + 1) * legs],
+                                  alone), (kind, level)
 
 
 def test_each_map_of_a_batch_fails_alone():

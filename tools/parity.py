@@ -33,8 +33,10 @@ gate 10 tol. It lists every item whose ratio exceeds 0.95 in either
 tree with both ratios; an item that failed the gate takes the ratio its
 AngleMismatch message states. It ends with call-by-call interleaved
 time ratios (this tree over REF) per benchmark workload, on the seed-5
-inputs (30 sweep calls, 45 solves, 24 render figures). It reads
-``bench/`` and changes nothing there.
+inputs (30 sweep calls, 45 solves, 24 render figures), and per tree
+the ``_refine`` loops and ``_leg_sums`` passes per call, counted on one
+more untimed call per input. It reads ``bench/`` and changes nothing
+there.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ PARITY_CALLS = {"sweep": 350, "solve": 45, "render": 24}
 # Inputs timed per workload, all of seed TIME_SEED.
 TIME_CALLS = {"sweep": 30, "solve": 45, "render": 24}
 TIME_SEED = 5
+# Functions whose calls per timed input are counted, on an untimed call.
+COUNTED = ("_refine", "_leg_sums")
 # Gate ratios above this are listed item by item.
 NEAR_GATE = 0.95
 
@@ -267,18 +271,49 @@ def _axis_paths(m) -> list[tuple[float, float]]:
             if j < len(ts) for path in ((ts[i], ts[j]), (ts[j], ts[i]))]
 
 
+def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
+    """The ``_refine`` loops and ``_leg_sums`` passes per call of workload
+    ``name``, counted on one untimed call per input by wrappers on every
+    binding of those functions in the tree's modules."""
+    wl = tree.activate().workloads.WORKLOADS[name]
+    quadrature = tree.modules["scpoly.quadrature"]
+    counts = dict.fromkeys(COUNTED, 0)
+    patched = []
+    for fname in COUNTED:
+        fn = getattr(quadrature, fname)
+
+        def counted(*args, _fn=fn, _name=fname, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in tree.modules.values():
+            if getattr(module, fname, None) is fn:
+                patched.append((module, fname, fn))
+                setattr(module, fname, counted)
+    try:
+        for inp in inputs:
+            _outcome(wl.call, inp)
+    finally:
+        for module, fname, fn in patched:
+            setattr(module, fname, fn)
+    return [counts[fname] / len(inputs) for fname in COUNTED]
+
+
 def _timing(trees: list[Tree], repeats: int) -> None:
     """Per workload, each call timed ``repeats`` times per tree, the two
-    trees alternating call by call; the ratios are of per-call minima."""
+    trees alternating call by call; the ratios are of per-call minima.
+    Then, per tree, the refinement loops and passes per call (_passes)."""
     print(f"time ratio, this tree / ref (seed {TIME_SEED}, "
           f"{repeats} repeats):")
     for name, count in TIME_CALLS.items():
         ratios, totals = [], [0.0, 0.0]
+        inputs = ([], [])
         for k in range(count):
             best = []
-            for tree in trees:
+            for tree, made in zip(trees, inputs):
                 wl = tree.activate().workloads.WORKLOADS[name]
-                best.append([wl, wl.make(TIME_SEED, k), []])
+                made.append(wl.make(TIME_SEED, k))
+                best.append([wl, made[-1], []])
             for r in range(repeats):
                 for t in ((0, 1) if (k + r) % 2 == 0 else (1, 0)):
                     wl, inp, times = best[t]
@@ -293,6 +328,11 @@ def _timing(trees: list[Tree], repeats: int) -> None:
         q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         print(f"  {name}: median {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
               f"total {totals[1] / totals[0]:.3f} over {count} calls")
+        for label, tree, made in zip(("ref", "this tree"), trees, inputs):
+            loops, passes = _passes(tree, name, made)
+            print(f"    {label}: {loops:.2f} _refine loops and {passes:.2f} "
+                  f"_leg_sums passes per call, "
+                  f"{passes / loops:.2f} passes per loop")
 
 
 def _stream_arg(text: str) -> tuple[int, int, int, float]:
