@@ -9,8 +9,8 @@ embedded polygon this is the usual interior angle.
 All predicates are pure functions. Self-contacts (proper crossings, a
 vertex on a side, coincident vertices, overlapping collinear sides) are
 read off one orientation matrix per polygon, whose entries are
-float-filtered with the error bound of :mod:`scpoly.predicates` and
-escalated one by one to its exact predicate; ``is_simple`` decides from it.
+float-filtered with Shewchuk's error bound and the unsure ones decided in
+exact rationals; ``is_simple`` decides from it.
 Like the contacts, a polygon's vertex angles are measured once and cached.
 Winding numbers are computed by one array kernel over a whole batch of
 query points. The immersion screen and the witness search share one
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateSide, PointOnCurve, ValidationError
-from .predicates import _ERRBOUND, orientation
 
 PlanePoint = complex
 
@@ -39,6 +39,10 @@ COINCIDENCE_RTOL = 1e-12
 ANGLE_TOL = 1e-6
 # Witness points must clear every side-supporting line by this, times diameter.
 WITNESS_LINE_RTOL = 1e-9
+# Filter constant for the 2x2 orientation determinant, (3 + 16u)u with
+# u = 2^-53 (Shewchuk 1997, DCG 18:305): |det| above _ERRBOUND *
+# (|det_left| + |det_right|) certifies the floating-point sign.
+_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
 TWO_PI = 2.0 * math.pi
 
@@ -266,13 +270,21 @@ def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
     return int(k[0])
 
 
-def _orientations(poly: LabelledPolygon) -> np.ndarray:
-    """Orientation matrix O[j, k] = orientation(w_j, w_{j+1}, w_k).
+def _exact_orientation(p: complex, q: complex, r: complex) -> int:
+    """Sign of det(p - r, q - r), +1 for pqr counter-clockwise, in exact
+    rationals: every float converts to a Fraction without rounding."""
+    (px, py), (qx, qy), (rx, ry) = ((Fraction(z.real), Fraction(z.imag))
+                                    for z in (p, q, r))
+    det = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
+    return (det > 0) - (det < 0)
 
-    Every determinant is formed in floats exactly as
-    :func:`~scpoly.predicates.orientation` forms it and trusted where it
-    clears the same error bound; the other entries go to that exact
-    predicate, except those with w_k equal to w_j or w_{j+1}, which are 0.
+
+def _orientations(poly: LabelledPolygon) -> np.ndarray:
+    """Orientation matrix O[j, k], the sign of det(w_j - w_k, w_{j+1} - w_k).
+
+    Every determinant is formed in floats and trusted where it clears
+    _ERRBOUND; the other entries are decided by _exact_orientation, except
+    those with w_k equal to w_j or w_{j+1}, which are 0.
     """
     w = np.asarray(poly.vertices)
     a = w[:, None]
@@ -284,8 +296,7 @@ def _orientations(poly: LabelledPolygon) -> np.ndarray:
     unsure = ((np.abs(det) <= _ERRBOUND * (np.abs(detleft) + np.abs(detright)))
               & (ac != 0) & (bc != 0))
     for j, k in zip(*np.nonzero(unsure)):
-        p, q, r = w[j], w[(j + 1) % poly.n], w[k]
-        o[j, k] = orientation(p.real, p.imag, q.real, q.imag, r.real, r.imag)
+        o[j, k] = _exact_orientation(w[j], w[(j + 1) % poly.n], w[k])
     return o
 
 

@@ -105,11 +105,11 @@ class QuadratureRule:
 
 def _check_exponents(a: float, b: float) -> None:
     """Raise InvalidExponent naming the pair unless a and b are both real
-    numbers in (-1, inf)."""
-    if not all(isinstance(e, (float, numbers.Real)) and -1.0 < e < math.inf
-               for e in (a, b)):
+    numbers in (-1, inf), Python's or NumPy's (a bool or a string is not)."""
+    if not all(not isinstance(e, bool) and isinstance(e, (float, numbers.Real))
+               and -1.0 < e < math.inf for e in (a, b)):
         raise InvalidExponent("Jacobi exponents must be finite and "
-                              f"exceed -1, got a={a}, b={b}")
+                              f"exceed -1, got a={a!r}, b={b!r}")
 
 
 def total_moment(a: float, b: float) -> float:
@@ -250,7 +250,10 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
     for depth in range(_MAX_SPLIT_DEPTH + 1):
         # Avoided points (axis 1) in the frame where the panel (axis 0) is
         # [0, 1], so distances come in units of the panel length. One
-        # map's row broadcasts; a batch takes each panel's map's row.
+        # map's row broadcasts; a batch takes each panel's map's row. The
+        # fork stays: gathering one map's row too, with the two forks in
+        # _columns, costs render x1.088 and solve x1.019 (tools/parity.py
+        # per-call medians, seed-5 inputs, 2-core VM).
         avoid = xs if len(xs) == 1 else xs[of[leg]]
         sa = avoid - a[:, None]
         u = sa / (b - a)[:, None]
@@ -271,6 +274,8 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
                     if through[stuck].any() else
                     NoConvergence("panel subdivision failed to terminate"))
             break
+        # Cut inline, not by _halve, whose float-resolution guard these
+        # panels never need: _halve here costs render x1.061, solve x1.033.
         cut = ~fine
         a, m, b, leg = a[cut], m[cut], b[cut], leg[cut]
         a, b, leg = (np.concatenate([a, m]), np.concatenate([m, b]),
@@ -321,7 +326,8 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
     # Per panel, the row of its leg's map; one map's row broadcasts. Every
     # contraction with the exponents is an einsum, which sums each row in
     # one order however many rows share its pass and whether its exponent
-    # row is broadcast or gathered.
+    # row is broadcast or gathered. The broadcast is kept for speed (see
+    # _split).
     X, E = (xs, es) if len(xs) == 1 else (xs[of[leg]], es[of[leg]])
     own_left = a[:, None] == X
     own_right = b[:, None] == X
@@ -343,7 +349,8 @@ def _columns(kind: str, a: np.ndarray, b: np.ndarray, leg: np.ndarray,
             logs = (e_left + e_right) * (np.log(b - a) - _LN2)
     rules = _jacobi_rules(DEFAULT_ORDER, list(pairs))
     if len(rules) == 1:
-        # One rule for every panel: its rows broadcast.
+        # One rule for every panel: its rows broadcast. Gathering them by
+        # rule_of as below costs render x1.068.
         t, w = (row[None] for row in rules[0])
     else:
         t, w = np.array(rules).swapaxes(0, 1)[:, rule_of]
@@ -539,13 +546,16 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     homogeneity of I_j.
     """
     xs = np.asarray(points, dtype=float)
-    es = np.asarray(alphas, dtype=float) - 1.0
+    alphas = np.asarray(alphas, dtype=float)
+    es = alphas - 1.0
     if xs.ndim != 1 or xs.shape != es.shape or xs.size < 2:
         raise ValidationError("need one exponent for each of >= 2 points")
     if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)):
         raise ValidationError("points must be finite and strictly increasing")
-    if not np.all(es > -1.0):
-        raise InvalidExponent("exponents must be positive")
+    bad = ~((es > -1.0) & (es < math.inf))
+    if bad.any():
+        raise InvalidExponent("exponents must be positive and finite, got "
+                              f"alpha={float(alphas[np.argmax(bad)])}")
     check_tol(tol)
     j = np.arange(xs.size - 1)
     sums = _refine_map("axis", xs[:-1], xs[1:], xs[None], es[None], tol, j,

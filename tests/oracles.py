@@ -3,12 +3,14 @@
 Everything here deliberately avoids the package's own code paths: Beta
 values come from log-gamma, Jacobi moments from a three-term recursion in
 50-digit arithmetic, Jacobi rules from one eigenproblem per rule, winding
-numbers from ray crossings, and complex leg integrals from
+numbers from ray crossings, orientation signs from one cross product in
+exact rationals, and complex leg integrals from
 power-substitution plus tanh-sinh quadrature. Tests compare the package
 against these, never against itself.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath as mp
@@ -86,6 +88,16 @@ def ray_crossing_winding(vertices, p: complex) -> int:
         elif b.imag <= p.imag and side < 0:
             w -= 1
     return w
+
+
+def orientation_exact(p: complex, q: complex, r: complex) -> int:
+    """Sign of the cross product (q - p) x (r - p): +1 when r lies left of
+    the directed line pq, -1 right of it, 0 on it. Floats are dyadic
+    rationals, so the Fraction arithmetic is exact."""
+    px, py, qx, qy, rx, ry = (Fraction(float(x)) for x in
+                              (p.real, p.imag, q.real, q.imag, r.real, r.imag))
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (cross > 0) - (cross < 0)
 
 
 def segments_cross_naive(p: complex, q: complex, r: complex, s: complex) -> bool:

@@ -23,10 +23,11 @@ from scpoly import (
     turning_number,
     winding_number,
 )
-from scpoly import geometry, predicates
+from scpoly import geometry
 
 from conftest import HEX_WITNESS_LARGE, HEX_WITNESS_LENS
-from oracles import has_nonadjacent_crossing, ray_crossing_winding
+from oracles import (has_nonadjacent_crossing, orientation_exact,
+                     ray_crossing_winding)
 
 EQUILATERAL = LabelledPolygon((0j, 1 + 0j, 0.5 + math.sqrt(3) / 2 * 1j))
 
@@ -268,17 +269,15 @@ def test_orientation_matrix_matches_exact_predicate(monkeypatch):
     grid = tuple(complex(0.5 + i * tiny, 0.5 + j * tiny)
                  for i in range(8) for j in range(8))
     poly = LabelledPolygon((12 + 12j, 24 + 24j) + grid)
-    exact = predicates.orientation
+    exact = geometry._exact_orientation
     escalated = []
-    monkeypatch.setattr(geometry, "orientation",
+    monkeypatch.setattr(geometry, "_exact_orientation",
                         lambda *a: escalated.append(a) or exact(*a))
     o = geometry._orientations(poly)
     w, n = poly.vertices, poly.n
     for j in range(n):
-        a, b = w[j], w[(j + 1) % n]
-        for k, c in enumerate(w):
-            assert o[j, k] == exact(a.real, a.imag, b.real, b.imag,
-                                    c.real, c.imag)
+        for k in range(n):
+            assert o[j, k] == orientation_exact(w[j], w[(j + 1) % n], w[k])
     assert 0 < len(escalated) < n * n
     assert set(o[0, 2:]) == {-1, 0, 1}
 

@@ -74,16 +74,18 @@ def test_total_moment_against_lgamma():
 def test_total_moment_names_a_bad_pair():
     # Divergent, at the pole of lgamma, or not a finite real number: never
     # a moment, a NaN, a bare ValueError or TypeError, or a warning. A
-    # rule checks its pair before float() could read a string as a number.
+    # rule checks its pair before float() could read a string as a number,
+    # and a bool is not an exponent though it is an int. The pair is named
+    # by repr, so the string "0.5" does not read as the number 0.5.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, b in [(-1.5, 0.0), (-1.0, 0.0), (0.0, -3.0), (math.nan, 0.0),
                      (-math.inf, 0.0), ("0.5", 0.0), (0.5, 1j), ("abc", 0.0),
                      (b"0.5", 0.0), (None, 0.0), (0.5 + 0j, 0.0),
-                     (0.0, "0.5")]:
+                     (0.0, "0.5"), (True, 0.0), (0.5, False)]:
             for build in (total_moment, lambda a, b: gauss_jacobi(8, a, b)):
                 with pytest.raises(InvalidExponent,
-                                   match=re.escape(f"a={a}, b={b}")):
+                                   match=re.escape(f"a={a!r}, b={b!r}")):
                     build(a, b)
 
 
@@ -353,6 +355,17 @@ def test_non_finite_tol_rejected(tri_map, tol):
         integrate_finite_legs((-1.0, 0.0), (1 / 3, 1 / 3), tol)
     with pytest.raises(ValidationError):
         integrate_to_infinity(tri_map, 1.0, tol)
+
+
+def test_finite_legs_name_a_non_finite_alpha():
+    # Checked before the panels: an infinite exponent would otherwise meet
+    # the other panels' zero weights as inf * 0 and be reported as a NaN
+    # pair the caller never passed.
+    for alphas in ((math.inf, 0.5, 0.5), (0.5, math.nan, 0.5),
+                   (0.5, 0.5, -math.inf), (0.5, 0.0, 0.5)):
+        bad = next(a for a in alphas if not 0.0 < a < math.inf)
+        with pytest.raises(InvalidExponent, match=re.escape(f"alpha={bad}")):
+            integrate_finite_legs((-1.0, 0.0, 1.0), alphas)
 
 
 def test_pentagon_leg_against_substitution_oracle():
