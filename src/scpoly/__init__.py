@@ -4,9 +4,8 @@ from .charts import (ChartPoint, a_chart, a_unchart, direction_basis,
                      moduli_chart, moduli_unchart, z_chart, z_unchart)
 from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
                      NoConvergence, NotImmersedInput, NotIncreasing,
-                     NotNormalized, NumericalError, OnBoundary,
-                     PathThroughSingularity, PointOnCurve, ScpolyError,
-                     ValidationError, ZeroScale)
+                     NotNormalized, NumericalError, OnBoundary, PointOnCurve,
+                     ScpolyError, ValidationError, ZeroScale)
 from .geometry import (AngleVector, ImmersionReport, LabelledPolygon,
                        PlanePoint, check_immersion_necessary,
                        find_multiwound_witness, interior_angles, is_simple,
@@ -28,10 +27,10 @@ __all__ = [
     "DegenerateSide", "ExponentVector", "INFINITY", "ImmersionReport",
     "InvalidExponent", "LabelledPolygon", "NoConvergence",
     "NonSimpleInstance", "NotImmersedInput", "NotIncreasing",
-    "NotNormalized", "NumericalError", "OnBoundary",
-    "PathThroughSingularity", "PlanePoint", "PointOnCurve", "Prevertices",
-    "QuadratureRule", "SCMap", "ScpolyError", "SolveOptions", "SolveReport",
-    "SweepConfig", "SweepResult", "ValidationError", "ZeroScale", "a_chart",
+    "NotNormalized", "NumericalError", "OnBoundary", "PlanePoint",
+    "PointOnCurve", "Prevertices", "QuadratureRule", "SCMap", "ScpolyError",
+    "SolveOptions", "SolveReport", "SweepConfig", "SweepResult",
+    "ValidationError", "ZeroScale", "a_chart",
     "a_unchart", "apply_similarity", "check_immersion_necessary",
     "direction_basis", "evaluate", "extract_exponents",
     "find_multiwound_witness", "fit_affine_constants", "forward",

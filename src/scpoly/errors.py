@@ -55,10 +55,6 @@ class ZeroScale(ValidationError):
 
 # -- numerical family --------------------------------------------------------
 
-class PathThroughSingularity(NumericalError):
-    """An integration panel would contain a foreign singularity."""
-
-
 class NoConvergence(NumericalError):
     """Refinement or iteration stalled before reaching tolerance."""
 

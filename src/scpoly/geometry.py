@@ -253,6 +253,13 @@ def _windings(poly: LabelledPolygon,
     return k.astype(int), clear & (np.abs(turns - k) < 1e-6)
 
 
+def _finite_points(points: Sequence[PlanePoint]) -> bool:
+    """Whether every point is a finite number, Python's or NumPy's (a bool,
+    a string or None is not)."""
+    return (all(np.asarray(p).dtype.kind in "iufc" for p in points)
+            and bool(np.isfinite(points).all()))
+
+
 def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
     """Winding of the polygon boundary around p, by argument accumulation
     (the batch kernel applied to one point).
@@ -260,10 +267,10 @@ def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
     Raises :class:`PointOnCurve` if p is within tolerance of the trace, or
     if the accumulated total fails to land on an integer to 1e-6 (which
     only happens for points effectively on the curve), and
-    :class:`ValidationError` if p is not finite.
+    :class:`ValidationError` if p is not a finite number.
     """
-    if not np.isfinite(p):
-        raise ValidationError(f"point {p} is not finite")
+    if not _finite_points([p]):
+        raise ValidationError(f"point {p!r} is not a finite number")
     k, defined = _windings(poly, [p])
     if not defined[0]:
         raise PointOnCurve(f"point {p} lies on or too near the curve")

@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidExponent, NoConvergence, NumericalError,
-                     PathThroughSingularity, ValidationError, check_int)
+                     ValidationError, check_int)
 
 if TYPE_CHECKING:
     from .scmap import SCMap
@@ -241,8 +241,8 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
     panel whose midpoint rounds onto an endpoint spans only a few float
     ulps and cannot be cut further; its value is below representable
     resolution anyway. Real legs give real panels. A map with panels left
-    to cut after _MAX_SPLIT_DEPTH levels fails; its panels stay in the
-    output for the caller to drop.
+    to cut after _MAX_SPLIT_DEPTH levels cannot be cut and fails with
+    NoConvergence; its panels stay in the output for the caller to drop.
     """
     done = []
     failed = {}
@@ -266,13 +266,8 @@ def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
             break
         done.append((a[fine], b[fine], leg[fine]))
         if depth == _MAX_SPLIT_DEPTH:
-            through = ((dist == 0.0) & ~own).any(axis=1)
-            for g in np.unique(of[leg[~fine]]).tolist():
-                stuck = ~fine & (of[leg] == g)
-                failed[g] = (
-                    PathThroughSingularity("path runs through a singularity")
-                    if through[stuck].any() else
-                    NoConvergence("panel subdivision failed to terminate"))
+            failed = {g: NoConvergence("panel subdivision failed to terminate")
+                      for g in np.unique(of[leg[~fine]]).tolist()}
             break
         # Cut inline, not by _halve, whose float-resolution guard these
         # panels never need: _halve here costs render x1.061, solve x1.033.
@@ -418,9 +413,9 @@ def _refine(kind: str, p: np.ndarray, q: np.ndarray, xs: np.ndarray,
     within its map, which _columns reads), so a leg that settles at the
     first comparison takes one pass, with the sums of two separate ones.
 
-    Returns the sums and, per map that failed, its error: a leg that could
-    not be cut (_split) or a leg still unsettled after MAX_LEVELS halvings
-    (NoConvergence). A map that cannot be cut leaves the passes at once,
+    Returns the sums and, per map that failed, its NoConvergence: a leg
+    that could not be cut (_split) or a leg still unsettled after
+    MAX_LEVELS halvings. A map that cannot be cut leaves the passes at once,
     its rows of the sums undefined; the other maps go on as if alone, and
     a loop with no map left makes no pass. Any other error (a Jacobi rule
     that fails its check) is raised."""

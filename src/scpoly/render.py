@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .geometry import LabelledPolygon, PlanePoint
+from .geometry import LabelledPolygon, PlanePoint, _finite_points
 from .quadrature import DEFAULT_TOL
 from .scmap import SCMap, apply_similarity, evaluate, forward_extended
 
@@ -74,13 +74,13 @@ def polygon_svg(poly: LabelledPolygon,
                 grid_curves: Iterable[Sequence[PlanePoint]] = ()) -> str:
     """SVG document with the closed polygon path, optional grid-image
     polylines underneath, and optional marked witness points on top.
-    Raises :class:`ValidationError` for a non-finite point."""
+    Raises :class:`ValidationError` unless every point is a finite number."""
     curves = [tuple(c) for c in grid_curves]
     everything = list(poly.vertices) + list(witnesses)
     for c in curves:
         everything.extend(c)
-    if not np.isfinite(everything).all():
-        raise ValidationError("points to draw must be finite")
+    if not _finite_points(everything):
+        raise ValidationError("points to draw must be finite numbers")
     frame = _Frame(everything)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

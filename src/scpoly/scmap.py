@@ -139,14 +139,16 @@ def _tail_waypoint(zs: tuple[float, ...]) -> float:
 def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
              ) -> complex | np.ndarray:
     """F(z) = A * integral(base point -> z) + B, for z in the closed upper
-    half-plane or the infinity sentinel (any infinite value). An array of
-    points gives the array of their images."""
+    half-plane or the infinity sentinel (any infinite value with no NaN
+    part). An array of points gives the array of their images."""
     check_tol(tol)
     if np.ndim(z):
         return np.array([evaluate(map, w, tol) for w in np.ravel(z)],
                         dtype=complex).reshape(np.shape(z))
     z = complex(z)
     if math.isinf(z.real) or math.isinf(z.imag):
+        if cmath.isnan(z):
+            raise ValidationError(f"point {z} is not the infinity sentinel")
         R = _tail_waypoint(map.prevertices.finite_points)
         bare = (integrate_sc(map, BASE_POINT, complex(R), tol)
                 + integrate_to_infinity(map, R, tol))

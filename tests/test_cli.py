@@ -202,6 +202,16 @@ def test_eval_rejects_non_finite_constants(capsys, A, B):
     assert json.loads(out)["error"] == "ValidationError"
 
 
+def test_eval_rejects_infinity_with_a_nan_part(capsys):
+    m = ('{"n": 4, "prevertices": [-1.0, 0.0, 1.0],'
+         ' "alphas": [0.5, 0.5, 0.5, 0.5], "A": [1, 0], "B": [0, 0],'
+         ' "mode": "standard"}')
+    code, out = run_cli(capsys, "eval", m, "[[Infinity, NaN]]")
+    assert (code, json.loads(out)["error"]) == (2, "ValidationError")
+    code, out = run_cli(capsys, "eval", m, "[[Infinity, 0]]")
+    assert code == 0
+
+
 def test_eval_rejects_exponent_without_jacobi_rule(capsys):
     # alpha_1 - 1 rounds to -1, the power no Gauss-Jacobi rule takes.
     m = ('{"n": 3, "prevertices": [-1.0, 0.0],'

@@ -167,10 +167,16 @@ def test_winding_needs_whole_turns(monkeypatch, unit_square):
 
 
 def test_winding_rejects_nonfinite_points(unit_square):
+    # A string and None used to raise a bare TypeError from np.isfinite;
+    # True was read as the vertex 1 and raised PointOnCurve.
     for p in (complex(math.inf, 0.0), complex(math.nan, 0.0),
-              complex(0.5, -math.inf)):
-        with pytest.raises(ValidationError):
+              complex(0.5, -math.inf), "0.5+0.5j", b"0.5", None, True,
+              np.True_):
+        with pytest.raises(ValidationError, match="not a finite number"):
             winding_number(unit_square, p)
+    for p, k in ((np.complex128(0.5 + 0.5j), 1), (np.float32(2.5), 0),
+                 (np.int64(3), 0), (np.array(0.5 + 0.5j), 1)):
+        assert winding_number(unit_square, p) == k
 
 
 def test_winding_at_vertices_rejected_without_warnings(hex_large):

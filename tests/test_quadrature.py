@@ -11,7 +11,6 @@ from scpoly import (
     InvalidExponent,
     NoConvergence,
     NumericalError,
-    PathThroughSingularity,
     Prevertices,
     INFINITY,
     SCMap,
@@ -587,9 +586,21 @@ def test_first_pass_sums_each_level_as_its_own_pass(monkeypatch, crowded_map,
                                   alone), (kind, level)
 
 
+def test_a_leg_that_cannot_be_cut_fails_to_converge():
+    # 64 halvings cannot bring panels 1e300 or 1e30 long down to the unit
+    # spacing of the prevertices. At 1e300 a prevertex also lies at
+    # distance 0 of a panel in its units, which once gave another class.
+    m = SCMap(Prevertices((-1.0, 0.0, 1.0)), ExponentVector((0.5,) * 4))
+    for p, q in ((-1e300, 1e300), (-1e30, 0.5)):
+        with pytest.raises(NoConvergence,
+                           match="panel subdivision failed to terminate"):
+            integrate_sc(m, p, q)
+
+
 def test_each_map_of_a_batch_fails_alone():
     # Three maps in one loop at one tolerance: map 1's leg crosses its own
-    # singularity at 0 and cannot be cut, map 2's leg, 1e-4 long at 1e6,
+    # singularity at 0 and cannot be cut (a private leg: no public path
+    # runs through a prevertex), map 2's leg, 1e-4 long at 1e6,
     # has nodes that round by about 1e-10 and stalls (at 2.35e-8
     # relative). Map 0's legs settle as they do alone.
     xs = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0],
@@ -600,7 +611,7 @@ def test_each_map_of_a_batch_fails_alone():
     sums, failed = quadrature._refine("axis", p, q, xs, es, 1e-12,
                                       np.arange(4), np.array([0, 0, 1, 2]))
     assert sorted(failed) == [1, 2]
-    assert type(failed[1]) is PathThroughSingularity
+    assert type(failed[1]) is NoConvergence
     assert type(failed[2]) is NoConvergence
     alone, none = quadrature._refine("axis", p[:2], q[:2], xs[:1], es[:1],
                                      1e-12, np.arange(2))
@@ -619,7 +630,7 @@ def test_a_loop_whose_maps_all_failed_makes_no_pass(monkeypatch):
         return leg_sums(*args)
 
     monkeypatch.setattr(quadrature, "_leg_sums", counted)
-    with pytest.raises(PathThroughSingularity):
+    with pytest.raises(NoConvergence):
         quadrature._refine_map("axis", np.array([-0.3]), np.array([1.5]),
                                np.array([[-1.0, 0.0, 2.0]]),
                                np.array([[-0.4, -0.3, 0.1]]), 1e-12)

@@ -49,9 +49,16 @@ def test_witness_marker_drawn(hex_large):
 
 
 def test_nonfinite_witness_rejected(unit_square):
-    for w in (complex(math.nan, 0.0), complex(0.0, math.inf)):
-        with pytest.raises(ValidationError):
-            polygon_svg(unit_square, witnesses=(w,))
+    # A string and None used to raise a bare TypeError; a bool was drawn
+    # as the point 0 or 1.
+    for w in (complex(math.nan, 0.0), complex(0.0, math.inf), "0.5", None,
+              False, np.True_):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            polygon_svg(unit_square, witnesses=(0.5j, w))
+    with pytest.raises(ValidationError, match="finite numbers"):
+        polygon_svg(unit_square, grid_curves=[[0.5j, True]])
+    assert (polygon_svg(unit_square, witnesses=(np.complex128(0.5j),))
+            == polygon_svg(unit_square, witnesses=(0.5j,)))
 
 
 def test_drawing_extent_must_fit_floats(unit_square):

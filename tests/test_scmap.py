@@ -137,6 +137,19 @@ def test_infinity_sentinel(triangle_map):
     assert abs(third) == pytest.approx(BETA_THIRD, rel=1e-9)
 
 
+def test_infinity_sentinel_has_no_nan_part(square_map):
+    # complex(inf, nan) used to give the image of infinity.
+    w_inf = evaluate(square_map, INFINITY)
+    for z in (complex(math.inf, math.nan), complex(math.nan, -math.inf)):
+        with pytest.raises(ValidationError, match="infinity sentinel"):
+            evaluate(square_map, z)
+    with pytest.raises(ValidationError):
+        evaluate(square_map, np.array([INFINITY, complex(math.inf, math.nan)]))
+    for z in (complex(-math.inf, 0.0), complex(1.0, math.inf),
+              complex(math.inf, -math.inf)):
+        assert evaluate(square_map, z) == w_inf
+
+
 def test_evaluate_batch_matches_scalar_calls(monkeypatch):
     # The render grid of a sampled map, as grid_curves hands it over, plus
     # a prevertex, the base point and infinity twice: one call with the

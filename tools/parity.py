@@ -8,9 +8,10 @@ process; each tree makes its own inputs with its own classes. Streams:
 
 - ``sweep``: the benchmark's first 350 sweep inputs
   (``workloads._sweep_make``) of each seed: every sample through lone
-  ``forward`` and through ``scmap._forward_many`` in chunks of 64 maps
-  of one n, and each call's ``run_sweep`` result, whose class is its
-  counts and the windings of its non-simple instances;
+  ``forward`` and through ``scmap._forward_many`` in chunks of maps of
+  one n, as many as that tree's ``sweep.SWEEP_CHUNK``, and each call's
+  ``run_sweep`` result, whose class is its counts and the windings of
+  its non-simple instances;
 - ``config``: each ``--stream N,SAMPLES,SEED,BOX`` as a ``SweepConfig``,
   sample by sample as above;
 - ``solve``: the ``repr`` of each ``solve_parameter_problem`` result of
@@ -58,7 +59,6 @@ import time
 from dataclasses import dataclass, field
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CHUNK = 64
 # Inputs compared per workload and seed: calls k = 0, 1, ... of each.
 PARITY_CALLS = {"sweep": 350, "solve": 45, "render": 24}
 # Inputs timed per workload, all of seed TIME_SEED.
@@ -187,9 +187,10 @@ def _samples(tree: Tree, configs) -> tuple[list, list]:
     for i, m in enumerate(maps):
         if not isinstance(m, Outcome):
             by_n.setdefault(m[1].n, []).append(i)
+    size = sp.sweep.SWEEP_CHUNK
     for rows in by_n.values():
-        for s in range(0, len(rows), CHUNK):
-            chunk = rows[s:s + CHUNK]
+        for s in range(0, len(rows), size):
+            chunk = rows[s:s + size]
             got = tree.scmap._forward_many([maps[i] for i in chunk])
             for i, poly in zip(chunk, got):
                 many[i] = (_failed(poly) if isinstance(poly, Exception)
