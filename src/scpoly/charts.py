@@ -22,7 +22,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, OnBoundary, ValidationError, check_int
+from .errors import (NumericalError, OnBoundary, ValidationError,
+                     check_finites, check_int)
 from .scmap import ExponentVector, Prevertices, SCMap
 
 # Distance from {0, 2} below which an exponent counts as on the boundary.
@@ -39,18 +40,16 @@ class ChartPoint:
     a_coords: tuple[float, ...]
 
     def __post_init__(self):
-        check_int(self.n, "n", 3)
-        zc = tuple(float(v) for v in self.z_coords)
-        ac = tuple(float(v) for v in self.a_coords)
-        if len(zc) != self.n - 3:
+        n = check_int(self.n, "n", 3)
+        zc = check_finites(self.z_coords, float, "chart coordinates")
+        ac = check_finites(self.a_coords, float, "chart coordinates")
+        if len(zc) != n - 3:
             raise ValidationError(
-                f"expected {self.n - 3} gap coordinates, got {len(zc)}")
-        if len(ac) != self.n - 1:
+                f"expected {n - 3} gap coordinates, got {len(zc)}")
+        if len(ac) != n - 1:
             raise ValidationError(
-                f"expected {self.n - 1} exponent coordinates, got {len(ac)}")
-        for v in zc + ac:
-            if not math.isfinite(v):
-                raise ValidationError("chart coordinates must be finite")
+                f"expected {n - 1} exponent coordinates, got {len(ac)}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "z_coords", zc)
         object.__setattr__(self, "a_coords", ac)
 
@@ -77,10 +76,7 @@ def z_unchart(coords: Sequence[float]) -> Prevertices:
     position), NumericalError is raised.
     """
     pts = [-1.0, 0.0]
-    for c in coords:
-        c = float(c)
-        if not math.isfinite(c):
-            raise ValidationError("gap coordinates must be finite")
+    for c in check_finites(coords, float, "gap coordinates"):
         try:
             z = pts[-1] + math.exp(c)
         except OverflowError:
@@ -97,8 +93,7 @@ def direction_basis(n: int) -> np.ndarray:
     """Orthonormal basis (columns) of {v in R^n : sum v = 0}, from modified
     Gram-Schmidt over (e_1 - e_2, e_2 - e_3, ...), in order; read-only."""
     # Checked outside the cache, where equal keys (3.0, np.int64(3)) meet.
-    check_int(n, "n", 2)
-    return _direction_basis(int(n))
+    return _direction_basis(check_int(n, "n", 2))
 
 
 @lru_cache(maxsize=64)
@@ -180,11 +175,9 @@ def a_unchart(coords: Sequence[float]) -> ExponentVector:
     overflows, or whose image rounds onto the boundary (some alpha_j - 1
     at -1 or 1 in floats, where no integral exists), raise
     NumericalError."""
-    y = np.asarray([float(c) for c in coords], dtype=float)
-    if y.ndim != 1 or y.size < 2:
+    y = np.array(check_finites(coords, float, "chart coordinates"))
+    if y.size < 2:
         raise ValidationError("need at least 2 coordinates (n >= 3)")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("chart coordinates must be finite")
     n = y.size + 1
     c = _barycenter(n)
     with np.errstate(over="ignore"):

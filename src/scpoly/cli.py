@@ -15,14 +15,13 @@ sweep, render and eval, and only theirs; an explicit --tol wins over both.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Any, Optional, Sequence
 
 from . import jsonio
 from .charts import moduli_chart, moduli_unchart
-from .errors import NumericalError, ScpolyError, ValidationError
+from .errors import NumericalError, ScpolyError, ValidationError, check_finites
 from .paramsolve import SolveOptions, solve_parameter_problem
 from .quadrature import DEFAULT_TOL, check_tol
 from .render import polygon_svg, scmap_svg
@@ -65,8 +64,6 @@ def _witness_arg(text: str) -> complex:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"witness must look like RE,IM, got {text!r}") from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise argparse.ArgumentTypeError(f"witness must be finite, got {text!r}")
     return complex(re, im)
 
 
@@ -104,7 +101,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     data = _read_payload(args.input)
-    witnesses = tuple(args.witness)
+    # Checked before the map's figure is computed.
+    witnesses = check_finites(args.witness, complex, "witness")
     if isinstance(data, dict) and "vertices" in data:
         if args.grid:
             raise ValidationError("grid rendering needs a map, not a polygon")
@@ -148,8 +146,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ValidationError(f"SCPOLY_TOL is not a number: {raw!r}") from None
-    check_tol(tol, "SCPOLY_TOL")
-    return tol
+    return check_tol(tol, "SCPOLY_TOL")
 
 
 def build_parser() -> argparse.ArgumentParser:

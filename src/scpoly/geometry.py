@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSide, PointOnCurve, ValidationError
+from .errors import (DegenerateSide, PointOnCurve, ValidationError,
+                     check_finite, check_finites)
 
 PlanePoint = complex
 
@@ -60,12 +61,9 @@ class LabelledPolygon:
     vertices: tuple[complex, ...]
 
     def __post_init__(self):
-        verts = tuple(complex(v) for v in self.vertices)
+        verts = check_finites(self.vertices, complex, "vertices")
         if len(verts) < 3:
             raise ValidationError(f"need at least 3 vertices, got {len(verts)}")
-        for v in verts:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValidationError("vertices must be finite")
         # Every vertex difference, and so the diameter, is then finite.
         xs, ys = [v.real for v in verts], [v.imag for v in verts]
         if math.hypot(max(xs) - min(xs), max(ys) - min(ys)) == math.inf:
@@ -253,13 +251,6 @@ def _windings(poly: LabelledPolygon,
     return k.astype(int), clear & (np.abs(turns - k) < 1e-6)
 
 
-def _finite_points(points: Sequence[PlanePoint]) -> bool:
-    """Whether every point is a finite number, Python's or NumPy's (a bool,
-    a string or None is not)."""
-    return (all(np.asarray(p).dtype.kind in "iufc" for p in points)
-            and bool(np.isfinite(points).all()))
-
-
 def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
     """Winding of the polygon boundary around p, by argument accumulation
     (the batch kernel applied to one point).
@@ -267,11 +258,10 @@ def winding_number(poly: LabelledPolygon, p: PlanePoint) -> int:
     Raises :class:`PointOnCurve` if p is within tolerance of the trace, or
     if the accumulated total fails to land on an integer to 1e-6 (which
     only happens for points effectively on the curve), and
-    :class:`ValidationError` if p is not a finite number.
+    :class:`ValidationError` if p is not a finite complex number by the
+    rule of :mod:`scpoly.errors`.
     """
-    if not _finite_points([p]):
-        raise ValidationError(f"point {p!r} is not a finite number")
-    k, defined = _windings(poly, [p])
+    k, defined = _windings(poly, [check_finite(p, complex, "point")])
     if not defined[0]:
         raise PointOnCurve(f"point {p} lies on or too near the curve")
     return int(k[0])

@@ -13,7 +13,7 @@ import json
 from typing import Any, Optional
 
 from .charts import ChartPoint
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_number, check_numbers
 from .geometry import LabelledPolygon
 from .paramsolve import SolveReport
 from .scmap import ExponentVector, Prevertices, SCMap
@@ -27,26 +27,14 @@ def complex_to_pair(w: complex) -> list[float]:
 def complex_from_pair(obj: Any, what: str) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValidationError(f"{what} must be a [re, im] pair, got {obj!r}")
-    return complex(_as_float(obj[0], what), _as_float(obj[1], what))
+    return complex(*check_numbers(obj, float, what))
 
 
-def _as_floats(obj: Any, what: str) -> list[float]:
+def _as_floats(obj: Any, what: str) -> tuple[float, ...]:
+    # JSON Infinity and NaN pass: the objects built check their own.
     if not isinstance(obj, (list, tuple)):
         raise ValidationError(f"{what} must be a list of numbers")
-    return [_as_float(v, what) for v in obj]
-
-
-def _as_float(obj: Any, what: str) -> float:
-    # JSON true/false arrive as bool, which is a subclass of int.
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {obj!r}")
-    return float(obj)
-
-
-def _as_int(obj: Any, what: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValidationError(f"{what} must be an integer, got {obj!r}")
-    return obj
+    return check_numbers(obj, float, what)
 
 
 def _field(data: Any, key: str) -> Any:
@@ -62,7 +50,7 @@ def polygon_to_json(poly: LabelledPolygon) -> dict:
 
 
 def polygon_from_json(data: Any) -> LabelledPolygon:
-    n = _as_int(_field(data, "n"), "n")
+    n = check_int(_field(data, "n"), "n", 3)
     verts = _field(data, "vertices")
     if not isinstance(verts, list):
         raise ValidationError("vertices must be a list")
@@ -84,13 +72,12 @@ def scmap_to_json(m: SCMap) -> dict:
 
 
 def scmap_from_json(data: Any) -> SCMap:
-    n = _as_int(_field(data, "n"), "n")
+    n = check_int(_field(data, "n"), "n", 3)
     mode = _field(data, "mode")
     if mode not in ("standard", "extended"):
         raise ValidationError(f"mode must be standard or extended, got {mode!r}")
-    pre = Prevertices(tuple(_as_floats(_field(data, "prevertices"),
-                                       "prevertices")))
-    exp = ExponentVector(tuple(_as_floats(_field(data, "alphas"), "alphas")),
+    pre = Prevertices(_as_floats(_field(data, "prevertices"), "prevertices"))
+    exp = ExponentVector(_as_floats(_field(data, "alphas"), "alphas"),
                          extended=(mode == "extended"))
     if n != exp.n:
         raise ValidationError(f"n = {n!r} does not match {exp.n} alphas")
@@ -104,10 +91,10 @@ def chart_point_to_json(pt: ChartPoint) -> dict:
 
 
 def chart_point_from_json(data: Any) -> ChartPoint:
-    n = _as_int(_field(data, "n"), "n")
+    n = check_int(_field(data, "n"), "n", 3)
     return ChartPoint(n,
-                      tuple(_as_floats(_field(data, "z"), "z")),
-                      tuple(_as_floats(_field(data, "a"), "a")))
+                      _as_floats(_field(data, "z"), "z"),
+                      _as_floats(_field(data, "a"), "a"))
 
 
 def solve_report_to_json(rep: SolveReport) -> dict:
@@ -122,19 +109,17 @@ def solve_report_to_json(rep: SolveReport) -> dict:
 
 def solve_report_from_json(data: Any) -> SolveReport:
     conv = _field(data, "converged")
-    its = _as_int(_field(data, "iterations"), "iterations")
-    if not isinstance(conv, bool) or its < 0:
-        raise ValidationError(
-            "converged must be bool, iterations a non-negative integer")
+    if not isinstance(conv, bool):
+        raise ValidationError(f"converged must be bool, got {conv!r}")
     return SolveReport(
         converged=conv,
-        iterations=its,
-        final_residual_norm=_as_float(_field(data, "final_residual_norm"),
-                                      "final_residual_norm"),
-        residual_history=tuple(_as_floats(_field(data, "residual_history"),
-                                          "residual_history")),
-        reconstruction_error=_as_float(_field(data, "reconstruction_error"),
-                                       "reconstruction_error"))
+        iterations=check_int(_field(data, "iterations"), "iterations", 0),
+        final_residual_norm=check_number(_field(data, "final_residual_norm"),
+                                         float, "final_residual_norm"),
+        residual_history=_as_floats(_field(data, "residual_history"),
+                                    "residual_history"),
+        reconstruction_error=check_number(_field(data, "reconstruction_error"),
+                                          float, "reconstruction_error"))
 
 
 def sweep_result_to_json(res: SweepResult) -> dict:
@@ -164,12 +149,11 @@ def sweep_result_from_json(data: Any) -> SweepResult:
             w = complex_from_pair(item["witness"], "witness")
         instances.append(NonSimpleInstance(
             chart=chart_point_from_json(_field(item, "chart")),
-            witness=w, winding=_as_int(_field(item, "winding"), "winding")))
-    return SweepResult(
-        tested=_as_int(_field(data, "tested"), "tested"),
-        simple_count=_as_int(_field(data, "simple_count"), "simple_count"),
-        nonsimple_instances=tuple(instances),
-        failures=_as_int(_field(data, "failures"), "failures"))
+            witness=w,
+            winding=check_int(_field(item, "winding"), "winding", 0)))
+    counts = {key: check_int(_field(data, key), key, 0)
+              for key in ("tested", "simple_count", "failures")}
+    return SweepResult(nonsimple_instances=tuple(instances), **counts)
 
 
 def dumps(payload: dict) -> str:

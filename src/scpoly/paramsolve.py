@@ -22,7 +22,7 @@ import numpy as np
 
 from .charts import _exact_sum, z_unchart
 from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
-                     ValidationError, check_int)
+                     ValidationError, check_int, check_numbers)
 from .geometry import LabelledPolygon, _angle_conditions, interior_angles
 from .quadrature import check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
@@ -45,9 +45,11 @@ class SolveOptions:
     quadrature_tol: float = 1e-11
 
     def __post_init__(self):
-        check_int(self.max_iterations, "max_iterations", 1)
-        check_tol(self.residual_tol, "residual_tol")
-        check_tol(self.quadrature_tol, "quadrature_tol")
+        object.__setattr__(self, "max_iterations", check_int(
+            self.max_iterations, "max_iterations", 1))
+        for name in ("residual_tol", "quadrature_tol"):
+            object.__setattr__(self, name,
+                               check_tol(getattr(self, name), name))
         if not self.residual_tol > self.quadrature_tol:
             raise ValidationError("residual_tol must exceed quadrature_tol")
 
@@ -116,7 +118,9 @@ def fit_affine_constants(bare_vertices: Sequence[complex],
                          target: LabelledPolygon) -> tuple[complex, complex]:
     """Constants mapping the normalized vertices onto the target's first
     side; the rest follows if the gap solve succeeded."""
-    u1, u2 = complex(bare_vertices[0]), complex(bare_vertices[1])
+    if len(bare_vertices) < 2:
+        raise ValidationError("affine fit needs two bare vertices")
+    u1, u2 = check_numbers(bare_vertices[:2], complex, "bare_vertices")
     t1, t2 = target.vertices[0], target.vertices[1]
     if u1 == u2 or t1 == t2:
         raise DegenerateSide("affine fit needs two distinct leading vertices")

@@ -64,7 +64,6 @@ two conventions agree).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -72,7 +71,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidExponent, NoConvergence, NumericalError,
-                     ValidationError, check_int)
+                     ValidationError, check_finite, check_finites, check_int,
+                     check_number, check_numbers, is_number)
 
 if TYPE_CHECKING:
     from .scmap import SCMap
@@ -105,9 +105,8 @@ class QuadratureRule:
 
 def _check_exponents(a: float, b: float) -> None:
     """Raise InvalidExponent naming the pair unless a and b are both real
-    numbers in (-1, inf), Python's or NumPy's (a bool or a string is not)."""
-    if not all(not isinstance(e, bool) and isinstance(e, (float, numbers.Real))
-               and -1.0 < e < math.inf for e in (a, b)):
+    numbers in (-1, inf) by the rule of scpoly.errors."""
+    if not all(is_number(e, float) and -1.0 < e < math.inf for e in (a, b)):
         raise InvalidExponent("Jacobi exponents must be finite and "
                               f"exceed -1, got a={a!r}, b={b!r}")
 
@@ -197,13 +196,13 @@ def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
     return rules
 
 
-def check_tol(tol: float, name: str = "tol") -> None:
-    """Raise ValidationError unless ``tol`` is a positive finite real
-    number, Python's or NumPy's (a bool or a string is not)."""
-    # float first: it is a Real, and the ABC check costs a microsecond.
-    if (isinstance(tol, bool) or not isinstance(tol, (float, numbers.Real))
-            or not 0.0 < tol < math.inf):
+def check_tol(tol: float, name: str = "tol") -> float:
+    """``tol`` as a float; ValidationError unless it is a positive finite
+    real number by the rule of scpoly.errors."""
+    tol = check_number(tol, float, name)
+    if not 0.0 < tol < math.inf:
         raise ValidationError(f"{name} must be positive and finite, got {tol}")
+    return tol
 
 
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
@@ -215,18 +214,19 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     norm of the eigenvectors (not the moment itself), and a violation
     raises. Rules are read-only, so one cached rule serves every call.
     An order that is not an integer >= 1 raises ValidationError; an
-    exponent that is not a real number in (-1, inf), a string included,
-    raises InvalidExponent, and a moment beyond floats NumericalError from
-    total_moment before the rule's eigenproblem is built.
+    exponent that is not a real number in (-1, inf) (see scpoly.errors for
+    what is a number) raises InvalidExponent, and a moment beyond floats
+    NumericalError from total_moment before the rule's eigenproblem is
+    built.
     """
     # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
-    check_int(order, "order", 1)
-    # Checked before float(), which would read "0.5" as a number.
+    order = check_int(order, "order", 1)
     _check_exponents(a, b)
-    a, b = float(a), float(b)
+    # An integer beyond floats becomes inf, which total_moment rejects.
+    a, b = check_number(a, float, "a"), check_number(b, float, "b")
     nodes, weights = _jacobi_rules(order, [(a, b)])[0]
     return QuadratureRule(nodes=nodes, weights=weights, exponent_left=b,
-                          exponent_right=a, order=int(order))
+                          exponent_right=a, order=order)
 
 
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
@@ -505,14 +505,13 @@ def integrate_sc(map: "SCMap", z_from: complex, z_to: complex,
     so its integral is the convergent improper one; its pieces share the
     leg's label and converge as a whole.
     """
-    z_from, z_to = complex(z_from), complex(z_to)
+    z_from = check_finite(z_from, complex, "z_from")
+    z_to = check_finite(z_to, complex, "z_to")
     for z, name in ((z_from, "z_from"), (z_to, "z_to")):
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValidationError(f"{name} must be finite")
         if z.imag < 0.0:
             raise ValidationError(
                 f"{name} must lie in the closed upper half-plane")
-    check_tol(tol)
+    tol = check_tol(tol)
     if z_from == z_to:
         return 0j
     xs, es = _sc_singularities(map)
@@ -540,18 +539,19 @@ def integrate_finite_legs(points, alphas, tol: float = DEFAULT_TOL
     entries of a row follow from its others by translation invariance and
     homogeneity of I_j.
     """
-    xs = np.asarray(points, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    es = alphas - 1.0
-    if xs.ndim != 1 or xs.shape != es.shape or xs.size < 2:
+    # Checked on the tuples: NumPy costs more on a few values.
+    xs = check_finites(points, float, "points")
+    alphas = check_numbers(alphas, float, "alphas", InvalidExponent)
+    if len(xs) != len(alphas) or len(xs) < 2:
         raise ValidationError("need one exponent for each of >= 2 points")
-    if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)):
+    if not all(a < b for a, b in zip(xs, xs[1:])):
         raise ValidationError("points must be finite and strictly increasing")
-    bad = ~((es > -1.0) & (es < math.inf))
-    if bad.any():
-        raise InvalidExponent("exponents must be positive and finite, got "
-                              f"alpha={float(alphas[np.argmax(bad)])}")
-    check_tol(tol)
+    for alpha in alphas:
+        if not -1.0 < alpha - 1.0 < math.inf:
+            raise InvalidExponent(
+                f"exponents must be positive and finite, got alpha={alpha}")
+    xs, es = np.array(xs), np.array(alphas) - 1.0
+    tol = check_tol(tol)
     j = np.arange(xs.size - 1)
     sums = _refine_map("axis", xs[:-1], xs[1:], xs[None], es[None], tol, j,
                        rows=True)
@@ -575,11 +575,11 @@ def integrate_to_infinity(map: "SCMap", z_from: float,
     factors, since every 1/z_j lies outside the interval.
     """
     xs, es = _sc_singularities(map)
-    z_from = float(z_from)
+    z_from = check_number(z_from, float, "z_from")
     if not xs[0, -1] < z_from < math.inf:
         raise ValidationError(f"tail start {z_from} must be finite and exceed "
                               f"the last finite prevertex {xs[0, -1]}")
-    check_tol(tol)
+    tol = check_tol(tol)
     us, ues = _tail_singularities(xs, es, map.exponents.alphas[-1] - 1.0)
     return complex(_refine_map("tail", np.array([0.0]),
                                np.array([1.0 / z_from]), us, ues, tol)[0, 0])

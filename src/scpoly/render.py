@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_int
-from .geometry import LabelledPolygon, PlanePoint, _finite_points
+from .errors import ValidationError, check_finites, check_int
+from .geometry import LabelledPolygon, PlanePoint
 from .quadrature import DEFAULT_TOL
 from .scmap import SCMap, apply_similarity, evaluate, forward_extended
 
@@ -36,17 +36,15 @@ class _Frame:
     """Affine placement of flipped plane points onto the canvas."""
 
     def __init__(self, points: Sequence[PlanePoint]):
-        if not points:
-            raise ValidationError("nothing to draw")
         xs = [p.real for p in points]
         ys = [-p.imag for p in points]
         self.x0, self.y0 = min(xs), min(ys)
-        span = max(max(xs) - self.x0, max(ys) - self.y0, 1e-9)
-        if not np.isfinite(span):
-            raise ValidationError("drawing extent overflows floats")
-        self.scale = _CANVAS / span
-        self.width = (max(xs) - self.x0) * self.scale
-        self.height = (max(ys) - self.y0) * self.scale
+        width, height = max(xs) - self.x0, max(ys) - self.y0
+        # Only a drawing of one point has no extent to scale by.
+        self.scale = _CANVAS / (max(width, height) or 1.0)
+        if not 0.0 < self.scale < np.inf:
+            raise ValidationError("drawing extent does not fit floats")
+        self.width, self.height = width * self.scale, height * self.scale
 
     def place(self, p: PlanePoint) -> tuple[float, float]:
         return ((p.real - self.x0) * self.scale,
@@ -74,14 +72,12 @@ def polygon_svg(poly: LabelledPolygon,
                 grid_curves: Iterable[Sequence[PlanePoint]] = ()) -> str:
     """SVG document with the closed polygon path, optional grid-image
     polylines underneath, and optional marked witness points on top.
-    Raises :class:`ValidationError` unless every point is a finite number."""
-    curves = [tuple(c) for c in grid_curves]
-    everything = list(poly.vertices) + list(witnesses)
-    for c in curves:
-        everything.extend(c)
-    if not _finite_points(everything):
-        raise ValidationError("points to draw must be finite numbers")
-    frame = _Frame(everything)
+    Raises :class:`ValidationError` unless every point is a finite complex
+    number by the rule of :mod:`scpoly.errors`."""
+    witnesses = check_finites(witnesses, complex, "points to draw")
+    curves = [check_finites(c, complex, "points to draw")
+              for c in grid_curves]
+    frame = _Frame([*poly.vertices, *witnesses, *(p for c in curves for p in c)])
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{frame.view_box()}">',
@@ -113,7 +109,7 @@ def grid_curves(m: SCMap, lines: int, tol: float = DEFAULT_TOL
     the boundary, which keeps every sample strictly inside the domain.
     ``lines`` that is not an integer >= 0 raises ValidationError.
     """
-    check_int(lines, "grid", 0)
+    lines = check_int(lines, "grid", 0)
     if not lines:
         return []
     zs = m.prevertices.finite_points

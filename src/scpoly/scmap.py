@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AngleMismatch, InvalidExponent, NotIncreasing,
-                     NotNormalized, NumericalError, ValidationError, ZeroScale)
+                     NotNormalized, NumericalError, ValidationError, ZeroScale,
+                     check_finites, check_number, check_numbers)
 from .geometry import (TWO_PI, LabelledPolygon, _jordan_immersed,
                        check_immersion_necessary, interior_angles)
 from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
@@ -48,7 +49,7 @@ class ExponentVector:
     extended: bool = False
 
     def __post_init__(self):
-        vals = tuple(float(a) for a in self.alphas)
+        vals = check_numbers(self.alphas, float, "alphas", InvalidExponent)
         n = len(vals)
         if n < 3:
             raise ValidationError(f"need at least 3 exponents, got {n}")
@@ -78,12 +79,9 @@ class Prevertices:
     finite_points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(z) for z in self.finite_points)
+        pts = check_finites(self.finite_points, float, "prevertices")
         if len(pts) < 2:
             raise ValidationError("need at least 2 finite prevertices")
-        for z in pts:
-            if not math.isfinite(z):
-                raise ValidationError("prevertices must be finite")
         for a, b in zip(pts, pts[1:]):
             if not a < b:
                 raise NotIncreasing(f"prevertices must increase: {a} !< {b}")
@@ -105,11 +103,10 @@ class SCMap:
     B: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "A", complex(self.A))
-        object.__setattr__(self, "B", complex(self.B))
-        if not (cmath.isfinite(self.A) and cmath.isfinite(self.B)):
-            raise ValidationError("A and B must be finite")
-        if self.A == 0:
+        A, B = check_finites((self.A, self.B), complex, "A and B")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        if A == 0:
             raise ZeroScale("A must be nonzero")
         if self.prevertices.n != self.exponents.n:
             raise ValidationError(
@@ -141,12 +138,12 @@ def evaluate(map: SCMap, z: complex | np.ndarray, tol: float = DEFAULT_TOL
     """F(z) = A * integral(base point -> z) + B, for z in the closed upper
     half-plane or the infinity sentinel (any infinite value with no NaN
     part). An array of points gives the array of their images."""
-    check_tol(tol)
+    tol = check_tol(tol)
     if np.ndim(z):
         return np.array([evaluate(map, w, tol) for w in np.ravel(z)],
                         dtype=complex).reshape(np.shape(z))
-    z = complex(z)
-    if math.isinf(z.real) or math.isinf(z.imag):
+    z = check_number(z, complex, "z")
+    if cmath.isinf(z):
         if cmath.isnan(z):
             raise ValidationError(f"point {z} is not the infinity sentinel")
         R = _tail_waypoint(map.prevertices.finite_points)
@@ -254,7 +251,7 @@ def _measured(exp: ExponentVector, w: list[complex] | NumericalError):
 
 def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
                       tol: float) -> list[LabelledPolygon | NumericalError]:
-    check_tol(tol)
+    tol = check_tol(tol)
     # Integrate two orders tighter than the angle gate; vertex positions
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
@@ -331,7 +328,8 @@ def forward_extended(pre: Prevertices, exp: ExponentVector,
 def apply_similarity(poly: LabelledPolygon, a: complex,
                      b: complex = 0j) -> LabelledPolygon:
     """Vertexwise w -> a*w + b; angles and simplicity are unaffected."""
-    a, b = complex(a), complex(b)
+    # Non-finite a and b are left to the vertices' own check.
+    a, b = check_number(a, complex, "a"), check_number(b, complex, "b")
     if a == 0:
         raise ZeroScale("similarity scale must be nonzero")
     return LabelledPolygon(tuple(a * w + b for w in poly.vertices))

@@ -38,14 +38,14 @@ class SweepConfig:
     chart_box: float = 3.0
 
     def __post_init__(self):
-        check_int(self.n, "n", 3)
-        check_int(self.samples, "samples", 1)
-        check_int(self.seed, "seed", 0)
-        check_tol(self.chart_box, "chart_box")
+        for name, least in (("n", 3), ("samples", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               check_int(getattr(self, name), name, least))
+        box = check_tol(self.chart_box, "chart_box")
         # Samples are drawn from an interval of width 2 * chart_box.
-        if not 2.0 * self.chart_box < math.inf:
-            raise ValidationError(
-                f"2 * chart_box must be finite, got {self.chart_box}")
+        if not 2.0 * box < math.inf:
+            raise ValidationError(f"2 * chart_box must be finite, got {box}")
+        object.__setattr__(self, "chart_box", box)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ class SweepResult:
 
     def __post_init__(self):
         for name in ("tested", "simple_count", "failures"):
-            check_int(getattr(self, name), name, 0)
+            object.__setattr__(self, name,
+                               check_int(getattr(self, name), name, 0))
         total = self.simple_count + len(self.nonsimple_instances) + self.failures
         if total != self.tested:
             raise ValidationError(
@@ -77,7 +78,7 @@ def sample_chart_point(cfg: SweepConfig, index: int) -> ChartPoint:
     """Chart point of sample ``index``: 2n - 4 uniform draws in
     [-chart_box, chart_box] from the PCG64 stream seeded by (seed, index),
     gap coordinates first. ``index`` is an integer >= 0."""
-    check_int(index, "index", 0)
+    index = check_int(index, "index", 0)
     rng = np.random.default_rng([cfg.seed, index])
     y = rng.uniform(-cfg.chart_box, cfg.chart_box, size=2 * cfg.n - 4)
     return ChartPoint(cfg.n, tuple(y[:cfg.n - 3]), tuple(y[cfg.n - 3:]))
@@ -93,7 +94,7 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     ``scmap._forward_many``; each polygon is bitwise the one its own
     ``forward`` gives, so the result does not depend on the chunks.
     """
-    check_tol(tol)
+    # _forward_many checks tol for every chunk.
     simple = 0
     failures = 0
     nonsimple: list[NonSimpleInstance] = []

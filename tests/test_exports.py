@@ -28,6 +28,19 @@ def test_import_needs_numpy_only():
     assert proc.stdout.strip() == "[]"
 
 
+def test_one_module_decides_what_is_a_number():
+    # errors.py holds the number rule; a module importing the number ABCs
+    # is writing a second one.
+    importers = sorted(
+        path.name for path in (SRC_DIR / "scpoly").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "numbers" in ([a.name for a in node.names]
+                          if isinstance(node, ast.Import) else [node.module]))
+    assert importers == ["errors.py"]
+    assert not hasattr(scpoly.geometry, "_finite_points")
+
+
 def test_every_exported_failure_class_is_raised_somewhere():
     # A failure class that no code constructs is a label nothing can
     # carry. The three family bases are there to be caught.

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from scpoly import (
@@ -151,6 +152,18 @@ def test_sweep_result_round_trip():
     res = run_sweep(SweepConfig(n=4, samples=5, seed=1))
     back = sweep_result_from_json(sweep_result_to_json(res))
     assert back == res
+
+
+def test_numpy_integers_dump_as_plain_ints():
+    # Stored as given, np.int64 and np.int32 made json.dumps raise a bare
+    # TypeError.
+    pt = ChartPoint(np.int64(4), (np.float64(0.5),), (0.0, 0.0, 0.0))
+    assert dumps(chart_point_to_json(pt)) == dumps(
+        chart_point_to_json(ChartPoint(4, (0.5,), (0.0, 0.0, 0.0))))
+    res = run_sweep(SweepConfig(n=np.int64(5), samples=np.int32(2),
+                                seed=np.int64(1)))
+    assert dumps(sweep_result_to_json(res)) == dumps(
+        sweep_result_to_json(run_sweep(SweepConfig(n=5, samples=2, seed=1))))
 
 
 @pytest.mark.parametrize("counts", [

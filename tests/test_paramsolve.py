@@ -168,6 +168,10 @@ def test_fit_exact_linear_recovery(unit_square):
 def test_fit_degenerate_bare_side(unit_square):
     with pytest.raises(DegenerateSide):
         fit_affine_constants((1 + 0j, 1 + 0j, 2j, 3j), unit_square)
+    # Fewer than two bare vertices used to raise a bare IndexError.
+    for bare in ((), [1j]):
+        with pytest.raises(ValidationError, match="two bare vertices"):
+            fit_affine_constants(bare, unit_square)
 
 
 # ---------------------------------------------------------- SolveOptions

@@ -10,6 +10,7 @@ from scpoly import (
     Prevertices,
     SCMap,
     ValidationError,
+    apply_similarity,
     grid_curves,
     polygon_svg,
     render,
@@ -51,11 +52,15 @@ def test_witness_marker_drawn(hex_large):
 def test_nonfinite_witness_rejected(unit_square):
     # A string and None used to raise a bare TypeError; a bool was drawn
     # as the point 0 or 1.
-    for w in (complex(math.nan, 0.0), complex(0.0, math.inf), "0.5", None,
-              False, np.True_):
-        with pytest.raises(ValidationError, match="finite numbers"):
+    for w in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValidationError,
+                           match="points to draw must be finite"):
             polygon_svg(unit_square, witnesses=(0.5j, w))
-    with pytest.raises(ValidationError, match="finite numbers"):
+    for w in ("0.5", None, False, np.True_):
+        with pytest.raises(ValidationError,
+                           match="points to draw: .* is not a complex number"):
+            polygon_svg(unit_square, witnesses=(0.5j, w))
+    with pytest.raises(ValidationError, match="is not a complex number"):
         polygon_svg(unit_square, grid_curves=[[0.5j, True]])
     assert (polygon_svg(unit_square, witnesses=(np.complex128(0.5j),))
             == polygon_svg(unit_square, witnesses=(0.5j,)))
@@ -65,6 +70,14 @@ def test_drawing_extent_must_fit_floats(unit_square):
     far = (complex(-1e308, 0.0), complex(1e308, 0.0))
     with pytest.raises(ValidationError, match="extent"):
         polygon_svg(unit_square, witnesses=far)
+
+
+def test_tiny_drawing_fills_the_canvas(unit_square):
+    # A span floor of 1e-9 drew a square of side 1e-12 in a box of span 1.
+    tiny = apply_similarity(unit_square, 2.0 ** -40)
+    assert polygon_svg(tiny) == polygon_svg(unit_square)
+    point = LabelledPolygon((0.5j,) * 3)
+    assert 'viewBox="0.000000 0.000000 0.000000 0.000000"' in polygon_svg(point)
 
 
 def test_wide_rectangle_margin_uses_long_side():
