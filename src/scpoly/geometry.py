@@ -10,8 +10,14 @@ All predicates are pure functions. Self-contacts (proper crossings, a
 vertex on a side, coincident vertices, overlapping collinear sides) are
 read off one orientation matrix per polygon, whose entries are
 float-filtered with Shewchuk's error bound and the unsure ones decided in
-exact rationals; ``is_simple`` decides from it.
-Like the contacts, a polygon's vertex angles are measured once and cached.
+exact rationals; ``is_simple`` decides from it. One array kernel checks
+a chunk of polygons of one n at once, in two passes: diameters and sides,
+then orientation matrices, contacts and vertex coincidences. Each step is
+elementwise or reduces one polygon's own entries, so every polygon gets
+the bits it gets alone; a lone polygon is a chunk of one. A batch fills
+its polygons' caches with one pass per n; a lone polygon runs each pass
+on first use. Like the contacts, a polygon's vertex angles are measured
+once and cached.
 Winding numbers are computed by one array kernel over a whole batch of
 query points. The immersion screen and the witness search share one
 probe set, wound once per polygon: a point inside each sector at every
@@ -75,23 +81,24 @@ class LabelledPolygon:
         return len(self.vertices)
 
     @cached_property
-    def diameter(self) -> float:
-        # np.hypot, unlike np.abs, rounds as Python's abs of a complex does.
-        u = np.asarray(self.vertices)[:, None] - self.vertices
-        return float(np.hypot(u.real, u.imag).max())
+    def _measures(self) -> tuple:
+        # The side pass on a chunk of one, unless _measure_sides filled it
+        # with the polygon's chunk.
+        return _side_pass(np.asarray(self.vertices)[None])[0]
 
-    @cached_property
+    @property
+    def diameter(self) -> float:
+        return self._measures[0]
+
+    @property
     def _sides(self) -> tuple[np.ndarray, ...]:
         # Side vectors w_{j+1} - w_j, lengths and unit vectors, read-only;
         # the first side within the coincidence tolerance raises.
-        w = np.asarray(self.vertices)
-        d = _following(w) - w
-        length = np.abs(d)
-        short = np.flatnonzero(length <= COINCIDENCE_RTOL * self.diameter)
-        if short.size:
-            j = int(short[0])
-            raise DegenerateSide(f"vertices {j} and {(j + 1) % self.n} coincide")
-        return d, length, d.real / length, d.imag / length
+        _, sides, short = self._measures
+        if short >= 0:
+            raise DegenerateSide(
+                f"vertices {short} and {(short + 1) % self.n} coincide")
+        return sides
 
     @cached_property
     def _angles(self) -> AngleVector:
@@ -110,9 +117,11 @@ class LabelledPolygon:
 
     @cached_property
     def _contacts(self) -> tuple[np.ndarray, ...]:
-        # One exact contact pass per polygon serves is_simple, the
-        # immersion screen and the witness search; read-only by contract.
-        return _contact_pass(self)
+        # The contact pass on a chunk of one, unless _find_contacts filled
+        # it with the polygon's chunk; serves is_simple, the immersion
+        # screen and the witness search; read-only by contract.
+        w = np.asarray(self.vertices)[None]
+        return _contact_pass(w, np.array([self.diameter]))[0]
 
     @cached_property
     def _probes(self) -> tuple[np.ndarray, ...]:
@@ -203,10 +212,12 @@ def _turning(angles: AngleVector) -> tuple[float, int]:
     return total, int(round(total / TWO_PI))
 
 
-def _following(a: np.ndarray) -> np.ndarray:
-    """``a`` cycled one step back along axis 0 (entry j holds a[j + 1]);
+def _following(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``a`` cycled one step back along ``axis`` (entry j holds a[j + 1]);
     ``np.roll`` does the same at several times the cost on small arrays."""
-    return np.concatenate((a[1:], a[:1]))
+    head = (slice(None),) * axis
+    return np.concatenate((a[head + (slice(1, None),)],
+                           a[head + (slice(None, 1),)]), axis=axis)
 
 
 def _scaled_offsets(poly: LabelledPolygon, points: Sequence[complex]
@@ -276,52 +287,125 @@ def _exact_orientation(p: complex, q: complex, r: complex) -> int:
     return (det > 0) - (det < 0)
 
 
-def _orientations(poly: LabelledPolygon) -> np.ndarray:
-    """Orientation matrix O[j, k], the sign of det(w_j - w_k, w_{j+1} - w_k).
+# -- the chunk kernel ---------------------------------------------------------
+#
+# A chunk is a (chunk, n) array of the vertices of polygons of one n, one
+# row each. Every step is elementwise or reduces one polygon's own entries
+# (a max, an any, a row-major nonzero), so each polygon gets the bits it
+# gets in a chunk of one, whichever polygons share its chunk.
+
+def _chunks(polys: Sequence[LabelledPolygon]):
+    """The polygons grouped by n, each group with its chunk."""
+    groups: dict[int, list[LabelledPolygon]] = {}
+    for poly in polys:
+        groups.setdefault(poly.n, []).append(poly)
+    return [(group, np.array([p.vertices for p in group]))
+            for group in groups.values()]
+
+
+def _split(c: np.ndarray, size: int, *arrays: np.ndarray) -> list[tuple]:
+    """Per polygon 0 .. size - 1, its share of ``arrays``, whose entries
+    belong to the polygons ``c`` (sorted)."""
+    bounds = np.searchsorted(c, np.arange(size + 1)).tolist()
+    return [tuple(a[lo:hi] for a in arrays)
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _side_pass(w: np.ndarray) -> list[tuple]:
+    """Per polygon of the chunk ``w``: its diameter, its side data (side
+    vectors w_{j+1} - w_j, lengths, and the unit vectors' real and
+    imaginary parts) and the first side within the coincidence tolerance,
+    or -1. The side data of a polygon with such a side is meaningless."""
+    u = w[:, :, None] - w[:, None]
+    # np.hypot, unlike np.abs, rounds as Python's abs of a complex does.
+    diameter = np.hypot(u.real, u.imag).max(axis=(1, 2))
+    d = _following(w, 1) - w
+    length = np.abs(d)
+    short = length <= COINCIDENCE_RTOL * diameter[:, None]
+    first = np.where(short.any(axis=1), short.argmax(axis=1), -1).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ur, ui = d.real / length, d.imag / length
+    return [(float(diameter[c]), (d[c], length[c], ur[c], ui[c]), first[c])
+            for c in range(len(w))]
+
+
+def _orientation_matrices(w: np.ndarray) -> np.ndarray:
+    """Orientation matrices O[c, j, k] of the chunk ``w``, the sign of
+    det(w_j - w_k, w_{j+1} - w_k) in polygon c.
 
     Every determinant is formed in floats and trusted where it clears
     _ERRBOUND; the other entries are decided by _exact_orientation, except
     those with w_k equal to w_j or w_{j+1}, which are 0.
     """
-    w = np.asarray(poly.vertices)
-    a = w[:, None]
-    ac, bc = a - w, _following(a) - w
+    n = w.shape[1]
+    a, b = w[:, :, None], w[:, None]
+    ac, bc = a - b, _following(a, 1) - b
     detleft = ac.real * bc.imag
     detright = ac.imag * bc.real
     det = detleft - detright
     o = np.sign(det).astype(int)
     unsure = ((np.abs(det) <= _ERRBOUND * (np.abs(detleft) + np.abs(detright)))
               & (ac != 0) & (bc != 0))
-    for j, k in zip(*np.nonzero(unsure)):
-        o[j, k] = _exact_orientation(w[j], w[(j + 1) % poly.n], w[k])
+    for c, j, k in zip(*np.nonzero(unsure)):
+        o[c, j, k] = _exact_orientation(w[c, j], w[c, (j + 1) % n], w[c, k])
     return o
 
 
-def _contact_pass(poly: LabelledPolygon) -> tuple[np.ndarray, ...]:
-    """Self-contacts of the curve, exact, from one orientation matrix.
+def _orientations(poly: LabelledPolygon) -> np.ndarray:
+    """Orientation matrix O[j, k] of one polygon: the chunk kernel's on a
+    chunk of one."""
+    return _orientation_matrices(np.asarray(poly.vertices)[None])[0]
 
-    Returns the side pairs (i, j), i < j, that cross properly, in
-    row-major order, and the touchings (s, k): vertex k lies on the
-    closed side s without being one of its endpoints (a vertex on a side,
-    coincident vertices, and the far end of one of two overlapping
-    collinear sides). Each as two index arrays.
+
+def _contact_pass(w: np.ndarray, diameter: np.ndarray) -> list[tuple]:
+    """Self-contacts of the curves of the chunk ``w``, exact, from their
+    orientation matrices; ``diameter`` holds the polygons' diameters.
+
+    Per polygon: the side pairs (i, j), i < j, that cross properly, in
+    row-major order; the touchings (s, k), vertex k on the closed side s
+    without being one of its endpoints (a vertex on a side, coincident
+    vertices, and the far end of one of two overlapping collinear sides),
+    each as two index arrays; and the mask of the vertex pairs (j, k)
+    within the coincidence tolerance.
     """
-    o = _orientations(poly)
-    # split[i, j]: the line of side i strictly separates the ends of side j,
-    # O[i, j] and O[i, j + 1] having opposite signs.
-    split = o * _following(o.T).T < 0
-    i, j = np.nonzero(split & split.T)
-    s, k = np.nonzero(o == 0)
-    apart = (k - s) % poly.n > 1
-    s, k = s[apart], k[apart]
+    size, n = w.shape
+    o = _orientation_matrices(w)
+    # split[c, i, j]: the line of side i strictly separates the ends of
+    # side j, O[c, i, j] and O[c, i, j + 1] having opposite signs.
+    split = o * _following(o, 2) < 0
+    ci, i, j = np.nonzero(split & split.transpose(0, 2, 1))
+    upper = i < j
+    cs, s, k = np.nonzero(o == 0)
+    apart = (k - s) % n > 1
+    cs, s, k = cs[apart], s[apart], k[apart]
     # A vertex collinear with a side lies on it iff inside its bounding box.
-    w = np.asarray(poly.vertices)
-    a, b, c = w[s], _following(w)[s], w[k]
-    on_side = ((np.minimum(a.real, b.real) <= c.real)
-               & (c.real <= np.maximum(a.real, b.real))
-               & (np.minimum(a.imag, b.imag) <= c.imag)
-               & (c.imag <= np.maximum(a.imag, b.imag)))
-    return i[i < j], j[i < j], s[on_side], k[on_side]
+    a, b, p = w[cs, s], _following(w, 1)[cs, s], w[cs, k]
+    on_side = ((np.minimum(a.real, b.real) <= p.real)
+               & (p.real <= np.maximum(a.real, b.real))
+               & (np.minimum(a.imag, b.imag) <= p.imag)
+               & (p.imag <= np.maximum(a.imag, b.imag)))
+    coincident = (np.abs(w[:, :, None] - w[:, None])
+                  <= COINCIDENCE_RTOL * diameter[:, None, None])
+    crossings = _split(ci[upper], size, i[upper], j[upper])
+    touchings = _split(cs[on_side], size, s[on_side], k[on_side])
+    return [crossings[c] + touchings[c] + (coincident[c],)
+            for c in range(size)]
+
+
+def _measure_sides(polys: Sequence[LabelledPolygon]) -> None:
+    """Fill the diameter and side caches of ``polys`` by one side pass per
+    n; coincident consecutive vertices still raise on first use."""
+    for group, w in _chunks(polys):
+        for poly, measures in zip(group, _side_pass(w)):
+            poly.__dict__["_measures"] = measures
+
+
+def _find_contacts(polys: Sequence[LabelledPolygon]) -> None:
+    """Fill the contact caches of ``polys`` by one contact pass per n."""
+    for group, w in _chunks(polys):
+        diameter = np.array([poly.diameter for poly in group])
+        for poly, contacts in zip(group, _contact_pass(w, diameter)):
+            poly.__dict__["_contacts"] = contacts
 
 
 def is_simple(poly: LabelledPolygon) -> bool:
@@ -333,12 +417,11 @@ def is_simple(poly: LabelledPolygon) -> bool:
     not an endpoint of); vertex coincidence uses the relative tolerance
     (coincident-within-noise counts as coincident).
     """
-    tol = _check_sides(poly)
-    i, _, s, _ = poly._contacts
+    _check_sides(poly)
+    i, _, s, _, coincident = poly._contacts
     if i.size or s.size:
         return False
-    w = np.asarray(poly.vertices)
-    j, k = np.nonzero(np.abs(w[:, None] - w) <= tol)
+    j, k = np.nonzero(coincident)
     return not ((k - j + 1) % poly.n > 2).any()
 
 
@@ -392,7 +475,7 @@ def _jordan_immersed(poly: LabelledPolygon) -> bool:
     Such a curve is a Jordan curve of turning number 1, which winds 0 or 1
     around every point, so it meets condition (c) too: it passes the
     whole screen, and no probe need be wound to know it."""
-    i, _, s, _ = poly._contacts
+    i, _, s, _, _ = poly._contacts
     if i.size or s.size:
         return False
     angles_in_range, angle_sum_ok, _ = _angle_conditions(poly._angles)
@@ -413,7 +496,7 @@ def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
     each in counter-clockwise order from the negative real axis.
     """
     n = poly.n
-    i, j, s, k = poly._contacts
+    i, j, s, k, _ = poly._contacts
     w, d = np.asarray(poly.vertices), poly._sides[0]
     # A float cross product can vanish where the exact test sees a crossing.
     cross = d[i].real * d[j].imag - d[i].imag * d[j].real

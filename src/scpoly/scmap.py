@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AngleMismatch, InvalidExponent, NotIncreasing,
-                     NotNormalized, NumericalError, ValidationError, ZeroScale,
-                     check_finites, check_number, check_numbers)
-from .geometry import (TWO_PI, LabelledPolygon, _jordan_immersed,
+from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
+                     NotIncreasing, NotNormalized, NumericalError,
+                     ValidationError, ZeroScale, check_finites, check_number,
+                     check_numbers)
+from .geometry import (TWO_PI, LabelledPolygon, _find_contacts,
+                       _jordan_immersed, _measure_sides,
                        check_immersion_necessary, interior_angles)
 from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
                          check_tol, integrate_sc, integrate_to_infinity)
@@ -108,11 +110,7 @@ class SCMap:
         object.__setattr__(self, "B", B)
         if A == 0:
             raise ZeroScale("A must be nonzero")
-        if self.prevertices.n != self.exponents.n:
-            raise ValidationError(
-                f"{len(self.prevertices.finite_points)} finite prevertices "
-                f"need {len(self.prevertices.finite_points) + 1} exponents, "
-                f"got {self.exponents.n}")
+        _check_counts(self.prevertices, self.exponents)
 
     @property
     def n(self) -> int:
@@ -121,6 +119,14 @@ class SCMap:
     @property
     def mode(self) -> str:
         return "extended" if self.exponents.extended else "standard"
+
+
+def _check_counts(pre: Prevertices, exp: ExponentVector) -> None:
+    # A map of n vertices has n - 1 finite prevertices and n exponents.
+    if pre.n != exp.n:
+        raise ValidationError(
+            f"{len(pre.finite_points)} finite prevertices need {pre.n} "
+            f"exponents, got {exp.n}")
 
 
 def _tail_waypoint(zs: tuple[float, ...]) -> float:
@@ -163,14 +169,19 @@ def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
     polygon adds up its legs in that order. A map's vertices do not depend
     on the other maps'. An error that a loop raises for all its maps (a
     Jacobi rule that fails its check) sends each point through alone, so
-    every point gets the outcome of its own call."""
+    every point gets the outcome of its own call. A point whose counts do
+    not match, or a batch of more than one n, raises ValidationError."""
     out: list = [None] * len(points)
     if not points:
         return out
     # A map whose waypoint overflows keeps R = 1 and enters no loop.
     R = np.ones(len(points))
+    n = points[0][1].n
     for g, (pre, exp) in enumerate(points):
-        SCMap(pre, exp)  # checks that the counts match
+        _check_counts(pre, exp)
+        if exp.n != n:
+            raise ValidationError(
+                f"a batch holds maps of one n, got n = {n} and n = {exp.n}")
         try:
             R[g] = _tail_waypoint(pre.finite_points)
         except NumericalError as exc:
@@ -233,20 +244,37 @@ def _worst_angle_deviation(poly: LabelledPolygon, exp: ExponentVector
     return worst, worst_j
 
 
-def _measured(exp: ExponentVector, w: list[complex] | NumericalError):
-    # The polygon of the vertices w, its worst angle deviation and that
-    # vertex; or the error.
-    if isinstance(w, NumericalError):
-        return w
+def _polygons(vertices: list[list[complex] | NumericalError]
+              ) -> list[LabelledPolygon | NumericalError]:
+    """The polygon of each vertex list, or its error, all built before
+    their diameters and sides are measured in one side pass per n."""
+    out = []
+    for w in vertices:
+        try:
+            out.append(w if isinstance(w, NumericalError)
+                       else LabelledPolygon(tuple(w)))
+        except ValidationError as exc:
+            out.append(_invalid(exc))
+    _measure_sides([p for p in out if isinstance(p, LabelledPolygon)])
+    return out
+
+
+def _invalid(exc: ValidationError) -> NumericalError:
+    # The input map was valid, so vertices that coincide in floats or that
+    # floats cannot hold are a failure of the computation.
+    error = NumericalError(f"computed polygon is invalid: {exc}")
+    error.__cause__ = exc
+    return error
+
+
+def _measured(exp: ExponentVector, poly: LabelledPolygon | NumericalError):
+    # The polygon, its worst angle deviation and that vertex; or the error.
+    if isinstance(poly, NumericalError):
+        return poly
     try:
-        poly = LabelledPolygon(tuple(w))
         return (poly, *_worst_angle_deviation(poly, exp))
-    except ValidationError as exc:
-        # The input map was valid, so vertices that coincide in floats or
-        # that floats cannot hold are a failure of the computation.
-        error = NumericalError(f"computed polygon is invalid: {exc}")
-        error.__cause__ = exc
-        return error
+    except DegenerateSide as exc:
+        return _invalid(exc)
 
 
 def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
@@ -256,9 +284,9 @@ def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
     # accumulate side errors and the angle check divides by side lengths.
     quad_tol = max(tol * 1e-2, _QUAD_TOL_FLOOR)
     gate = 10.0 * tol
-    out = _bare_vertices(points, quad_tol)
-    for i, (point, w) in enumerate(zip(points, out)):
-        got = _measured(point[1], w)
+    out = _polygons(_bare_vertices(points, quad_tol))
+    for i, (point, poly) in enumerate(zip(points, out)):
+        got = _measured(point[1], poly)
         # Only a polygon that fails the gate is retightened, on its own:
         # crowded prevertices make sides tiny relative to the diameter and
         # amplify leg errors by that ratio, so tighten by the measured
@@ -266,7 +294,8 @@ def _checked_polygons(points: list[tuple[Prevertices, ExponentVector]],
         if (isinstance(got, tuple) and got[1] > gate
                 and quad_tol > _QUAD_TOL_FLOOR):
             tighter = max(0.5 * quad_tol * tol / got[1], _QUAD_TOL_FLOOR)
-            got = _measured(point[1], _bare_vertices([point], tighter)[0])
+            got = _measured(point[1],
+                            _polygons(_bare_vertices([point], tighter))[0])
         if isinstance(got, tuple):
             poly, worst, worst_j = got
             got = poly if worst <= gate else AngleMismatch(
@@ -290,14 +319,18 @@ def _forward_many(points: list[tuple[Prevertices, ExponentVector]],
     one n, in one batch: per point its polygon or the NumericalError its
     forward raises. The integrals of all the points share their refinement
     loops, and each polygon is bitwise the one its forward alone gives.
-    A polygon without self-contacts that passes the screen's angle
-    conditions is a Jordan curve and passes its winding condition too, so
-    only the other polygons are screened in full."""
+    The polygons are built first; their sides, and then the self-contacts
+    of those that pass the angle gate, are found in one array pass per n,
+    each polygon's bit for bit as alone. A polygon without self-contacts
+    that passes the screen's angle conditions is a Jordan curve and passes
+    its winding condition too, so only the other polygons are screened in
+    full."""
     for _, exp in points:
         if exp.extended:
             raise ValidationError(
                 "extended exponents go through forward_extended")
     out = _checked_polygons(points, tol)
+    _find_contacts([p for p in out if isinstance(p, LabelledPolygon)])
     for i, poly in enumerate(out):
         if isinstance(poly, LabelledPolygon) and not _jordan_immersed(poly):
             report = check_immersion_necessary(poly)

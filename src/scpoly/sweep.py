@@ -18,13 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartPoint, moduli_unchart
+from .charts import ChartPoint, a_unchart, z_unchart
 from .errors import NumericalError, ValidationError, check_int
 from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
                        winding_number)
 from .quadrature import DEFAULT_TOL, check_tol
-# forward is not called here: bench/spans.py hooks it at this module.
-from .scmap import _forward_many, forward  # noqa: F401
+from .scmap import _forward_many
+# Not called here (run_sweep uncharts its drawn coordinates and forwards
+# in batches), but bench/spans.py hooks them at this module.
+from .charts import moduli_unchart  # noqa: F401
+from .scmap import forward  # noqa: F401
 
 # Samples forwarded in one batch by run_sweep.
 SWEEP_CHUNK = 64
@@ -74,14 +77,21 @@ class SweepResult:
                 f"counts {total} do not add up to tested = {self.tested}")
 
 
+def _draw(cfg: SweepConfig, index: int) -> np.ndarray:
+    # The 2n - 4 coordinates of sample ``index``, gap coordinates first.
+    rng = np.random.default_rng([cfg.seed, index])
+    return rng.uniform(-cfg.chart_box, cfg.chart_box, size=2 * cfg.n - 4)
+
+
+def _chart_point(cfg: SweepConfig, y: np.ndarray) -> ChartPoint:
+    return ChartPoint(cfg.n, tuple(y[:cfg.n - 3]), tuple(y[cfg.n - 3:]))
+
+
 def sample_chart_point(cfg: SweepConfig, index: int) -> ChartPoint:
     """Chart point of sample ``index``: 2n - 4 uniform draws in
     [-chart_box, chart_box] from the PCG64 stream seeded by (seed, index),
     gap coordinates first. ``index`` is an integer >= 0."""
-    index = check_int(index, "index", 0)
-    rng = np.random.default_rng([cfg.seed, index])
-    y = rng.uniform(-cfg.chart_box, cfg.chart_box, size=2 * cfg.n - 4)
-    return ChartPoint(cfg.n, tuple(y[:cfg.n - 3]), tuple(y[cfg.n - 3:]))
+    return _chart_point(cfg, _draw(cfg, check_int(index, "index", 0)))
 
 
 def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
@@ -91,24 +101,29 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     constructions that died numerically; chart points themselves are
     always valid (the chart covers all of the cube). The samples go
     forward in chunks of SWEEP_CHUNK, each chunk one batch of
-    ``scmap._forward_many``; each polygon is bitwise the one its own
-    ``forward`` gives, so the result does not depend on the chunks.
+    ``scmap._forward_many``, whose polygons are checked (sides,
+    self-contacts and so ``is_simple``) in one array pass per chunk; each
+    polygon, and each of its checks, is bitwise what its own ``forward``
+    gives, so the result does not depend on the chunks. Each sample's
+    coordinates are those of ``sample_chart_point``, uncharted directly;
+    a ``ChartPoint`` is built only for the non-simple instances kept.
     """
     # _forward_many checks tol for every chunk.
+    n = cfg.n
     simple = 0
     failures = 0
     nonsimple: list[NonSimpleInstance] = []
     for start in range(0, cfg.samples, SWEEP_CHUNK):
-        charted, maps = [], []
+        drawn, maps = [], []
         for index in range(start, min(start + SWEEP_CHUNK, cfg.samples)):
-            pt = sample_chart_point(cfg, index)
+            y = _draw(cfg, index)
             try:
-                maps.append(moduli_unchart(pt))
+                maps.append((z_unchart(y[:n - 3]), a_unchart(y[n - 3:])))
             except NumericalError:
                 failures += 1
                 continue
-            charted.append(pt)
-        for pt, poly in zip(charted, _forward_many(maps, tol)):
+            drawn.append(y)
+        for y, poly in zip(drawn, _forward_many(maps, tol)):
             if isinstance(poly, NumericalError):
                 failures += 1
                 continue
@@ -117,7 +132,8 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
                 continue
             witness = find_multiwound_witness(poly)
             winding = 0 if witness is None else winding_number(poly, witness)
-            nonsimple.append(NonSimpleInstance(pt, witness, winding))
+            nonsimple.append(
+                NonSimpleInstance(_chart_point(cfg, y), witness, winding))
     return SweepResult(tested=cfg.samples, simple_count=simple,
                        nonsimple_instances=tuple(nonsimple),
                        failures=failures)

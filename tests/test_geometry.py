@@ -25,7 +25,9 @@ from scpoly import (
 )
 from scpoly import geometry
 
-from conftest import HEX_WITNESS_LARGE, HEX_WITNESS_LENS
+from conftest import (HEX_WITNESS_LARGE, HEX_WITNESS_LENS,
+                      PENTAGON_VERTICES, SQUARE_VERTICES,
+                      TRIANGLE_VERTICES)
 from oracles import (has_nonadjacent_crossing, orientation_exact,
                      ray_crossing_winding)
 
@@ -383,6 +385,121 @@ def test_touchings_not_simple(build):
     poly, _ = build()
     assert not has_nonadjacent_crossing(poly.vertices)
     assert is_simple(poly) is False
+
+
+# ---------------------------------------------------- the chunk kernel
+
+LITERAL_VERTICES = [
+    TRIANGLE_VERTICES, SQUARE_VERTICES, PENTAGON_VERTICES,
+    EQUILATERAL.vertices,
+    (0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j),
+    (0j, 2 + 0j, 1 + 1e-9j),
+    (0j, 1j, 1 + 1j, 1 + 0j),
+    (0j, 10 + 0j, 10 + 10j, 10j),
+    (0j, 10 + 10j, 20 + 0j, 10 - 10j),
+    (0j, 2 + 2j, 2 + 0j, 2j),
+    (0j, 2 + 0j, 1 + 0j),
+    # Coincident consecutive vertices: the side data are meaningless, but
+    # still the same bits.
+    (0j, 1 + 0j, 1 + 0j, 1j),
+    (0j, 1 + 0j, 1j, 0j),
+    (0j, 1 + 0j, 1 + 1e-13j, 1j),
+    (0j, 0j, 1 + 0j, 1 + 0j, 1j),
+]
+
+
+def _shewchuk_grid():
+    # The 64-point grid of test_orientation_matrix_matches_exact_predicate.
+    tiny = 2.0 ** -53
+    grid = tuple(complex(0.5 + i * tiny, 0.5 + j * tiny)
+                 for i in range(8) for j in range(8))
+    return LabelledPolygon((12 + 12j, 24 + 24j) + grid)
+
+
+def _near_collinear_octagons(count):
+    # Vertices on y = x, each moved off it by up to 3 ulps: most
+    # orientations are unsure in floats and go to the exact predicate.
+    rng = np.random.default_rng(8)
+    polys = []
+    for _ in range(count):
+        x = rng.uniform(0.25, 4.0, 8)
+        y = x + rng.integers(-3, 4, 8) * np.spacing(x)
+        polys.append(LabelledPolygon(tuple(map(complex, x, y))))
+    return polys
+
+
+def _kernel(polys):
+    # Per polygon of one chunk: the kernel's diameter, side data, first
+    # short side, orientation matrix, contacts and coincidence mask.
+    w = np.array([poly.vertices for poly in polys])
+    sides = geometry._side_pass(w)
+    diameter = np.array([d for d, _, _ in sides])
+    return [(d, *data, short, o, *contacts)
+            for (d, data, short), o, contacts
+            in zip(sides, geometry._orientation_matrices(w),
+                   geometry._contact_pass(w, diameter))]
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_chunk_kernel_gives_each_polygon_its_lone_bits(monkeypatch,
+                                                      unit_square, bowtie):
+    exact = geometry._exact_orientation
+    escalated = []
+    monkeypatch.setattr(geometry, "_exact_orientation",
+                        lambda *a: escalated.append(a) or exact(*a))
+    grid = _shewchuk_grid()
+    octagons = _near_collinear_octagons(300)
+    builds = (_pentagram, _vertex_on_side, _collinear_overlap, _pinch,
+              _thin_lens)
+    polys = ([grid, cyclic_shift(grid, 5),
+              LabelledPolygon(grid.vertices[::-1]), unit_square, bowtie]
+             + [LabelledPolygon(w) for w in LITERAL_VERTICES]
+             + [build()[0] for build in builds] + octagons)
+    chunks = {}
+    for poly in polys:
+        chunks.setdefault(poly.n, []).append(poly)
+    for chunk in chunks.values():
+        for poly, got in zip(chunk, _kernel(chunk)):
+            want = _kernel([poly])[0]
+            assert len(got) == len(want) == 12
+            assert all(map(_bitwise, got, want)), poly
+    # The octagons reach the exact predicate, and they cross and touch.
+    assert len(escalated) > 20 * len(octagons)
+    contacts = [LabelledPolygon(p.vertices)._contacts for p in octagons]
+    assert sum(c[0].size > 0 for c in contacts) > 250
+    assert sum(c[2].size > 0 for c in contacts) > 10
+
+
+def test_a_short_side_raises_alone_in_its_chunk(hex_large, hex_lens):
+    # One chunk of mixed n, filled by one side pass and one contact pass
+    # per n: the polygon with a short side raises on first use, as alone,
+    # and its mates keep their lone values.
+    short = LabelledPolygon((0j, 1 + 0j, 1 + 1e-13j, 1j))
+    polys = [LabelledPolygon(p.vertices) for p in (hex_large, hex_lens)]
+    polys += [short, _pentagram()[0], LabelledPolygon(SQUARE_VERTICES),
+              _vertex_on_side()[0], _collinear_overlap()[0], _pinch()[0]]
+    geometry._measure_sides(polys)
+    geometry._find_contacts(polys)
+    for poly in polys:
+        assert {"_measures", "_contacts"} <= poly.__dict__.keys()
+        alone = LabelledPolygon(poly.vertices)
+        assert _bitwise(poly.diameter, alone.diameter)
+        assert all(map(_bitwise, poly._contacts, alone._contacts))
+        if poly is short:
+            for check in (interior_angles, is_simple):
+                with pytest.raises(DegenerateSide,
+                                   match="vertices 1 and 2 coincide"):
+                    check(poly)
+            continue
+        assert all(map(_bitwise, poly._sides, alone._sides))
+        assert is_simple(poly) == is_simple(alone)
+    assert ([is_simple(p) for p in polys if p is not short]
+            == [False, False, False, True, False, False, False])
 
 
 # ---------------------------------------------- immersion screen

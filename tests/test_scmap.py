@@ -289,6 +289,24 @@ def test_bare_vertices_make_three_integrals(monkeypatch, n):
                            ("tail", count)]
 
 
+def test_a_batch_checks_its_counts_and_its_n():
+    # Every map of a batch has matching counts, and all have one n; a
+    # batch of n = 4 and n = 5 maps is refused by name, not by NumPy.
+    square = (Prevertices((-1.0, 0.0, 1.0)), ExponentVector((0.5,) * 4))
+    pentagon = (Prevertices((-1.0, 0.0, 1.0, 2.0)),
+                ExponentVector((0.6,) * 5))
+    for batch, ns in (([square, pentagon], "4 and n = 5"),
+                      ([pentagon, square, square], "5 and n = 4")):
+        match = f"^a batch holds maps of one n, got n = {ns}$"
+        with pytest.raises(ValidationError, match=match):
+            scmap._forward_many(batch)
+        with pytest.raises(ValidationError, match=match):
+            _bare_vertices(batch, 1e-12)
+    with pytest.raises(ValidationError,
+                       match="^4 finite prevertices need 5 exponents, got 4$"):
+        forward(pentagon[0], square[1])
+
+
 def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
     # The rule absorbing u^(alpha_n - 1) at the start of map 2's tail
     # fails its weight-sum check, which fails the whole tail loop: each
@@ -340,7 +358,8 @@ def test_computed_polygon_beyond_floats_fails_numerically():
     # Vertices whose extent overflows are a failure of the computation,
     # counted as such, as coincident ones are.
     exp = ExponentVector((1.0 / 3.0,) * 3)
-    got = scmap._measured(exp, [-1e308 + 0j, 1e308 + 0j, 1e308j])
+    got = scmap._measured(
+        exp, scmap._polygons([[-1e308 + 0j, 1e308 + 0j, 1e308j]])[0])
     assert type(got) is NumericalError
     assert "extent" in str(got)
 

@@ -34,9 +34,10 @@ gate 10 tol. It lists every item whose ratio exceeds 0.95 in either
 tree with both ratios; an item that failed the gate takes the ratio its
 AngleMismatch message states. It ends with call-by-call interleaved
 time ratios (this tree over REF) per benchmark workload, on the seed-5
-inputs (30 sweep calls, 45 solves, 24 render figures), and per tree
-the ``_refine`` loops and ``_leg_sums`` passes per call, counted on one
-more untimed call per input. It reads ``bench/`` and changes nothing
+inputs (30 sweep calls, 45 solves, 24 render figures), the sweep's also
+per n with each tree's mean time per call, and per tree the ``_refine``
+loops and ``_leg_sums`` passes per call, counted on one more untimed
+call per input. It reads ``bench/`` and changes nothing
 there.
 """
 
@@ -302,12 +303,13 @@ def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
 
 def _timing(trees: list[Tree], repeats: int) -> None:
     """Per workload, each call timed ``repeats`` times per tree, the two
-    trees alternating call by call; the ratios are of per-call minima.
-    Then, per tree, the refinement loops and passes per call (_passes)."""
+    trees alternating call by call; the ratios are of per-call minima, the
+    sweep's also per n (_per_n). Then, per tree, the refinement loops and
+    passes per call (_passes)."""
     print(f"time ratio, this tree / ref (seed {TIME_SEED}, "
           f"{repeats} repeats):")
     for name, count in TIME_CALLS.items():
-        ratios, totals = [], [0.0, 0.0]
+        ratios, totals, per_call = [], [0.0, 0.0], []
         inputs = ([], [])
         for k in range(count):
             best = []
@@ -324,16 +326,36 @@ def _timing(trees: list[Tree], repeats: int) -> None:
                     times.append(time.perf_counter() - t0)
             ref_s, new_s = (min(times) for _, _, times in best)
             ratios.append(new_s / ref_s)
+            per_call.append((ref_s, new_s))
             totals[0] += ref_s
             totals[1] += new_s
         q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         print(f"  {name}: median {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
               f"total {totals[1] / totals[0]:.3f} over {count} calls")
+        if name == "sweep":
+            _per_n(inputs[1], ratios, per_call)
         for label, tree, made in zip(("ref", "this tree"), trees, inputs):
             loops, passes = _passes(tree, name, made)
             print(f"    {label}: {loops:.2f} _refine loops and {passes:.2f} "
                   f"_leg_sums passes per call, "
                   f"{passes / loops:.2f} passes per loop")
+
+
+def _per_n(inputs: list, ratios: list[float],
+           per_call: list[tuple[float, float]]) -> None:
+    """Per n of the sweep inputs: the median time ratio and each tree's
+    mean time per call. Calls of large n take most of the summed time, so
+    they weigh most in items/s."""
+    by_n: dict[int, list[int]] = {}
+    for k, cfg in enumerate(inputs):
+        by_n.setdefault(cfg.n, []).append(k)
+    for n, ks in sorted(by_n.items()):
+        ref_ms, new_ms = (1e3 * statistics.fmean(per_call[k][t] for k in ks)
+                          for t in (0, 1))
+        print(f"    n = {n}: median "
+              f"{statistics.median(ratios[k] for k in ks):.3f} over "
+              f"{len(ks)} calls; per call ref {ref_ms:.2f} ms, this tree "
+              f"{new_ms:.2f} ms")
 
 
 def _stream_arg(text: str) -> tuple[int, int, int, float]:
