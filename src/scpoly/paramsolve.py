@@ -24,7 +24,7 @@ from .charts import _exact_sum, z_unchart
 from .errors import (DegenerateSide, NotImmersedInput, NumericalError,
                      ValidationError, check_int, check_numbers)
 from .geometry import LabelledPolygon, _angle_conditions, interior_angles
-from .quadrature import check_tol, integrate_finite_legs
+from .quadrature import _one_sided_rules, check_tol, integrate_finite_legs
 # Not called here: bench/spans.py hooks every import site of integrate_sc.
 from .quadrature import integrate_sc  # noqa: F401
 from .scmap import ExponentVector, SCMap, _bare_vertices, _one
@@ -194,6 +194,8 @@ def solve_parameter_problem(
     t = np.abs(np.diff(poly.vertices[:-1]))  # sides 1 .. n-2
     log_ratio_t = np.log(t[1:] / t[0])
 
+    # One build for the one-sided rules of every leg of the solve.
+    _one_sided_rules(np.array([exps.alphas]))
     # Triangles have no unknowns: their angles pin them.
     x, hist, iterations = np.zeros(poly.n - 3), [0.0], 0
     if x.size:

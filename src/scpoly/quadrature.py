@@ -42,16 +42,27 @@ exponent row is one map's, broadcast, or gathered per panel. So each
 map's legs come out bit for bit as when the map is integrated alone, at
 any order. A map whose leg cannot be cut or stalls drops out of the loop
 with its error; the other maps go on. A Jacobi rule that fails its
-check (never seen outside a broken eigensolver) raises out of the loop
-for all its maps, and forward's batches then integrate each map alone.
+check (never seen outside a broken build) raises out of the loop for
+all its maps, and forward's batches then integrate each map alone.
 
 The Jacobi rules of a pass, one per exponent pair absorbed at panel
 ends, come from one bounded cache keyed on (order, a, b). The rules a
-pass misses, over all its maps, are built together: one stacked
-Golub-Welsch eigenproblem and one vectorised weight-sum check, whose
-read-only node and weight arrays the cache keeps as one row per rule.
-A pass stacks the rows it needs; gauss_jacobi wraps a row in a
-QuadratureRule for its public callers.
+pass misses, over all its maps, are built together, and the key alone
+picks the builder. The one-sided rules of order DEFAULT_ORDER, (e, 0)
+and (0, e) with e in (-1, 1) and not 0, absorb one prevertex at one
+panel end, and most panels have such an end. They come from one
+vectorised Newton build (_one_sided): start nodes from a fixed table
+over e, one Newton step on the three-term recurrence, Christoffel weights
+against the closed-form moment 2^(e+1)/(e+1), and (0, e) as the mirror
+of (e, 0). Every other rule ((0, 0), two-sided pairs, exponents of 1 or
+more, other orders) comes from one stacked Golub-Welsch eigenproblem.
+Each build checks every rule's weight sum against its total moment and
+hands the cache read-only node and weight arrays, one row per rule.
+Both builders work elementwise or row by row, so a rule's bits depend on
+its key alone, never on what is built with it or on the cache.
+forward's batches and the parameter solve build every one-sided rule of
+their maps before their first loop. A pass stacks the rows it needs;
+gauss_jacobi wraps a row in a QuadratureRule for its public callers.
 
 Branch convention on the real axis: arg(zeta - x_j) is exactly 0 to the
 right of x_j and exactly pi to the left. These phases are constant on each
@@ -65,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -128,14 +140,53 @@ def total_moment(a: float, b: float) -> float:
 
 # Rules kept at most; a pass that overflows the cache evicts the oldest.
 # Oldest by insertion, not by use: a hit does not reorder the cache, so a
-# pass whose rules are all cached is a plain lookup. A map needs about 2n
-# rules, all of them again in each pass; a sweep chunk of 64 maps (see
-# sweep.SWEEP_CHUNK) keeps its rules cached up to n = 16. Each entry is
-# the (nodes, weights) row pair of a rule, views into the arrays of the
+# pass whose rules are all cached is a plain lookup. A map's legs absorb
+# 2n - 1 one-sided rules in every pass, all built by _one_sided, and up
+# to n - 2 two-sided ones in their first pass, built by _golub_welsch; a
+# sweep chunk of 64 maps (see sweep.SWEEP_CHUNK) keeps them all cached up
+# to n = 11. A rule evicted and built again has the same bits. Each entry
+# is the (nodes, weights) row pair of a rule, views into the arrays of the
 # build that made it; a build's rows go in together, so its arrays are
 # freed once its last row is evicted.
 _RULE_CACHE_SIZE = 2048
 _rules: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _recurrence(order: int, a: np.ndarray, b: np.ndarray | float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The three-term recurrence of the orthonormal Jacobi polynomials for
+    the exponents a, b (one column per pair), beta_{k+1} q_{k+1} =
+    (x - alpha_k) q_k - beta_k q_{k-1}, one row per k: alpha_0, ...,
+    alpha_{order-1} (the diagonal of the Jacobi matrix) and beta_1, ...,
+    beta_order (its off-diagonal, then the beta_order of q_order).
+
+    The k = 0 diagonal and k = 1 off-diagonal entries use cancelled closed
+    forms; the general expressions hit 0/0 at a + b = 0 and a + b = -1
+    respectively."""
+    s = a + b
+    k = np.arange(1.0, order + 1.0)[:, None]
+    t = 2.0 * k + s
+    diag = np.empty((order, s.size))
+    diag[0] = (b - a) / (s + 2.0)
+    diag[1:] = (b * b - a * a) / (t[:-1] * (t[:-1] + 2.0))
+    off = np.empty_like(diag)
+    off[0] = np.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                     / ((s + 2.0) ** 2 * (s + 3.0)))
+    k, t = k[1:], t[1:]
+    off[1:] = np.sqrt(
+        4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t * t - 1.0)))
+    return diag, off
+
+
+def _check_weight_sums(w: np.ndarray, m0: np.ndarray) -> None:
+    """NumericalError unless every row of weights ``w`` sums to its total
+    moment m0 within 1e-13 relative."""
+    sums = np.sum(w, axis=1)
+    bad = np.abs(sums - m0) > 1e-13 * m0
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise NumericalError(
+            f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
 
 
 def _golub_welsch(order: int, pairs: list[tuple[float, float]]
@@ -148,32 +199,101 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
     # per pair (dense, lower triangle, a few dozen rows at most), all
     # solved by one stacked eigh. Not scipy.special.roots_jacobi: its
     # nodes and weights drift to ~1e-12 relative error for a near -1 once
-    # the order passes ~24, visibly polluting high moments. The k = 0
-    # diagonal and k = 1 off-diagonal entries use cancelled closed forms;
-    # the general expressions hit 0/0 at a + b = 0 and a + b = -1
-    # respectively.
-    a, b = np.array(pairs).T[:, :, None]
-    s = a + b
-    k = np.arange(1.0, order)
-    t = 2.0 * k + s
+    # the order passes ~24, visibly polluting high moments.
+    diag, off = _recurrence(order, *np.array(pairs).T)
     # Row-major flat matrices: the diagonal is every (order + 1)-th entry
     # from 0, the subdiagonal from order.
     mats = np.zeros((len(pairs), order * order))
-    mats[:, :1] = (b - a) / (s + 2.0)
-    mats[:, order + 1::order + 1] = (b * b - a * a) / (t * (t + 2.0))
-    mats[:, order:order + 1] = np.sqrt(4.0 * (1.0 + a) * (1.0 + b)
-                                       / ((s + 2.0) ** 2 * (s + 3.0)))
-    k, t = k[1:], t[:, 1:]
-    mats[:, 2 * order + 1::order + 1] = np.sqrt(
-        4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t * t - 1.0)))
+    mats[:, ::order + 1] = diag.T
+    mats[:, order::order + 1] = off[:-1].T
     x, v = np.linalg.eigh(mats.reshape(-1, order, order))
     w = m0[:, None] * v[:, 0] ** 2
-    sums = np.sum(w, axis=1)
-    bad = np.abs(sums - m0) > 1e-13 * m0
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise NumericalError(
-            f"Jacobi rule weight sum off: {sums[r]} vs {m0[r]}")
+    _check_weight_sums(w, m0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+# Degree of the polynomials in e that start _one_sided's Newton step.
+# Interpolating at 22 Chebyshev points of (-1, 1), they meet the nodes of
+# every rule (e, 0) of order 8 to about 1e-15, the rounding of the
+# Golub-Welsch nodes they interpolate (degree 13 leaves 1e-11 at e near
+# -1), so one step takes each node to its last bits.
+_START_DEGREE = 21
+
+
+@cache
+def _start_table(order: int) -> np.ndarray:
+    """Per power of e, highest first, the coefficients of the polynomials
+    in e that interpolate the nodes of the rules (e, 0) of ``order``, one
+    column per node. Built once per order from _golub_welsch's rules at
+    the Chebyshev points e_j = cos(pi (j + 1/2) / (_START_DEGREE + 1)):
+    divided differences, then their Newton form expanded into powers."""
+    e = np.cos(np.pi * (np.arange(_START_DEGREE + 1.0) + 0.5)
+               / (_START_DEGREE + 1))
+    diffs = _golub_welsch(order, [(x, 0.0) for x in e.tolist()])[0].copy()
+    for j in range(1, e.size):
+        diffs[j:] = (diffs[j:] - diffs[j - 1:-1]) / (e[j:] - e[:-j])[:, None]
+    table = diffs[-1:]
+    for j in range(e.size - 2, -1, -1):
+        table = (np.concatenate([table, diffs[j:j + 1]])
+                 - e[j] * np.concatenate([0.0 * diffs[:1], table]))
+    table = table[:, :, None]
+    table.setflags(write=False)
+    return table
+
+
+def _orthonormal(x: np.ndarray, diag: np.ndarray, off: np.ndarray
+                 ) -> tuple[list, list]:
+    """The orthonormal polynomials q_0 = 1, q_1, ..., q_n of the recurrence
+    ``diag``, ``off`` (see _recurrence; n = len(diag)) at the points x,
+    and their derivatives; x and each recurrence hold one column per
+    exponent pair."""
+    q, d = [1.0, (x - diag[0]) / off[0]], [0.0, 1.0 / off[0]]
+    for k in range(1, len(diag)):
+        xa = x - diag[k]
+        q.append((xa * q[k] - off[k - 1] * q[k - 1]) / off[k])
+        d.append((xa * d[k] + q[k] - off[k - 1] * d[k - 1]) / off[k])
+    return q, d
+
+
+def _one_sided(order: int, pairs: list[tuple[float, float]]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the rules of ``order`` (DEFAULT_ORDER,
+    for which _START_DEGREE is chosen) for the exponent pairs (e, 0) and
+    (0, e), each e in (-1, 1) and not 0, one read-only row each.
+
+    Each exponent e gets the rule (e, 0) once, by one Newton step on
+    q_order (see _orthonormal) from the nodes of _start_table, which
+    takes them to their last bits. The same evaluation gives the
+    Christoffel sums S = sum_{k < order} q_k^2 at the Gauss nodes, S - S'
+    step to first order (the start is off by about 1e-15, so the second
+    order is below rounding), and the weights m0 / S, with the total
+    moment m0 = 2^(e+1)/(e+1). They sum to m0 at the Gauss nodes but not
+    at nodes that the step leaves off, so _check_weight_sums guards the
+    nodes too. The rule (0, e) is the mirror of (e, 0): nodes -x and
+    weights, reversed. Arrays hold one column per exponent and every step
+    is elementwise, so a row's bits depend on its e alone."""
+    column: dict[float, int] = {}
+    of = [column.setdefault(a + b, len(column)) for a, b in pairs]
+    e = np.array(list(column))
+    diag, off = _recurrence(order, e, 0.0)
+    table = _start_table(order)
+    x = table[0]
+    for c in table[1:]:
+        x = x * e + c
+    q, d = _orthonormal(x, diag, off)
+    step = q[-1] / d[-1]
+    x = x - step
+    s = sum(qk * qk for qk in q[:-1])
+    ds = sum(qk * dk for qk, dk in zip(q[:-1], d[:-1]))
+    m0 = np.array([2.0 ** (t + 1.0) / (t + 1.0) for t in column])
+    w = (m0 / (s - 2.0 * ds * step)).T
+    _check_weight_sums(w, m0)
+    x, w = x.T[of], w[of]
+    mirror = np.array([a == 0.0 for a, _ in pairs])
+    x[mirror] = -x[mirror, ::-1]
+    w[mirror] = w[mirror, ::-1]
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -182,18 +302,40 @@ def _golub_welsch(order: int, pairs: list[tuple[float, float]]
 def _jacobi_rules(order: int, pairs: list[tuple[float, float]]
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (nodes, weights) rows of the rules of a checked ``order`` for
-    the exponent pairs (a, b); the ones not cached are built together."""
+    the exponent pairs (a, b). The ones not cached are built together:
+    one-sided pairs of order DEFAULT_ORDER, (e, 0) and (0, e) with e in
+    (-1, 1) and not 0, by _one_sided, the others by _golub_welsch."""
     rules = [_rules.get((order, a, b)) for a, b in pairs]
     if None in rules:
         new = [r for r, rule in enumerate(rules) if rule is None]
-        x, w = _golub_welsch(order, [pairs[r] for r in new])
-        for i, r in enumerate(new):
-            rules[r] = _rules[(order, *pairs[r])] = x[i], w[i]
+        newton = [order == DEFAULT_ORDER and (a == 0.0) != (b == 0.0)
+                  and -1.0 < a + b < 1.0 for a, b in (pairs[r] for r in new)]
+        for build, part in (
+                (_one_sided, [r for r, s in zip(new, newton) if s]),
+                (_golub_welsch, [r for r, s in zip(new, newton) if not s])):
+            if part:
+                x, w = build(order, [pairs[r] for r in part])
+                for r, row, weights in zip(part, x, w):
+                    rules[r] = _rules[(order, *pairs[r])] = row, weights
         # Every rule of the pass is in hand, so the oldest entries can go.
         excess = max(len(_rules) - _RULE_CACHE_SIZE, 0)
         for key in list(islice(_rules, excess)):
             del _rules[key]
     return rules
+
+
+def _one_sided_rules(alphas: np.ndarray) -> None:
+    """Build, in one _jacobi_rules call, every one-sided rule that the
+    legs of the maps with exponent rows ``alphas`` absorb: (e, 0) and
+    (0, e) of each finite prevertex's e = alpha - 1, and (0, e) of the
+    exponent at infinity (the tail's u = 0). A rule that fails its check
+    raises for all the maps."""
+    es = (alphas - 1.0).tolist()
+    pairs = [(0.0, row[-1]) for row in es]
+    for row in es:
+        for e in row[:-1]:
+            pairs += [(e, 0.0), (0.0, e)]
+    _jacobi_rules(DEFAULT_ORDER, list(dict.fromkeys(pairs)))
 
 
 def check_tol(tol: float, name: str = "tol") -> float:
@@ -208,16 +350,24 @@ def check_tol(tol: float, name: str = "tol") -> float:
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule of the given order for weight (1-x)^a (1+x)^b.
 
-    The weights are the closed-form total moment times the squared first
-    components of the eigenvectors; their sum is checked against that
-    moment to 1e-13 relative when the rule is built, which guards the unit
-    norm of the eigenvectors (not the moment itself), and a violation
-    raises. Rules are read-only, so one cached rule serves every call.
+    A one-sided rule of order DEFAULT_ORDER, (e, 0) or (0, e) with e in
+    (-1, 1) and not 0, is built by Newton's method on the Jacobi
+    recurrence, its weights the Christoffel numbers times the closed-form
+    moment 2^(e+1)/(e+1). Every other rule is built by Golub-Welsch, its
+    weights the total moment times the squared first components of the
+    eigenvectors. Either way the weight sum is checked against the
+    moment to 1e-13 relative when the rule is built, and a violation
+    raises. The check cannot see a wrong moment. For a Golub-Welsch rule
+    it guards the unit norm of the eigenvectors; for a Newton rule the
+    nodes too, as Christoffel weights sum to the moment at the Gauss nodes
+    but not at nodes that a step leaves off. A rule's bits depend on
+    (order, a, b) alone. Rules are read-only, so one cached rule serves
+    every call.
     An order that is not an integer >= 1 raises ValidationError; an
     exponent that is not a real number in (-1, inf) (see scpoly.errors for
     what is a number) raises InvalidExponent, and a moment beyond floats
     NumericalError from total_moment before the rule's eigenproblem is
-    built.
+    built (no Newton rule has such a moment).
     """
     # Checked before the cache is read: as keys, 8.0 == 8 and True == 1.
     order = check_int(order, "order", 1)

@@ -31,8 +31,9 @@ from .errors import (AngleMismatch, DegenerateSide, InvalidExponent,
 from .geometry import (TWO_PI, LabelledPolygon, _find_contacts,
                        _jordan_immersed, _measure_sides,
                        check_immersion_necessary, interior_angles)
-from .quadrature import (DEFAULT_TOL, _refine, _tail_singularities,
-                         check_tol, integrate_sc, integrate_to_infinity)
+from .quadrature import (DEFAULT_TOL, _one_sided_rules, _refine,
+                         _tail_singularities, check_tol, integrate_sc,
+                         integrate_to_infinity)
 
 BASE_POINT = 1j
 INFINITY = complex(math.inf, 0.0)
@@ -164,12 +165,14 @@ def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
     """Vertices of the A=1, B=0 polygons of the (prevertices, exponents)
     pairs ``points``, all of one n, at quadrature tolerance ``quad_tol``:
     per point its vertex list, or the error of its first step to fail.
-    Three refinement loops for all the points: the upper legs to z_1, then
+    One build of the one-sided Jacobi rules the points' legs absorb, then
+    three refinement loops for all the points: the upper legs to z_1, then
     the sides with the legs to the tail waypoints, then the tails; each
     polygon adds up its legs in that order. A map's vertices do not depend
-    on the other maps'. An error that a loop raises for all its maps (a
-    Jacobi rule that fails its check) sends each point through alone, so
-    every point gets the outcome of its own call. A point whose counts do
+    on the other maps', nor on the rules built with its own. An error
+    raised for all the maps (a Jacobi rule that fails its check, in the
+    build or in a loop) sends each point through alone, so every point
+    gets the outcome of its own call. A point whose counts do
     not match, or a batch of more than one n, raises ValidationError."""
     out: list = [None] * len(points)
     if not points:
@@ -201,25 +204,27 @@ def _bare_vertices(points: list[tuple[Prevertices, ExponentVector]],
     }
     legs = {}
     alive = np.flatnonzero([w is None for w in out])
-    for kind, (p, q, xs, ys) in integrals.items():
-        if not alive.size:
-            return out
-        of = alive.repeat(p.shape[1])
-        try:
+    try:
+        # One build for the one-sided rules of all three loops.
+        _one_sided_rules(alphas[alive])
+        for kind, (p, q, xs, ys) in integrals.items():
+            if not alive.size:
+                return out
+            of = alive.repeat(p.shape[1])
             sums, failed = _refine(kind, p[alive].ravel(), q[alive].ravel(),
                                    xs, ys, quad_tol, np.arange(of.size), of)
-        except NumericalError as exc:
-            if len(points) == 1:
-                return [exc]
-            return [w for point in points
-                    for w in _bare_vertices([point], quad_tol)]
-        legs[kind] = np.zeros(p.shape, dtype=complex)
-        legs[kind][alive] = sums[:, 0].reshape(alive.size, -1)
-        # A map that fails takes its error and leaves the later loops.
-        for g, error in failed.items():
-            out[g] = error
-        alive = alive[np.array([g not in failed for g in alive.tolist()],
-                               dtype=bool)]
+            legs[kind] = np.zeros(p.shape, dtype=complex)
+            legs[kind][alive] = sums[:, 0].reshape(alive.size, -1)
+            # A map that fails takes its error and leaves the later loops.
+            for g, error in failed.items():
+                out[g] = error
+            alive = alive[np.array([g not in failed for g in alive.tolist()],
+                                   dtype=bool)]
+    except NumericalError as exc:
+        if len(points) == 1:
+            return [exc]
+        return [w for point in points
+                for w in _bare_vertices([point], quad_tol)]
     # np.cumsum adds in order, as the legs were added one by one.
     axis = legs["axis"][alive]
     w = np.cumsum(np.column_stack([legs["upper"][alive], axis[:, :-1],

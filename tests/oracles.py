@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own code paths: Beta
 values come from log-gamma, Jacobi moments from a three-term recursion in
-50-digit arithmetic, Jacobi rules from one eigenproblem per rule, winding
+50-digit arithmetic, Jacobi rules from one eigenproblem per rule or from
+Newton on mpmath's Jacobi polynomials at 40 digits, winding
 numbers from ray crossings, orientation signs from one cross product in
 exact rationals, and complex leg integrals from
 power-substitution plus tanh-sinh quadrature. Tests compare the package
@@ -65,6 +66,38 @@ def golub_welsch(order: int, a: float, b: float):
     m0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
                   + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
     return x, m0 * v[0] ** 2
+
+
+def gauss_jacobi_mp(order: int, a: float, b: float, dps: int = 40):
+    """Nodes and weights of one Gauss-Jacobi rule for (1-x)^a (1+x)^b to
+    ``dps`` digits, as mpf values.
+
+    Newton on mpmath's Jacobi polynomial P_n^(a,b), n = order, from the
+    float nodes of golub_welsch until the steps vanish at working
+    precision, and the classical weights
+    w_i = 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1-x_i^2) P_n'(x_i)^2)
+    with P_n' = (n+a+b+1)/2 P_(n-1)^(a+1,b+1).
+    """
+    n = order
+    with mp.workdps(dps + 10):
+        a, b = mp.mpf(a), mp.mpf(b)
+
+        def dp(x):
+            return (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, x)
+
+        nodes = []
+        for x in golub_welsch(order, float(a), float(b))[0]:
+            x = mp.mpf(x)
+            for _ in range(20):
+                step = mp.jacobi(n, a, b, x) / dp(x)
+                x -= step
+                if abs(step) < mp.mpf(10) ** -(dps + 5):
+                    break
+            nodes.append(x)
+        c = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+             / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        weights = [c / ((1 - x * x) * dp(x) ** 2) for x in nodes]
+    return nodes, weights
 
 
 def ray_crossing_winding(vertices, p: complex) -> int:

@@ -25,8 +25,8 @@ import scpoly.quadrature as quadrature
 from scpoly.quadrature import integrate_finite_legs
 
 from conftest import BETA_THIRD, PENTAGON_ALPHAS
-from oracles import (beta_lgamma, golub_welsch, jacobi_moments, leg_integral,
-                     tail_integral)
+from oracles import (beta_lgamma, gauss_jacobi_mp, golub_welsch,
+                     jacobi_moments, leg_integral, tail_integral)
 
 
 def test_single_node_legendre_is_midpoint():
@@ -264,6 +264,110 @@ def test_rule_pass_builds_only_the_rules_it_misses(monkeypatch):
         assert np.array_equal(nodes, fresh_x)
         assert np.array_equal(weights, fresh_w)
     assert list(quadrature._rules) == [(8, a, b) for a, b in many[-cap:]]
+
+
+# One-sided exponents e of the Newton-built rules (e, 0) and (0, e):
+# a grid of (-1, 1) with both ends and both sides of 0 pressed close.
+ONE_SIDED = ([e for e in np.linspace(-1.0, 1.0, 17)[1:-1].tolist() if e]
+             + [1.0 - 1e-9, -1.0 + 1e-9, 1e-12, -1e-12])
+
+
+def test_one_sided_rules_match_40_digit_rules():
+    # Against Newton on mpmath's Jacobi polynomials at 40 digits, the
+    # Newton-built rules are at least as accurate as Golub-Welsch ones of
+    # the same pairs: nodes in units of eps, weights in ulps of the mass.
+    pairs = [(e, 0.0) for e in ONE_SIDED]
+    errors = []
+    for build in (quadrature._one_sided, quadrature._golub_welsch):
+        node_err = weight_err = 0.0
+        for e, nodes, weights in zip(ONE_SIDED, *build(8, pairs)):
+            want_nodes, want_weights = gauss_jacobi_mp(8, e, 0.0)
+            node_err = max(node_err, *(float(abs(mp.mpf(x) - y)) for x, y
+                                       in zip(nodes.tolist(), want_nodes)))
+            weight_err = max(weight_err, *(
+                float(abs(mp.mpf(x) - y)) / np.spacing(total_moment(e, 0.0))
+                for x, y in zip(weights.tolist(), want_weights)))
+        errors.append((node_err / np.spacing(1.0), weight_err))
+    (newton_nodes, newton_weights), (eigh_nodes, eigh_weights) = errors
+    print(f"one-sided rules: nodes {newton_nodes:.2f} eps (eigh "
+          f"{eigh_nodes:.2f}), weights {newton_weights:.2f} ulps of the "
+          f"mass (eigh {eigh_weights:.2f})")
+    assert newton_nodes <= eigh_nodes
+    assert newton_weights <= eigh_weights
+
+
+def test_one_sided_rule_bits_depend_on_the_pair_alone(monkeypatch):
+    # A rule comes out the same, bit for bit, built alone, inside a build
+    # of 200 exponents, from a fresh cache, and through gauss_jacobi; and
+    # (0, e) is exactly the mirror of (e, 0).
+    rng = np.random.default_rng(29)
+    many = rng.uniform(-1.0, 1.0, 200).tolist()
+    pairs = [(e, 0.0) for e in many] + [(0.0, e) for e in many[::-1]]
+    monkeypatch.setattr(quadrature, "_rules", {})
+    built = quadrature._jacobi_rules(8, pairs)
+    for e in many[:5] + ONE_SIDED:
+        for pair in ((e, 0.0), (0.0, e)):
+            monkeypatch.setattr(quadrature, "_rules", {})
+            alone = quadrature._one_sided(8, [pair])
+            monkeypatch.setattr(quadrature, "_rules", {})
+            rule = gauss_jacobi(8, *pair)
+            monkeypatch.setattr(quadrature, "_rules", {})
+            routed = quadrature._jacobi_rules(8, [pair])[0]
+            for got in ((alone[0][0], alone[1][0]), routed,
+                        (rule.nodes, rule.weights)):
+                if e in many:
+                    want = built[pairs.index(pair)]
+                    assert all(map(np.array_equal, got, want))
+                assert all(map(np.array_equal, got, routed))
+        nodes, weights = quadrature._one_sided(8, [(e, 0.0), (0.0, e)])
+        assert np.array_equal(nodes[1], -nodes[0][::-1])
+        assert np.array_equal(weights[1], weights[0][::-1])
+
+
+def test_one_sided_build_checks_every_weight_sum(monkeypatch):
+    # The weights are Christoffel numbers at the nodes, which sum to the
+    # closed-form moment at the Gauss nodes but not at nodes a step
+    # leaves off. Here the Newton step of a build leaves one node of one
+    # rule 1e-9 off, and the check sees it.
+    orthonormal = quadrature._orthonormal
+    calls = []
+
+    def off_in_one(x, diag, off):
+        q, d = orthonormal(x, diag, off)
+        calls.append(x)
+        q[-1][3, 2] += 1e-9 * d[-1][3, 2]
+        return q, d
+
+    monkeypatch.setattr(quadrature, "_orthonormal", off_in_one)
+    pairs = [(e, 0.0) for e in (-0.75, -0.25, 0.25, 0.5, 0.75)]
+    with pytest.raises(NumericalError, match="weight sum off"):
+        quadrature._one_sided(8, pairs)
+    assert len(calls) == 1
+
+
+def test_rules_are_routed_by_their_pair(monkeypatch):
+    # One-sided pairs of order 8 with the exponent in (-1, 1) go to the
+    # Newton build; (0, 0), two-sided pairs, exponents of 1 or more and
+    # other orders to Golub-Welsch, so the cache tests above still test
+    # it. Bad exponents reach Golub-Welsch too, which names them.
+    monkeypatch.setattr(quadrature, "_rules", {})
+    calls = []
+    for name in ("_one_sided", "_golub_welsch"):
+        def counted(order, pairs, _build=getattr(quadrature, name),
+                    _name=name):
+            calls.append((_name, order, pairs))
+            return _build(order, pairs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    newton = [(0.5, 0.0), (0.0, -0.5), (-0.0, 0.25), (-1.0 + 1e-9, 0.0)]
+    eigen = [(0.0, 0.0), (0.3, -0.2), (1.0, 0.0), (0.0, 1.5), (0.0, -0.0)]
+    quadrature._jacobi_rules(8, eigen[:2] + newton + eigen[2:])
+    assert calls == [("_one_sided", 8, newton), ("_golub_welsch", 8, eigen)]
+    calls.clear()
+    quadrature._jacobi_rules(6, [(0.5, 0.0), (0.0, -0.5)])
+    assert calls == [("_golub_welsch", 6, [(0.5, 0.0), (0.0, -0.5)])]
+    with pytest.raises(InvalidExponent, match=r"a=nan, b=0\.0"):
+        quadrature._jacobi_rules(8, [(math.nan, 0.0)])
 
 
 @pytest.fixture(scope="module")

@@ -309,21 +309,22 @@ def test_a_batch_checks_its_counts_and_its_n():
 
 def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
     # The rule absorbing u^(alpha_n - 1) at the start of map 2's tail
-    # fails its weight-sum check, which fails the whole tail loop: each
-    # map is then integrated alone, so map 2 fails as its lone forward
-    # does, and the maps that shared its passes keep their bits.
+    # fails its weight-sum check, which fails the batch's build of its
+    # one-sided rules: each map is then integrated alone, so map 2 fails
+    # as its lone forward does, and the maps that shared its build keep
+    # their bits.
     cfg = SweepConfig(n=6, samples=4, seed=3)
     points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
     lone = [forward(*point) for point in points]
     bad = (0.0, points[2][1].alphas[-1] - 1.0)
-    build = quadrature._golub_welsch
+    build = quadrature._one_sided
 
     def failing(order, pairs):
         if bad in pairs:
             raise NumericalError("Jacobi rule weight sum off")
         return build(order, pairs)
 
-    monkeypatch.setattr(quadrature, "_golub_welsch", failing)
+    monkeypatch.setattr(quadrature, "_one_sided", failing)
     monkeypatch.setattr(quadrature, "_rules", {})
     batch = scmap._forward_many(points)
     assert type(batch[2]) is NumericalError
@@ -333,6 +334,69 @@ def test_a_failed_rule_fails_only_the_maps_that_need_it(monkeypatch):
     with pytest.raises(NumericalError, match="weight sum off") as info:
         forward(*points[2])
     assert type(info.value) is NumericalError
+
+
+def test_a_failed_one_sided_build_fails_only_its_map(monkeypatch):
+    # The rule absorbing map 2's first finite prevertex at a panel's right
+    # end fails its check in the batch's build of the one-sided rules of
+    # all four maps, before any loop. Each map is then integrated alone:
+    # map 2 fails as its lone forward does, and the others keep their
+    # lone bits.
+    cfg = SweepConfig(n=6, samples=4, seed=3)
+    points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
+    lone = [forward(*point) for point in points]
+    bad = (points[2][1].alphas[0] - 1.0, 0.0)
+    tails = {(0.0, point[1].alphas[-1] - 1.0) for point in points}
+    build = quadrature._one_sided
+    failed = []
+
+    def failing(order, pairs):
+        if bad in pairs:
+            failed.append(set(pairs))
+            raise NumericalError("Jacobi rule weight sum off")
+        return build(order, pairs)
+
+    monkeypatch.setattr(quadrature, "_one_sided", failing)
+    monkeypatch.setattr(quadrature, "_rules", {})
+    batch = scmap._forward_many(points)
+    assert tails <= failed[0]
+    assert type(batch[2]) is NumericalError
+    assert "weight sum off" in str(batch[2])
+    for i in (0, 1, 3):
+        assert batch[i].vertices == lone[i].vertices
+    with pytest.raises(NumericalError, match="weight sum off"):
+        forward(*points[2])
+
+
+def test_a_rule_failing_in_a_loop_fails_only_its_map(monkeypatch):
+    # The one-sided rules are all built before the loops; a two-sided
+    # rule of map 2's sides, built in the side loop, fails its check
+    # there. Each map is then integrated alone: map 2 fails as its lone
+    # forward does, and the others keep their bits.
+    cfg = SweepConfig(n=6, samples=4, seed=3)
+    points = [moduli_unchart(sample_chart_point(cfg, i)) for i in range(4)]
+    lone = [forward(*point) for point in points]
+    es = [alpha - 1.0 for alpha in points[2][1].alphas[:-1]]
+    sides = set(zip(es[1:], es))
+    build = quadrature._golub_welsch
+    failed = []
+
+    def failing(order, pairs):
+        if sides & set(pairs):
+            failed.append(pairs)
+            raise NumericalError("Jacobi rule weight sum off")
+        return build(order, pairs)
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", failing)
+    monkeypatch.setattr(quadrature, "_rules", {})
+    batch = scmap._forward_many(points)
+    assert failed
+    assert type(batch[2]) is NumericalError
+    assert "weight sum off" in str(batch[2])
+    for i in (0, 1, 3):
+        assert batch[i].vertices == lone[i].vertices
+    with pytest.raises(NumericalError, match="weight sum off"):
+        forward(*points[2])
 
 
 def test_overflowing_tail_waypoint_fails_numerically():

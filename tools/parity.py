@@ -35,10 +35,14 @@ tree with both ratios; an item that failed the gate takes the ratio its
 AngleMismatch message states. It ends with call-by-call interleaved
 time ratios (this tree over REF) per benchmark workload, on the seed-5
 inputs (30 sweep calls, 45 solves, 24 render figures), the sweep's also
-per n with each tree's mean time per call, and per tree the ``_refine``
-loops and ``_leg_sums`` passes per call, counted on one more untimed
-call per input. It reads ``bench/`` and changes nothing
-there.
+per n with each tree's mean time per call. Each timed call starts with
+an empty Jacobi rule cache (``scpoly.quadrature._rules``), as a
+benchmark call with fresh exponents does, so the ratios pay for rule
+building. Per tree it then prints the ``_refine`` loops, ``_leg_sums``
+passes and Jacobi rules built per call, the rules by builder (eigh:
+``_golub_welsch``; one-sided: ``_one_sided``), counted on one more
+untimed call per input, also from an empty cache. It reads ``bench/``
+and changes nothing there.
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ TIME_CALLS = {"sweep": 30, "solve": 45, "render": 24}
 TIME_SEED = 5
 # Functions whose calls per timed input are counted, on an untimed call.
 COUNTED = ("_refine", "_leg_sums")
+# Jacobi rule builders, by the name printed for each, whose rules (one per
+# exponent pair of a call) per timed input are counted on the same call.
+BUILDERS = {"_golub_welsch": "eigh", "_one_sided": "one-sided"}
 # Gate ratios above this are listed item by item.
 NEAR_GATE = 0.95
 
@@ -275,17 +282,22 @@ def _axis_paths(m) -> list[tuple[float, float]]:
 
 def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
     """The ``_refine`` loops and ``_leg_sums`` passes per call of workload
-    ``name``, counted on one untimed call per input by wrappers on every
-    binding of those functions in the tree's modules."""
+    ``name``, then the rules each of BUILDERS builds per call (0 for one
+    the tree lacks), counted on one untimed call per input, each from an
+    empty rule cache, by wrappers on every binding of those functions in
+    the tree's modules."""
     wl = tree.activate().workloads.WORKLOADS[name]
     quadrature = tree.modules["scpoly.quadrature"]
-    counts = dict.fromkeys(COUNTED, 0)
+    counts = dict.fromkeys((*COUNTED, *BUILDERS), 0)
     patched = []
-    for fname in COUNTED:
-        fn = getattr(quadrature, fname)
+    for fname in counts:
+        fn = getattr(quadrature, fname, None)
+        if fn is None:
+            continue
 
         def counted(*args, _fn=fn, _name=fname, **kwargs):
-            counts[_name] += 1
+            # A builder's second argument holds its exponent pairs.
+            counts[_name] += len(args[1]) if _name in BUILDERS else 1
             return _fn(*args, **kwargs)
 
         for module in tree.modules.values():
@@ -294,20 +306,22 @@ def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
                 setattr(module, fname, counted)
     try:
         for inp in inputs:
+            quadrature._rules.clear()
             _outcome(wl.call, inp)
     finally:
         for module, fname, fn in patched:
             setattr(module, fname, fn)
-    return [counts[fname] / len(inputs) for fname in COUNTED]
+    return [count / len(inputs) for count in counts.values()]
 
 
 def _timing(trees: list[Tree], repeats: int) -> None:
     """Per workload, each call timed ``repeats`` times per tree, the two
-    trees alternating call by call; the ratios are of per-call minima, the
-    sweep's also per n (_per_n). Then, per tree, the refinement loops and
-    passes per call (_passes)."""
+    trees alternating call by call, each call from an empty rule cache;
+    the ratios are of per-call minima, the sweep's also per n (_per_n).
+    Then, per tree, the refinement loops, passes and rules built per call
+    (_passes)."""
     print(f"time ratio, this tree / ref (seed {TIME_SEED}, "
-          f"{repeats} repeats):")
+          f"{repeats} repeats, each from an empty rule cache):")
     for name, count in TIME_CALLS.items():
         ratios, totals, per_call = [], [0.0, 0.0], []
         inputs = ([], [])
@@ -321,6 +335,7 @@ def _timing(trees: list[Tree], repeats: int) -> None:
                 for t in ((0, 1) if (k + r) % 2 == 0 else (1, 0)):
                     wl, inp, times = best[t]
                     trees[t].activate()
+                    trees[t].modules["scpoly.quadrature"]._rules.clear()
                     t0 = time.perf_counter()
                     _outcome(wl.call, inp)
                     times.append(time.perf_counter() - t0)
@@ -335,10 +350,13 @@ def _timing(trees: list[Tree], repeats: int) -> None:
         if name == "sweep":
             _per_n(inputs[1], ratios, per_call)
         for label, tree, made in zip(("ref", "this tree"), trees, inputs):
-            loops, passes = _passes(tree, name, made)
+            loops, passes, *rules = _passes(tree, name, made)
+            built = ", ".join(f"{count:.1f} {kind}" for count, kind
+                              in zip(rules, BUILDERS.values()))
             print(f"    {label}: {loops:.2f} _refine loops and {passes:.2f} "
                   f"_leg_sums passes per call, "
-                  f"{passes / loops:.2f} passes per loop")
+                  f"{passes / loops:.2f} passes per loop; rules built per "
+                  f"call: {built}")
 
 
 def _per_n(inputs: list, ratios: list[float],
