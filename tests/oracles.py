@@ -6,7 +6,8 @@ values come from log-gamma, Jacobi moments from a three-term recursion in
 Newton on mpmath's Jacobi polynomials at 40 digits, winding
 numbers from ray crossings, orientation signs from one cross product in
 exact rationals, and complex leg integrals from
-power-substitution plus tanh-sinh quadrature. Tests compare the package
+power-substitution plus tanh-sinh quadrature, scaled so that its
+tolerance is relative to the integral. Tests compare the package
 against these, never against itself.
 """
 
@@ -187,7 +188,7 @@ def leg_integral(zs, alphas, p, q):
                 for zj, aj in zip(zs, alphas):
                     out *= (z - zj) ** (aj - 1)
                 return out
-            return mp.quad(g, [0, 1])
+            return _relative_quad(g, [0, 1])
         k = int(mp.ceil(2 / a_end))
 
         def g(s):
@@ -199,7 +200,7 @@ def leg_integral(zs, alphas, p, q):
                     continue
                 out *= (z - zj) ** (aj - 1)
             return out
-        return mp.quad(g, [0, 1])
+        return _relative_quad(g, [0, 1])
 
     return half_from(p, alpha_at(p)) - half_from(q, alpha_at(q))
 
@@ -214,6 +215,20 @@ def tail_integral(zs, alphas, x0):
     zs = [mp.mpf(z) for z in zs]
     alphas = [mp.mpf(a) for a in alphas]
     x0 = mp.mpf(x0)
-    return mp.quad(lambda x: mp.fprod((x - zj) ** (aj - 1)
-                                      for zj, aj in zip(zs, alphas)),
-                   [x0, 2 * x0, 10 * x0, mp.inf])
+    return _relative_quad(lambda x: mp.fprod((x - zj) ** (aj - 1)
+                                            for zj, aj in zip(zs, alphas)),
+                         [x0, 2 * x0, 10 * x0, mp.inf])
+
+
+def _relative_quad(g, points):
+    """mp.quad of g over the intervals between ``points``, accurate
+    relative to the integral's size rather than absolutely.
+
+    mp.quad stops once its error estimate falls below 10^-dps, an
+    absolute bound, which an integral of size 1e-100 meets before it has
+    ten digits. So g is divided by its size at the middle of the first
+    interval times that interval's length, a stand-in for the integral's
+    size, and the integral is multiplied back.
+    """
+    scale = abs(g((points[0] + points[1]) / 2) * (points[1] - points[0]))
+    return mp.quad(lambda t: g(t) / scale, points) * scale

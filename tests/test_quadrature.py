@@ -513,6 +513,75 @@ def test_upper_leg_into_prevertex_against_oracle(crowded_map, p, q):
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
+FAR_ZS = (-1.0, 0.0, 1.0, 1e200)
+FAR_ALPHAS = (0.7, 0.5, 0.6, 0.5)
+
+
+@pytest.mark.parametrize("zs,alphas,p,q", [
+    (ORACLE_ZS, ORACLE_ALPHAS, 0.9j, 1.1j),
+    (ORACLE_ZS, ORACLE_ALPHAS, 1j, 0.05 + 1e-9j),
+    (FAR_ZS, FAR_ALPHAS, 1j, -1.0),
+], ids=["unit-distance", "1e-9-above-prevertex", "prevertex-at-1e200"])
+def test_upper_leg_logs_against_oracle(zs, alphas, p, q):
+    # The integrand's log off the axis is log|zeta - x| + i arctan2: its
+    # nodes pass |zeta - x| = 1 on the first leg (about 0 and 0.05), come
+    # within 1e-9 of a prevertex on the second, and on the third sit
+    # 1e200 from a prevertex, where |zeta - x|^2 would overflow.
+    m = SCMap(Prevertices(tuple(zs)),
+              ExponentVector((*alphas, len(zs) - 1 - sum(alphas))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_sc(m, p, q)
+    want = complex(leg_integral(zs, alphas, p, q))
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_oracle_is_relative_at_tiny_sizes():
+    # The far prevertex scales the leg by (-1e200)^(-1/2) to 1e-200
+    # relative, so the oracle must give that scaling of the leg without
+    # it to its working digits, not to an absolute 1e-50 (8 digits at the
+    # size 1e-100 of this leg).
+    far = leg_integral(FAR_ZS, FAR_ALPHAS, 1j, -1.0)
+    near = leg_integral(FAR_ZS[:-1], FAR_ALPHAS[:-1], 1j, -1.0)
+    want = near * mp.power(-mp.mpf(FAR_ZS[-1]), FAR_ALPHAS[-1] - 1.0)
+    assert abs(far - want) <= mp.mpf("1e-30") * abs(want)
+
+
+def test_upper_columns_of_a_panel_do_not_depend_on_its_pass():
+    # A panel's column is the same bits alone and anywhere in a pass of
+    # 1 to 64 other panels, whose maps differ from its own, with and
+    # without absorbed ends: the logs come from elementwise ufuncs whose
+    # vector body and remainder loop must agree.
+    rng = np.random.default_rng(33)
+    maps = 5
+    xs = np.sort(rng.uniform(-3.0, 3.0, (maps, 7)), axis=1)
+    es = rng.uniform(-0.9, 0.9, (maps, 7))
+
+    def panels(count):
+        of = rng.integers(0, maps, count)
+        a = rng.uniform(-4.0, 4.0, count) + 1j * rng.uniform(0.0, 2.0, count)
+        b = rng.uniform(-4.0, 4.0, count) + 1j * rng.uniform(0.0, 2.0, count)
+        # A third of the panels end at one of their map's prevertices.
+        ends = rng.random(count) < 1 / 3
+        b[ends] = xs[of[ends], rng.integers(0, 7, np.count_nonzero(ends))]
+        return a, b, of
+
+    for trial in range(200):
+        others = rng.integers(1, 65)
+        a, b, of = panels(others + 1)
+        alone = [quadrature._columns("upper", a[i:i + 1], b[i:i + 1],
+                                     np.zeros(1, dtype=np.intp),
+                                     xs[of[i]][None], es[of[i]][None],
+                                     np.zeros(1, dtype=np.intp), False)
+                 for i in range(others + 1)]
+        at = rng.permutation(others + 1)
+        leg = np.arange(others + 1)
+        batch = quadrature._columns("upper", a[at], b[at], leg, xs, es,
+                                    of[at], False)
+        for k, i in enumerate(at):
+            assert np.array_equal(batch[k:k + 1], alone[i]), (trial, k)
+
+
 def test_axis_leg_across_prevertices_against_oracle(crowded_map):
     # One call over three legs, each absorbing both of its end factors.
     got = integrate_sc(crowded_map, -1.0, 3.0)

@@ -18,8 +18,10 @@ process; each tree makes its own inputs with its own classes. Streams:
   the first 45 solve inputs, and its fitted chart coordinates;
 - ``render``: the bytes of each ``scmap_svg`` figure of the first 24
   render inputs, and the numbers in them;
-- ``axis``: real-axis ``integrate_sc`` on the render maps, on paths that
-  start at, end at and cross prevertices, in both directions.
+- ``axis``: ``integrate_sc`` on the render maps: real-axis paths that
+  start at, end at and cross prevertices, in both directions, and
+  upper-plane legs from ``BASE_POINT`` to every finite prevertex and to
+  a point above each gap between them and past each end.
 
 A solve or render output that fails the benchmark's own check counts as
 a failure of that check's class. Per stream it prints the item count,
@@ -262,7 +264,7 @@ def _streams(tree: Tree, seeds, streams) -> dict[str, list]:
                                       for m in maps]
         out[f"axis seed {seed}"] = [
             _outcome(lambda *path: _integral(sp.integrate_sc(*path)), m, a, b)
-            for m in maps for a, b in _axis_paths(m)]
+            for m in maps for a, b in _paths(m, sp.BASE_POINT)]
     for n, samples, seed, box in streams:
         cfg = sp.SweepConfig(n, samples, seed, chart_box=box)
         name = f"config {n},{samples},{seed},{box}"
@@ -270,14 +272,19 @@ def _streams(tree: Tree, seeds, streams) -> dict[str, list]:
     return out
 
 
-def _axis_paths(m) -> list[tuple[float, float]]:
-    # Between, from and to prevertices, across up to three of them, and
-    # past both ends; every path both ways.
+def _paths(m, base: complex) -> list[tuple[complex, complex]]:
+    # On the axis: between, from and to prevertices, across up to three
+    # of them, and past both ends; every path both ways. Then legs from
+    # the base point to each prevertex and to a point above each gap,
+    # half the gap high, and 1 above the points 1 past either end.
     zs = list(m.prevertices.finite_points)
     mids = [(a + b) / 2 for a, b in zip(zs, zs[1:])]
     ts = sorted(zs + mids + [zs[0] - 1.0, zs[-1] + 1.0])
-    return [path for i in range(len(ts)) for j in range(i + 1, i + 6)
-            if j < len(ts) for path in ((ts[i], ts[j]), (ts[j], ts[i]))]
+    above = [complex((a + b) / 2, (b - a) / 2) for a, b in zip(zs, zs[1:])]
+    above += [complex(zs[0] - 1.0, 1.0), complex(zs[-1] + 1.0, 1.0)]
+    return ([path for i in range(len(ts)) for j in range(i + 1, i + 6)
+             if j < len(ts) for path in ((ts[i], ts[j]), (ts[j], ts[i]))]
+            + [(base, z) for z in zs + above])
 
 
 def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
