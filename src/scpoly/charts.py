@@ -11,6 +11,12 @@ The radial chart needs a fixed orthonormal basis of the direction space
 {v : sum v_j = 0}; it is built by modified Gram-Schmidt over the difference
 vectors (e_1 - e_2, e_2 - e_3, ...) in that order, so every implementation
 of this convention produces identical coordinates.
+
+Uncharting also runs on a chunk of chart points at once
+(``_unchart_rows``), each row bitwise as alone: a row keeps its own BLAS
+norm and basis product, its own ``math.exp`` per gap and its own exact
+sum, and every other step is elementwise over the chunk. ``z_unchart``
+and ``a_unchart`` are chunks of one.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,18 +81,30 @@ def z_unchart(coords: Sequence[float]) -> Prevertices:
     cannot hold it (a gap that overflows, or that vanishes against its
     position), NumericalError is raised.
     """
+    pts, error = _z_row(check_finites(coords, float, "gap coordinates"))
+    if error is not None:
+        raise error
+    return Prevertices(tuple(pts))
+
+
+def _z_row(coords: Sequence[float]
+           ) -> tuple[list[float], Optional[NumericalError]]:
+    """The prevertices of finite gap coordinates, and the NumericalError
+    z_unchart raises on them, or None (then the prevertices stop short at
+    the failing gap). Each gap is math.exp of its coordinate (np.exp
+    differs in the last bit), added to the last position in order."""
     pts = [-1.0, 0.0]
-    for c in check_finites(coords, float, "gap coordinates"):
+    for c in coords:
         try:
             z = pts[-1] + math.exp(c)
         except OverflowError:
             z = math.inf
         if not pts[-1] < z < math.inf:
-            raise NumericalError(
+            return pts, NumericalError(
                 f"z_{len(pts)} + e^{c} is {z} in floats, "
                 f"with z_{len(pts)} = {pts[-1]}")
         pts.append(z)
-    return Prevertices(tuple(pts))
+    return pts, None
 
 
 def direction_basis(n: int) -> np.ndarray:
@@ -115,16 +133,13 @@ def _barycenter(n: int) -> np.ndarray:
     return np.full(n, (n - 2) / n)
 
 
-def _boundary_distance(center: np.ndarray, u: np.ndarray) -> float:
+def _boundary_distance(center: np.ndarray, u: np.ndarray) -> np.ndarray:
     """First exit parameter of center + t*u from the box constraints
-    0 < alpha_j < 2 (the hyperplane is preserved by u)."""
-    rho = math.inf
-    for cj, uj in zip(center, u):
-        if uj > 0.0:
-            rho = min(rho, (2.0 - cj) / uj)
-        elif uj < 0.0:
-            rho = min(rho, cj / (-uj))
-    return rho
+    0 < alpha_j < 2 (the hyperplane is preserved by u), for each row of
+    directions ``u``; a zero entry of u sets no bound."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (np.where(u > 0.0, 2.0 - center, center)
+                / np.abs(u)).min(axis=-1)
 
 
 def a_chart(exponents: Union[ExponentVector, Sequence[float]]) -> tuple[float, ...]:
@@ -174,28 +189,78 @@ def a_unchart(coords: Sequence[float]) -> ExponentVector:
     sum to n - 2 in exact floating point. Coordinates whose norm
     overflows, or whose image rounds onto the boundary (some alpha_j - 1
     at -1 or 1 in floats, where no integral exists), raise
-    NumericalError."""
+    NumericalError. A chunk of one for _a_rows."""
     y = np.array(check_finites(coords, float, "chart coordinates"))
     if y.size < 2:
         raise ValidationError("need at least 2 coordinates (n >= 3)")
-    n = y.size + 1
+    alphas, (error,) = _a_rows(y[None])
+    if error is not None:
+        raise error
+    return ExponentVector(tuple(alphas[0].tolist()))
+
+
+def _a_rows(coords: np.ndarray) -> tuple[np.ndarray, list]:
+    """Exponent rows of a (chunk, n - 1) array of finite chart
+    coordinates, n >= 3, and per row the NumericalError its a_unchart
+    raises, or None (then the row holds no exponents).
+
+    The norm and the basis product stay one BLAS call per row, as a lone
+    row makes them: np.linalg.norm of a row is the square root of its
+    dot with itself, and a batched product or dot sums in another order.
+    _exact_sum runs per row; every other step is elementwise over the
+    chunk, or reduces a row's own entries, and so gives each row its
+    lone bits."""
+    k, d = coords.shape
+    n = d + 1
     c = _barycenter(n)
     with np.errstate(over="ignore"):
-        s = float(np.linalg.norm(y))
-    if s == 0.0:
-        alphas = _exact_sum(c, float(n - 2))
-        return ExponentVector(tuple(alphas))
-    if s == math.inf:
-        raise NumericalError("the norm of the exponent coordinates overflows")
-    u = direction_basis(n) @ (y / s)
-    rho = _boundary_distance(c, u)
-    r = rho * (s / (1.0 + s))
-    alphas = _exact_sum(c + r * u, float(n - 2))
+        norms = [math.sqrt(row.dot(row)) for row in coords]
+    alphas = np.empty((k, n))
+    errors: list = [None] * k
+    live = []
+    for i, s in enumerate(norms):
+        if s == 0.0:
+            alphas[i] = _exact_sum(c, float(n - 2))
+        elif s == math.inf:
+            errors[i] = NumericalError(
+                "the norm of the exponent coordinates overflows")
+        else:
+            live.append(i)
+    if not live:
+        return alphas, errors
+    s = np.array([norms[i] for i in live])
+    basis = direction_basis(n)
+    u = np.array([basis @ row for row in coords[live] / s[:, None]])
+    r = _boundary_distance(c, u) * (s / (1.0 + s))
+    rows = np.array([_exact_sum(row, float(n - 2))
+                     for row in c + r[:, None] * u])
+    alphas[live] = rows
     # The integrand's powers alpha_j - 1 must lie in (-1, 1) in floats.
-    if not np.all(np.abs(alphas - 1.0) < 1.0):
-        raise NumericalError(f"radius {s} rounds onto the boundary: "
-                             f"exponents {alphas.tolist()}")
-    return ExponentVector(tuple(alphas))
+    inside = (np.abs(rows - 1.0) < 1.0).all(axis=1)
+    if not inside.all():
+        for i in np.asarray(live)[~inside].tolist():
+            errors[i] = NumericalError(
+                f"radius {norms[i]} rounds onto the boundary: "
+                f"exponents {alphas[i].tolist()}")
+    return alphas, errors
+
+
+def _unchart_rows(coords: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, list]:
+    """Prevertex rows and exponent rows of a (chunk, 2n - 4) array of
+    finite chart coordinates, gap coordinates first, n >= 3; and per row
+    the NumericalError that moduli_unchart raises on it, or None (a
+    failed row holds no map). Each row is bitwise what z_unchart and
+    a_unchart give it alone: the gaps go row by row through _z_row, the
+    exponents through _a_rows."""
+    n = coords.shape[1] // 2 + 2
+    rows = [_z_row(row) for row in coords[:, :n - 3].tolist()]
+    alphas, errors = _a_rows(coords[:, n - 3:])
+    # A row whose gaps fail stops short; its prevertex row is NaN.
+    zs = np.array([pts if z is None else [math.nan] * (n - 1)
+                   for pts, z in rows])
+    return zs, alphas, [a if z is None else z
+                        for (_, z), a in zip(rows, errors)]
 
 
 def moduli_chart(map: SCMap) -> ChartPoint:

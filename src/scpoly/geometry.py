@@ -22,7 +22,9 @@ Winding numbers are computed by one array kernel over a whole batch of
 query points. The immersion screen and the witness search share one
 probe set, wound once per polygon: a point inside each sector at every
 vertex of the curve's arrangement (polygon vertices and proper
-crossings), which reaches every face of the arrangement.
+crossings), which reaches every face of the arrangement; the witness
+search retries a multiwound probe too close to a side's line at two
+other points of its sector.
 """
 
 from __future__ import annotations
@@ -483,7 +485,15 @@ def _jordan_immersed(poly: LabelledPolygon) -> bool:
 
 
 def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
-    """One probe inside each sector at every vertex of the arrangement.
+    """One probe inside each sector at every vertex of the arrangement,
+    q + (r/2)*u with q and (r/2)*u from _sector_rays."""
+    q, offset = _sector_rays(poly)
+    return q + offset
+
+
+def _sector_rays(poly: LabelledPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """The arrangement vertex q of each sector probe, and its offset
+    (r/2)*u from q.
 
     The arrangement's vertices are the polygon vertices and the proper
     crossings, and every face has one on its boundary. The sides through
@@ -521,7 +531,14 @@ def _sector_probes(poly: LabelledPolygon) -> np.ndarray:
     following[np.arange(q.size), count - 1] = ang[:, 0] + TWO_PI
     m, sector = np.nonzero(np.arange(2 * n) < count[:, None])
     mid = (ang[m, sector] + following[m, sector]) / 2
-    return q[m] + r[m] / 2 * np.exp(1j * mid)
+    return q[m], r[m] / 2 * np.exp(1j * mid)
+
+
+def _certified(poly: LabelledPolygon, points: np.ndarray,
+              k: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    # Which of the points, wound k where defined, certify a witness.
+    clear = _line_clearance(poly, points) >= WITNESS_LINE_RTOL * poly.diameter
+    return defined & (k >= 2) & clear
 
 
 def find_multiwound_witness(poly: LabelledPolygon) -> Optional[PlanePoint]:
@@ -529,12 +546,24 @@ def find_multiwound_witness(poly: LabelledPolygon) -> Optional[PlanePoint]:
 
     Deterministic: the screen's probes, one per sector at every
     arrangement vertex, and their windings, computed once per polygon;
-    returns the first certified candidate in that order, or None. Every
-    face gets a probe, touchings included, so a face with winding >= 2 is
-    missed only when its probes lack a defined winding or the line
-    clearance. Coincident consecutive vertices raise :class:`DegenerateSide`.
+    returns the first certified candidate in that order. A probe wound
+    >= 2 that misses the line clearance is retried at two other points
+    of its sector's bisector inside the sector's disc, q + (r/4)*u and
+    then q + (3r/4)*u; if no probe is certified, the first certified
+    retry in probe order is returned, or None. Every face gets a probe,
+    touchings included, so a face with winding >= 2 is missed only when
+    its probes lack a defined winding, or its probes and their retries
+    the line clearance. Coincident consecutive vertices raise
+    :class:`DegenerateSide`.
     """
     points, k, defined = poly._probes
-    clear = _line_clearance(poly, points) >= WITNESS_LINE_RTOL * poly.diameter
-    hits = np.flatnonzero(defined & (k >= 2) & clear)
-    return complex(points[hits[0]]) if hits.size else None
+    hits = np.flatnonzero(_certified(poly, points, k, defined))
+    if hits.size:
+        return complex(points[hits[0]])
+    missed = np.flatnonzero(defined & (k >= 2))
+    if not missed.size:
+        return None
+    q, offset = (a[missed, None] for a in _sector_rays(poly))
+    retries = (q + offset * np.array([0.5, 1.5])).ravel()
+    hits = np.flatnonzero(_certified(poly, retries, *_windings(poly, retries)))
+    return complex(retries[hits[0]]) if hits.size else None

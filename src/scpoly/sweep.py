@@ -5,9 +5,10 @@ and classifies each polygon as simple, non-simple (with a multiwound
 witness when one of the arrangement probes of ``find_multiwound_witness``
 certifies one), or failed. Per-sample substreams are derived from (seed, index), so
 results are independent of evaluation order and a parallel driver would
-reproduce the serial result exactly. The forward construction runs on
-chunks of samples at once, and each polygon comes out bitwise as its
-own ``forward`` gives it, so results do not depend on the chunks either.
+reproduce the serial result exactly. Uncharting and the forward
+construction run on chunks of samples at once, and each map and polygon
+comes out bitwise as its own ``moduli_unchart`` and ``forward`` give it,
+so results do not depend on the chunks either.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartPoint, a_unchart, z_unchart
+from .charts import ChartPoint, _unchart_rows
 from .errors import NumericalError, ValidationError, check_int
 from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
                        winding_number)
 from .quadrature import DEFAULT_TOL, check_tol
-from .scmap import _forward_many
+from .scmap import _forward_many, _maps
 # Not called here (run_sweep uncharts its drawn coordinates and forwards
 # in batches), but bench/spans.py hooks them at this module.
 from .charts import moduli_unchart  # noqa: F401
@@ -105,25 +106,24 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     self-contacts and so ``is_simple``) in one array pass per chunk; each
     polygon, and each of its checks, is bitwise what its own ``forward``
     gives, so the result does not depend on the chunks. Each sample's
-    coordinates are those of ``sample_chart_point``, uncharted directly;
-    a ``ChartPoint`` is built only for the non-simple instances kept.
+    coordinates are those of ``sample_chart_point``; a chunk's are
+    stacked and uncharted by one ``charts._unchart_rows`` call, whose
+    rows that unchart become maps through ``scmap._maps``, checked as
+    arrays. A ``ChartPoint`` is built only for the non-simple instances
+    kept.
     """
     # _forward_many checks tol for every chunk.
-    n = cfg.n
     simple = 0
     failures = 0
     nonsimple: list[NonSimpleInstance] = []
     for start in range(0, cfg.samples, SWEEP_CHUNK):
-        drawn, maps = [], []
-        for index in range(start, min(start + SWEEP_CHUNK, cfg.samples)):
-            y = _draw(cfg, index)
-            try:
-                maps.append((z_unchart(y[:n - 3]), a_unchart(y[n - 3:])))
-            except NumericalError:
-                failures += 1
-                continue
-            drawn.append(y)
-        for y, poly in zip(drawn, _forward_many(maps, tol)):
+        drawn = np.array([_draw(cfg, index) for index in
+                          range(start, min(start + SWEEP_CHUNK, cfg.samples))])
+        zs, alphas, errors = _unchart_rows(drawn)
+        kept = [i for i, error in enumerate(errors) if error is None]
+        failures += len(errors) - len(kept)
+        maps = _maps(zs[kept], alphas[kept])
+        for i, poly in zip(kept, _forward_many(maps, tol)):
             if isinstance(poly, NumericalError):
                 failures += 1
                 continue
@@ -132,8 +132,8 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
                 continue
             witness = find_multiwound_witness(poly)
             winding = 0 if witness is None else winding_number(poly, witness)
-            nonsimple.append(
-                NonSimpleInstance(_chart_point(cfg, y), witness, winding))
+            nonsimple.append(NonSimpleInstance(_chart_point(cfg, drawn[i]),
+                                               witness, winding))
     return SweepResult(tested=cfg.samples, simple_count=simple,
                        nonsimple_instances=tuple(nonsimple),
                        failures=failures)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scpoly import charts
 from scpoly import (
     ChartPoint,
     ExponentVector,
@@ -178,3 +179,92 @@ def test_triangle_chart_is_two_dimensional(triangle_map):
     pt = moduli_chart(triangle_map)
     assert pt.z_coords == ()
     assert pt.dimension == 2
+
+
+def _z_unchart_loop(coords):
+    # z_unchart number by number: the reference for the chunk kernel.
+    pts = [-1.0, 0.0]
+    for c in coords:
+        try:
+            z = pts[-1] + math.exp(c)
+        except OverflowError:
+            z = math.inf
+        if not pts[-1] < z < math.inf:
+            raise NumericalError(f"z_{len(pts)} + e^{c} is {z} in floats, "
+                                 f"with z_{len(pts)} = {pts[-1]}")
+        pts.append(z)
+    return tuple(pts)
+
+
+def _a_unchart_loop(coords):
+    # a_unchart with np.linalg.norm, one basis product and a boundary
+    # distance loop: the reference for the chunk kernel.
+    y = np.array(coords, dtype=float)
+    n = y.size + 1
+    c = np.full(n, (n - 2) / n)
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(y))
+    if s == 0.0:
+        return tuple(charts._exact_sum(c, float(n - 2)).tolist())
+    if s == math.inf:
+        raise NumericalError("the norm of the exponent coordinates overflows")
+    u = direction_basis(n) @ (y / s)
+    rho = math.inf
+    for cj, uj in zip(c, u):
+        if uj > 0.0:
+            rho = min(rho, (2.0 - cj) / uj)
+        elif uj < 0.0:
+            rho = min(rho, cj / (-uj))
+    alphas = charts._exact_sum(c + rho * (s / (1.0 + s)) * u, float(n - 2))
+    if not np.all(np.abs(alphas - 1.0) < 1.0):
+        raise NumericalError(f"radius {s} rounds onto the boundary: "
+                             f"exponents {alphas.tolist()}")
+    return tuple(alphas.tolist())
+
+
+def _outcome(fn, *args):
+    # The hex digits of fn's floats, or the class and message it raised.
+    try:
+        return [x.hex() for x in fn(*args)]
+    except NumericalError as exc:
+        return [type(exc), str(exc)]
+
+
+def test_chunk_unchart_is_bitwise_the_lone_unchart():
+    # Each row of a chunk gets the bits, or the error class and message,
+    # of its own z_unchart and a_unchart, and those of the loops they
+    # replaced: the norm, the basis product and each gap stay per row,
+    # everything else is elementwise over the chunk. Rows include zero
+    # exponent coordinates (the barycenter), coordinates whose norm
+    # overflows or whose image rounds onto the boundary, and gaps that
+    # overflow or vanish.
+    rng = np.random.default_rng(34)
+    rows = 0
+    for n in range(3, 17):
+        for box in (3.0, 10.0):
+            y = rng.uniform(-box, box, size=(360, 2 * n - 4))
+            y[::17, n - 3:] = 0.0
+            y[1::19, -1] = 1e16
+            y[2::23, -1] = -1e16
+            y[3::29, n - 3] = 1e300
+            if n > 3:
+                y[4::31, 0] = 800.0
+                y[5::37, n - 4] = -800.0
+            for start in range(0, len(y), 64):
+                chunk = y[start:start + 64]
+                zs, alphas, errors = charts._unchart_rows(chunk)
+                for row, pts, vals, error in zip(chunk, zs, alphas, errors):
+                    z, a = row[:n - 3].tolist(), row[n - 3:].tolist()
+                    lone = (_outcome(lambda c: z_unchart(c).finite_points, z),
+                            _outcome(lambda c: a_unchart(c).alphas, a))
+                    assert lone == (_outcome(_z_unchart_loop, z),
+                                    _outcome(_a_unchart_loop, a))
+                    failed = [x for x in lone if isinstance(x[0], type)]
+                    if failed:
+                        assert [type(error), str(error)] == failed[0]
+                        continue
+                    assert error is None
+                    assert lone == ([x.hex() for x in pts.tolist()],
+                                    [x.hex() for x in vals.tolist()])
+                    rows += 1
+    assert rows > 5000

@@ -597,6 +597,36 @@ def test_witness_search_reuses_the_screen_probes(monkeypatch, hex_large):
     assert fresh is not None and calls == []
 
 
+def test_witness_probe_on_a_side_line_is_retried_along_its_bisector():
+    # A pentagram winds twice around its inner pentagon, whose five
+    # probes sit on the bisectors toward the centre. Each star tip gets an
+    # out-and-back spike (no winding changes off it) whose supporting
+    # line runs through one of those probes, across its bisector, so no
+    # first-try probe wound 2 clears the side lines; a point further along
+    # a bisector does.
+    star = [cmath.exp(1j * (math.pi / 2 + 4 * math.pi * k / 5))
+            for k in range(5)]
+    points, k, defined = LabelledPolygon(tuple(star))._probes
+    inner = points[defined & (k >= 2)]
+    assert len(inner) == 5
+    verts = []
+    for j, w in enumerate(star):
+        u = (w - inner[(j + 1) % 5]) / abs(w - inner[(j + 1) % 5])
+        verts += [w, w + 2 * u, w]
+    poly = LabelledPolygon(tuple(verts))
+    points, k, defined = poly._probes
+    wound = defined & (k >= 2)
+    assert points[wound].tolist() == inner.tolist()
+    clearance = geometry._line_clearance(poly, points[wound])
+    assert clearance.max() < geometry.WITNESS_LINE_RTOL * poly.diameter
+    witness = find_multiwound_witness(poly)
+    assert witness is not None
+    assert winding_number(poly, witness) == 2
+    assert ray_crossing_winding(poly.vertices, witness) == 2
+    assert (geometry._line_clearance(poly, [witness])[0]
+            >= geometry.WITNESS_LINE_RTOL * poly.diameter)
+
+
 def test_sector_probes_split_each_crossing_into_four_faces():
     # Sides 0 and 2 of this bowtie-like quadrilateral cross at 1 + 1j; the
     # nearest other side is 1 away, so the probes there sit 1/2 out along

@@ -203,6 +203,43 @@ def test_sweep_chunks_do_not_change_a_bit(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_chunks_mixing_chart_failures_keep_each_sample_aligned(monkeypatch):
+    # At box 100 many gaps overflow or vanish against their position, so
+    # chunks of any size mix uncharting failures, forward failures and
+    # simple polygons. Each sample lands where its lone forward puts it;
+    # with every polygon counted non-simple, each kept chart is that of
+    # the sample whose map was forwarded, whatever rows failed before it.
+    cfg = SweepConfig(n=6, samples=40, seed=2, chart_box=100.0)
+    lone = []
+    for i in range(cfg.samples):
+        try:
+            point = moduli_unchart(sample_chart_point(cfg, i))
+        except NumericalError:
+            lone.append("chart")
+            continue
+        try:
+            poly = forward(*point)
+        except NumericalError:
+            lone.append("forward")
+            continue
+        lone.append("simple" if is_simple(poly) else "non-simple")
+    assert {"chart", "forward", "simple"} <= set(lone)
+    polygons = [sample_chart_point(cfg, i) for i, kind in enumerate(lone)
+                if kind in ("simple", "non-simple")]
+    results = []
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(sweep_mod, "SWEEP_CHUNK", chunk)
+        results.append(run_sweep(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(sweep_mod, "is_simple", lambda poly: False)
+            kept = run_sweep(cfg).nonsimple_instances
+        assert [inst.chart for inst in kept] == polygons
+    assert results[0] == results[1] == results[2]
+    assert results[0].simple_count == lone.count("simple")
+    assert len(results[0].nonsimple_instances) == lone.count("non-simple")
+    assert results[0].failures == lone.count("chart") + lone.count("forward")
+
+
 def test_a_batch_equals_lone_forward_at_any_order(monkeypatch):
     # Each row of a pass sums its exponent products in one order, whatever
     # the pass's size and whichever maps share it, so a batch keeps the

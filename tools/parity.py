@@ -43,8 +43,11 @@ benchmark call with fresh exponents does, so the ratios pay for rule
 building. Per tree it then prints the ``_refine`` loops, ``_leg_sums``
 passes and Jacobi rules built per call, the rules by builder (eigh:
 ``_golub_welsch``; one-sided: ``_one_sided``), counted on one more
-untimed call per input, also from an empty cache. It reads ``bench/``
-and changes nothing there.
+untimed call per input, also from an empty cache. For the sweep it
+prints, per tree and per n, the share of a call's time spent outside
+``scmap._bare_vertices`` (the integrals), timed on one more untimed call
+per input from an empty cache. It reads ``bench/`` and changes nothing
+there.
 """
 
 from __future__ import annotations
@@ -321,12 +324,55 @@ def _passes(tree: Tree, name: str, inputs: list) -> list[float]:
     return [count / len(inputs) for count in counts.values()]
 
 
+def _outside(tree: Tree, inputs: list) -> dict[int, float]:
+    """Per n of the sweep inputs, the share of a call's time spent outside
+    ``scmap._bare_vertices``, timed on one untimed call per input, each
+    from an empty rule cache, by a wrapper on every binding of that
+    function in the tree's modules."""
+    wl = tree.activate().workloads.WORKLOADS["sweep"]
+    quadrature = tree.modules["scpoly.quadrature"]
+    fn = tree.scmap._bare_vertices
+    inside, depth = [0.0], [0]
+
+    def timed(*args, **kwargs):
+        # A batch that fails as a whole calls _bare_vertices once per map.
+        depth[0] += 1
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                inside[0] += time.perf_counter() - t0
+
+    patched = [module for module in tree.modules.values()
+               if getattr(module, "_bare_vertices", None) is fn]
+    for module in patched:
+        module._bare_vertices = timed
+    times: dict[int, list[float]] = {}
+    try:
+        for cfg in inputs:
+            quadrature._rules.clear()
+            inside[0] = 0.0
+            t0 = time.perf_counter()
+            _outcome(wl.call, cfg)
+            total = times.setdefault(cfg.n, [0.0, 0.0])
+            total[0] += time.perf_counter() - t0
+            total[1] += inside[0]
+    finally:
+        for module in patched:
+            module._bare_vertices = fn
+    return {n: 1.0 - within / total
+            for n, (total, within) in sorted(times.items())}
+
+
 def _timing(trees: list[Tree], repeats: int) -> None:
     """Per workload, each call timed ``repeats`` times per tree, the two
     trees alternating call by call, each call from an empty rule cache;
     the ratios are of per-call minima, the sweep's also per n (_per_n).
     Then, per tree, the refinement loops, passes and rules built per call
-    (_passes)."""
+    (_passes), and for the sweep the share outside the integrals
+    (_outside)."""
     print(f"time ratio, this tree / ref (seed {TIME_SEED}, "
           f"{repeats} repeats, each from an empty rule cache):")
     for name, count in TIME_CALLS.items():
@@ -364,6 +410,11 @@ def _timing(trees: list[Tree], repeats: int) -> None:
                   f"_leg_sums passes per call, "
                   f"{passes / loops:.2f} passes per loop; rules built per "
                   f"call: {built}")
+            if name == "sweep":
+                shares = ", ".join(f"n = {n} {100 * share:.1f}%" for n, share
+                                   in _outside(tree, made).items())
+                print(f"    {label}: share of a call outside "
+                      f"scmap._bare_vertices: {shares}")
 
 
 def _per_n(inputs: list, ratios: list[float],
