@@ -383,6 +383,10 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
                           exponent_right=a, order=order)
 
 
+# An overflow here is a singularity beyond 1e308 panel lengths: u is inf,
+# correctly far. Set once per call: a context per level costs render
+# x1.051 (tools/parity.py per-call median, seed-5 inputs, 2-core VM).
+@np.errstate(over="ignore")
 def _split(p: np.ndarray, q: np.ndarray, leg: np.ndarray, xs: np.ndarray,
            of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                     dict[int, NumericalError]]:
@@ -652,7 +656,10 @@ def _tail_singularities(xs: np.ndarray, es: np.ndarray, e_inf: np.ndarray
     infinity, then 1/z_j for every finite prevertex but z_2 = 0."""
     shape = (len(xs), -1)
     keep = xs != 0.0
-    us = np.column_stack([np.zeros(len(xs)), 1.0 / xs[keep].reshape(shape)])
+    # A subnormal prevertex's reciprocal overflows to inf: a far point.
+    with np.errstate(over="ignore"):
+        inv = 1.0 / xs[keep].reshape(shape)
+    us = np.column_stack([np.zeros(len(xs)), inv])
     ues = np.column_stack([e_inf, es[keep].reshape(shape)])
     return us, ues
 

@@ -11,8 +11,7 @@ for immersion: a polygon with no self-contact whose angles pass is a
 Jordan curve of turning number 1 and needs no winding probes, every other
 one goes through ``check_immersion_necessary``.
 
-The prevertex and exponent types check every number they are given;
-``_maps`` builds a batch of them from row arrays checked once as arrays.
+The prevertex and exponent types check every number they are given.
 
 Standard maps keep every alpha_j inside (0, 2) and always produce immersed
 polygons. Exponents >= 2 are legal only behind the explicit extended flag
@@ -123,33 +122,6 @@ class SCMap:
     @property
     def mode(self) -> str:
         return "extended" if self.exponents.extended else "standard"
-
-
-def _maps(zs: np.ndarray, alphas: np.ndarray
-          ) -> list[tuple[Prevertices, ExponentVector]]:
-    """The (prevertices, standard exponents) pair of each row of ``zs``
-    (n - 1 >= 2 columns) and ``alphas`` (n columns), checked once as
-    arrays, not number by number: a row that passes every check of the
-    two constructors (finite prevertices strictly increasing from
-    (-1, 0); exponents with |alpha - 1| < 1 whose fsum is n - 2 to the
-    sum tolerance) is built without them, and any other row goes
-    through them and raises what they raise."""
-    n = alphas.shape[1]
-    # Increasing up to a finite last point leaves no NaN or infinity.
-    ok = ((zs[:, 0] == -1.0) & (zs[:, 1] == 0.0) & (zs[:, -1] < math.inf)
-          & (zs[:, :-1] < zs[:, 1:]).all(axis=1)
-          & (np.abs(alphas - 1.0) < 1.0).all(axis=1))
-    out = []
-    for good, pts, vals in zip(ok.tolist(), zs.tolist(), alphas.tolist()):
-        if not (good and abs(math.fsum(vals) - (n - 2)) <= _SUM_TOL):
-            out.append((Prevertices(tuple(pts)), ExponentVector(tuple(vals))))
-            continue
-        pre, exp = object.__new__(Prevertices), object.__new__(ExponentVector)
-        object.__setattr__(pre, "finite_points", tuple(pts))
-        object.__setattr__(exp, "alphas", tuple(vals))
-        object.__setattr__(exp, "extended", False)
-        out.append((pre, exp))
-    return out
 
 
 def _check_counts(pre: Prevertices, exp: ExponentVector) -> None:

@@ -24,7 +24,7 @@ from .errors import NumericalError, ValidationError, check_int
 from .geometry import (PlanePoint, find_multiwound_witness, is_simple,
                        winding_number)
 from .quadrature import DEFAULT_TOL, check_tol
-from .scmap import _forward_many, _maps
+from .scmap import ExponentVector, Prevertices, _forward_many
 # Not called here (run_sweep uncharts its drawn coordinates and forwards
 # in batches), but bench/spans.py hooks them at this module.
 from .charts import moduli_unchart  # noqa: F401
@@ -108,9 +108,9 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
     gives, so the result does not depend on the chunks. Each sample's
     coordinates are those of ``sample_chart_point``; a chunk's are
     stacked and uncharted by one ``charts._unchart_rows`` call, whose
-    rows that unchart become maps through ``scmap._maps``, checked as
-    arrays. A ``ChartPoint`` is built only for the non-simple instances
-    kept.
+    rows that unchart become maps through the two constructors, as
+    ``moduli_unchart`` builds them. A ``ChartPoint`` is built only for
+    the non-simple instances kept.
     """
     # _forward_many checks tol for every chunk.
     simple = 0
@@ -122,7 +122,8 @@ def run_sweep(cfg: SweepConfig, tol: float = DEFAULT_TOL) -> SweepResult:
         zs, alphas, errors = _unchart_rows(drawn)
         kept = [i for i, error in enumerate(errors) if error is None]
         failures += len(errors) - len(kept)
-        maps = _maps(zs[kept], alphas[kept])
+        maps = [(Prevertices(tuple(z)), ExponentVector(tuple(a)))
+                for z, a in zip(zs[kept].tolist(), alphas[kept].tolist())]
         for i, poly in zip(kept, _forward_many(maps, tol)):
             if isinstance(poly, NumericalError):
                 failures += 1

@@ -41,6 +41,17 @@ def test_one_module_decides_what_is_a_number():
     assert not hasattr(scpoly.geometry, "_finite_points")
 
 
+def test_no_module_builds_an_object_around_its_constructor():
+    # object.__new__ skips __post_init__, and with it every check of a
+    # Prevertices, ExponentVector, SCMap or LabelledPolygon.
+    bypasses = sorted(
+        path.name for path in (SRC_DIR / "scpoly").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object")
+    assert bypasses == []
+
+
 def test_every_exported_failure_class_is_raised_somewhere():
     # A failure class that no code constructs is a label nothing can
     # carry. The three family bases are there to be caught.

@@ -619,24 +619,3 @@ def test_forward_affine_equivariance(square_map):
     direct = tuple(evaluate(m, z) for z in (-1.0, 0.0, 1.0))
     shifted = apply_similarity(bare, m.A, m.B)
     assert sup_dist(direct, shifted.vertices[:3]) < 1e-9 * bare.diameter
-
-
-def test_maps_of_checked_rows_equal_the_constructed_maps():
-    zs = np.array([[-1.0, 0.0, 0.5, 3.0], [-1.0, 0.0, 1e-300, 1e300]])
-    alphas = np.array([[0.5, 0.5, 0.5, 0.5], [1.75, 0.125, 0.0625, 0.0625]])
-    for (pre, exp), z, a in zip(scmap._maps(zs, alphas), zs, alphas):
-        assert pre == Prevertices(tuple(z)) and exp == ExponentVector(tuple(a))
-        assert {type(x) for x in pre.finite_points + exp.alphas} == {float}
-        assert not exp.extended
-    # A row that fails a check goes through the constructors and raises
-    # what they raise.
-    good_z, good_a = [-1.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5]
-    for z, a, error in (([-1.0, 0.0, 0.0], good_a, NotIncreasing),
-                        ([-1.0, 0.0, math.nan], good_a, ValidationError),
-                        ([-1.0, 0.0, math.inf], good_a, ValidationError),
-                        ([-2.0, 0.0, 1.0], good_a, NotNormalized),
-                        (good_z, [2.0, 0.5, 0.5, -1.0], InvalidExponent),
-                        (good_z, [0.5, 0.5, 0.5, 0.6], InvalidExponent),
-                        (good_z, [0.5, 0.5, 0.5, math.nan], InvalidExponent)):
-        with pytest.raises(error):
-            scmap._maps(np.array([good_z, z]), np.array([good_a, a]))

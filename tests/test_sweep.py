@@ -240,6 +240,20 @@ def test_chunks_mixing_chart_failures_keep_each_sample_aligned(monkeypatch):
     assert results[0].failures == lone.count("chart") + lone.count("forward")
 
 
+def test_wide_box_sweeps_count_overflowing_samples_as_failures():
+    # At box 720 gaps reach e^(+-720): panels see singularities past 1e308
+    # of their lengths and tails take reciprocals of subnormal prevertices.
+    # Both overflow to inf, a far point, and must not abort the sweep under
+    # the RuntimeWarning filter the tests run with.
+    res = run_sweep(SweepConfig(n=6, samples=40, seed=0, chart_box=720.0))
+    assert (res.simple_count, res.failures) == (0, 40)
+    res = run_sweep(SweepConfig(n=4, samples=200, seed=0, chart_box=720.0))
+    assert (res.simple_count, res.failures) == (9, 191)
+    point = sample_chart_point(SweepConfig(6, 40, 0, chart_box=720.0), 25)
+    with pytest.raises(NoConvergence):
+        forward(*moduli_unchart(point))
+
+
 def test_a_batch_equals_lone_forward_at_any_order(monkeypatch):
     # Each row of a pass sums its exponent products in one order, whatever
     # the pass's size and whichever maps share it, so a batch keeps the
